@@ -16,7 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from motifset.config import apply_overrides, load_config, preset_path
+from motifset.config import (SEED_FIELDS, apply_overrides, load_config,
+                             preset_path)
 from motifset.metrics import comprehensive_score
 from motifset.train import run_sweep, run_train
 
@@ -75,10 +76,7 @@ def main():
         apply_overrides(config, files)
     if args.epochs is not None:
         config.epochs = args.epochs
-    if args.seed is not None:
-        for field in ("topology_seed", "init_seed", "shuffle_seed",
-                      "evolution_seed", "split_seed"):
-            setattr(config, field, args.seed)
+    apply_overrides(config, dict.fromkeys(SEED_FIELDS, args.seed))
 
     manifests = {}
     results = {}

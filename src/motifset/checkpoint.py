@@ -14,12 +14,14 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointFormatError
-from .network import Network, SparseLayer
+from .errors import CheckpointFormatError, DivisibilityError, EmptyNetworkError
+from .network import Network, zero_network
 from .topology import export_topology, parse_topology
 
 CHECKPOINT_MAGIC = b"MSETCKPT"
 CHECKPOINT_VERSION = 1
+_META_KEYS = {"activation", "weight_mode", "init_scheme", "motif_size",
+              "epsilon", "density_mode", "layer_sizes"}
 
 
 def save_checkpoint(network: Network, path):
@@ -58,7 +60,11 @@ def _take(raw: bytes, offset: int, count: int, what: str):
 
 
 def load_checkpoint(path) -> Network:
-    """Reconstruct a network from a checkpoint file, bit for bit."""
+    """Reconstruct a network from a checkpoint file, bit for bit.
+
+    Raises :class:`CheckpointFormatError` for a damaged file, including
+    metadata that :func:`motifset.network.init_network` would reject.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     head, offset = _take(raw, 0, len(CHECKPOINT_MAGIC), "magic")
@@ -77,15 +83,24 @@ def load_checkpoint(path) -> Network:
         meta = json.loads(chunk.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable metadata") from exc
+    if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
+        raise CheckpointFormatError(
+            f"{path}: metadata must hold the keys {sorted(_META_KEYS)}"
+        )
     chunk, offset = _take(raw, offset, 8, "topology length")
     (topo_len,) = struct.unpack("<Q", chunk)
     chunk, offset = _take(raw, offset, topo_len, "topology text")
-    topology = parse_topology(
-        chunk.decode(),
-        motif_size=meta.get("motif_size"),
-        epsilon=meta.get("epsilon"),
-        density_mode=meta.get("density_mode"),
-    ).copy_mutable()
+    try:
+        topology = parse_topology(
+            chunk.decode(),
+            motif_size=meta["motif_size"],
+            epsilon=meta["epsilon"],
+            density_mode=meta["density_mode"],
+        ).copy_mutable()
+        network = zero_network(topology, meta["activation"],
+                               meta["init_scheme"], meta["weight_mode"])
+    except (ValueError, DivisibilityError, EmptyNetworkError) as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
 
     if tuple(meta["layer_sizes"]) != topology.layer_sizes:
         raise CheckpointFormatError(
@@ -93,29 +108,16 @@ def load_checkpoint(path) -> Network:
             f"with topology {list(topology.layer_sizes)}"
         )
 
-    weight_mode = meta["weight_mode"]
-    sizes = topology.layer_sizes
-    layers = []
-    for i in range(topology.n_weight_layers):
-        block_tile = topology.tile(i)
-        share_tile = block_tile if weight_mode == "shared" else 1
-        rows = sizes[i] // share_tile
-        cols = sizes[i + 1] // share_tile
-        chunk, offset = _take(raw, offset, rows * cols * 8,
+    for i, layer in enumerate(network.layers):
+        chunk, offset = _take(raw, offset, layer.weights.nbytes,
                               f"layer {i} weights")
-        weights = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols).copy()
-        chunk, offset = _take(raw, offset, sizes[i + 1] * 8, f"layer {i} bias")
-        bias = np.frombuffer(chunk, dtype="<f8").copy()
-        layers.append(SparseLayer(
-            weights=weights,
-            bias=bias,
-            block_mask=topology.block_masks[i],
-            block_tile=block_tile,
-            share_tile=share_tile,
-        ))
+        layer.weights = np.frombuffer(chunk, dtype="<f8").reshape(
+            layer.weights.shape).copy()
+        chunk, offset = _take(raw, offset, layer.bias.nbytes,
+                              f"layer {i} bias")
+        layer.bias = np.frombuffer(chunk, dtype="<f8").copy()
     if offset != len(raw):
         raise CheckpointFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after last layer"
         )
-    return Network(topology, layers, meta["activation"], weight_mode,
-                   meta["init_scheme"])
+    return network

@@ -20,13 +20,15 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import (
+    SCHEMA,
+    SEED_FIELDS,
     ExperimentConfig,
     apply_overrides,
     load_config,
     preset_path,
 )
 from .errors import ConfigError, DataError, MotifSetError, NonFiniteError
-from .topology import BlockDensitySpec, build_topology, export_topology
+from .topology import build_topology, export_topology
 from .train import run_prepare, run_score, run_sweep, run_train
 
 EXIT_OK = 0
@@ -35,58 +37,38 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_config_args(parser: argparse.ArgumentParser):
+def _add_config_args(parser: argparse.ArgumentParser, run_dir: bool = True):
+    """``--config``/``--preset``, ``--seed``, and one flag per config field.
+
+    A field's flag is ``--<field-name>`` and takes the text its config key
+    takes; ``out_dir`` is ``--out``, added only when ``run_dir`` is set.
+    """
     parser.add_argument("--config", help="path to a config or manifest file")
     parser.add_argument("--preset", help="name of a bundled preset config")
-
-
-def _add_override_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--motif-size", type=int, dest="motif_size")
-    parser.add_argument("--weight-mode", dest="weight_mode",
-                        choices=("shared", "independent"))
-    parser.add_argument("--hidden-sizes", dest="hidden_sizes",
-                        help="comma separated widths, e.g. 256,256")
-    parser.add_argument("--epochs", type=int, dest="epochs")
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--density-mode", dest="density_mode",
-                        choices=("erdos_renyi_set", "fixed_density"))
-    parser.add_argument("--density-value", type=float, dest="density_value")
-    parser.add_argument("--evolution-mode", dest="evolution_mode",
-                        choices=("magnitude_set", "listing4", "none"))
-    parser.add_argument("--zeta", type=float, dest="zeta")
-    parser.add_argument("--csv-path", dest="csv_path")
-    parser.add_argument("--cache-path", dest="cache_path")
-    parser.add_argument("--train-limit", type=int, dest="train_limit")
-    parser.add_argument("--test-limit", type=int, dest="test_limit")
     parser.add_argument("--seed", type=int,
-                        help="sets every seed (topology/init/evolution/"
-                             "split/shuffle) at once")
-    parser.add_argument("--out", dest="out_dir", help="run output directory")
-
-
-_OVERRIDE_FIELDS = (
-    "motif_size", "weight_mode", "hidden_sizes", "epochs", "learning_rate",
-    "batch_size", "density_mode", "density_value", "evolution_mode", "zeta",
-    "csv_path", "cache_path", "train_limit", "test_limit", "out_dir",
-)
+                        help=f"sets every seed ({', '.join(SEED_FIELDS)}) "
+                             f"at once; a per-seed flag wins over it")
+    for section, key, name in SCHEMA:
+        if name == "out_dir":
+            if run_dir:
+                parser.add_argument("--out", dest=name,
+                                    help="run output directory")
+            continue
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            help=f"[{section}] {key}")
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None) and getattr(args, "preset", None):
+    if args.config and args.preset:
         raise ConfigError("pass either --config or --preset, not both")
     config = ExperimentConfig()
-    if getattr(args, "preset", None):
+    if args.preset:
         config = load_config(preset_path(args.preset), config)
-    elif getattr(args, "config", None):
+    elif args.config:
         config = load_config(args.config, config)
-    overrides = {name: getattr(args, name, None) for name in _OVERRIDE_FIELDS}
-    apply_overrides(config, overrides)
-    if getattr(args, "seed", None) is not None:
-        for name in ("topology_seed", "init_seed", "evolution_seed",
-                     "split_seed", "shuffle_seed"):
-            setattr(config, name, args.seed)
-    return config
+    apply_overrides(config, dict.fromkeys(SEED_FIELDS, args.seed))
+    return apply_overrides(config, {name: getattr(args, name, None)
+                                    for _, _, name in SCHEMA})
 
 
 def _cmd_prepare(args) -> int:
@@ -116,14 +98,31 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    grid = None
+def _sweep_grid(args):
+    """The ``w_eff`` grid of ``sweep``, or None for the default grid."""
     if args.grid:
-        grid = np.array([float(p) for p in args.grid.split(",")])
-    elif args.grid_step:
-        grid = np.arange(0.0, 1.0 + args.grid_step / 2, args.grid_step)
-    result = run_sweep(args.baseline, args.variant, grid=grid,
-                       use_flops=args.use_flops, out_dir=args.out)
+        try:
+            return np.array([float(p) for p in args.grid.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--grid must list numbers, got {args.grid!r}"
+                              ) from exc
+    if args.grid_step is None:
+        return None
+    if not 0.0 < args.grid_step <= 1.0:
+        raise ConfigError(
+            f"--grid-step must be in (0, 1], got {args.grid_step}")
+    return np.arange(0.0, 1.0 + args.grid_step / 2, args.grid_step)
+
+
+def _cmd_sweep(args) -> int:
+    grid = _sweep_grid(args)
+    try:
+        result = run_sweep(args.baseline, args.variant, grid=grid,
+                           use_flops=args.use_flops, out_dir=args.out)
+    except ValueError as exc:
+        # tradeoff_sweep rejects grid values outside [0, 1]; a non-numeric
+        # manifest result lands here too
+        raise ConfigError(str(exc)) from exc
     if result.crossover_w_eff is None:
         print("variant never beats the baseline on this grid")
     else:
@@ -144,10 +143,9 @@ def _cmd_export_topology(args) -> int:
                 "--input-size (and --output-size)"
             )
         sizes = (args.input_size, *config.hidden_sizes, args.output_size)
-        topology = build_topology(
-            sizes, config.motif_size,
-            BlockDensitySpec(config.density_mode, config.density_value),
-            seed=config.topology_seed)
+        topology = build_topology(sizes, config.motif_size,
+                                  config.density_spec(),
+                                  seed=config.topology_seed)
     text = export_topology(topology)
     if args.out:
         with open(args.out, "w") as f:
@@ -167,14 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="build and cache a dataset")
     _add_config_args(p)
-    _add_override_args(p)
     p.add_argument("--cache-out", required=True,
                    help="where to write the dataset container")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("train", help="train one network")
     _add_config_args(p)
-    _add_override_args(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="score a variant against a baseline")
@@ -199,13 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-topology",
                        help="write a topology in the text format")
     p.add_argument("--checkpoint", help="read the topology from a checkpoint")
-    _add_config_args(p)
-    p.add_argument("--motif-size", type=int, dest="motif_size")
-    p.add_argument("--hidden-sizes", dest="hidden_sizes")
-    p.add_argument("--density-mode", dest="density_mode",
-                   choices=("erdos_renyi_set", "fixed_density"))
-    p.add_argument("--density-value", type=float, dest="density_value")
-    p.add_argument("--seed", type=int)
+    _add_config_args(p, run_dir=False)
     p.add_argument("--input-size", type=int)
     p.add_argument("--output-size", type=int, default=10)
     p.add_argument("--out", help="output file (stdout when omitted)")

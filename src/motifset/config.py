@@ -7,110 +7,113 @@ explicit after resolution, and the resolved config echoes back to the same
 format, so a run's ``manifest.txt`` reproduces the run when fed back in.
 Unknown sections (such as the ``[result]`` block a manifest carries) are
 ignored on load.
+
+:class:`ExperimentConfig` is the only list of knobs: each field names its
+section and key, and its default's type fixes how its text is parsed.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .evolution import LISTING4, MAGNITUDE_SET
-from .network import HE_NORMAL, HE_UNIFORM, INDEPENDENT, SHARED
-from .topology import ER_MODE, FIXED_MODE
+from .evolution import MAGNITUDE_SET, EvolutionPolicy
+from .network import HE_UNIFORM, SHARED, check_network_options
+from .topology import ER_MODE, BlockDensitySpec
 
 EVOLUTION_NONE = "none"
 
-# (section, key) -> dataclass field name; order defines the echo layout
-_LAYOUT = [
-    ("dataset", "kind", "dataset_kind"),
-    ("dataset", "csv_path", "csv_path"),
-    ("dataset", "label_column", "label_column"),
-    ("dataset", "test_fraction", "test_fraction"),
-    ("dataset", "train_images", "train_images"),
-    ("dataset", "train_labels", "train_labels"),
-    ("dataset", "test_images", "test_images"),
-    ("dataset", "test_labels", "test_labels"),
-    ("dataset", "cache_path", "cache_path"),
-    ("dataset", "standardize", "standardize"),
-    ("dataset", "train_limit", "train_limit"),
-    ("dataset", "test_limit", "test_limit"),
-    ("model", "hidden_sizes", "hidden_sizes"),
-    ("model", "motif_size", "motif_size"),
-    ("model", "weight_mode", "weight_mode"),
-    ("model", "activation", "activation"),
-    ("model", "init_scheme", "init_scheme"),
-    ("topology", "density_mode", "density_mode"),
-    ("topology", "density_value", "density_value"),
-    ("train", "epochs", "epochs"),
-    ("train", "learning_rate", "learning_rate"),
-    ("train", "batch_size", "batch_size"),
-    ("evolution", "mode", "evolution_mode"),
-    ("evolution", "zeta", "zeta"),
-    ("evolution", "epsilon_prune", "epsilon_prune"),
-    ("evolution", "noise_scale", "noise_scale"),
-    ("evolution", "period", "evolution_period"),
-    ("score", "w_eff", "w_eff"),
-    ("score", "w_acc", "w_acc"),
-    ("seeds", "topology", "topology_seed"),
-    ("seeds", "init", "init_seed"),
-    ("seeds", "evolution", "evolution_seed"),
-    ("seeds", "split", "split_seed"),
-    ("seeds", "shuffle", "shuffle_seed"),
-    ("output", "out_dir", "out_dir"),
-]
+
+def _knob(section: str, default, key: str | None = None):
+    """A field echoed under ``[section]`` as ``key`` (default: its name)."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
+@contextmanager
+def _as_config_error():
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
 class ExperimentConfig:
-    """Every knob of one training run, flat, with defaults."""
+    """Every knob of one training run, flat, with defaults.
 
-    # dataset
-    dataset_kind: str = "labeled_csv"  # labeled_csv | idx
-    csv_path: str = ""
-    label_column: int = -1
-    test_fraction: float = 1.0 / 3.0
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    cache_path: str = ""
-    standardize: bool = True
-    train_limit: int = 0  # 0 = use everything
-    test_limit: int = 0
-    # model
-    hidden_sizes: tuple[int, ...] = (256, 256)
-    motif_size: int = 1
-    weight_mode: str = SHARED
-    activation: str = "relu"
-    init_scheme: str = HE_UNIFORM
-    # topology sampling
-    density_mode: str = ER_MODE
-    density_value: float = 20.0
-    # training loop; batch_size 0 means full batch
-    epochs: int = 10
-    learning_rate: float = 0.05
-    batch_size: int = 64
-    # evolution
-    evolution_mode: str = MAGNITUDE_SET
-    zeta: float = 0.3
-    epsilon_prune: float = 0.1
-    noise_scale: float = 0.01
-    evolution_period: int = 1
-    # scoring defaults
-    w_eff: float = 0.1
-    w_acc: float = 0.9
+    Field order is the echo order of :func:`config_to_text`.
+    """
+
+    dataset_kind: str = _knob("dataset", "labeled_csv", "kind")  # or idx
+    csv_path: str = _knob("dataset", "")
+    label_column: int = _knob("dataset", -1)
+    test_fraction: float = _knob("dataset", 1.0 / 3.0)
+    train_images: str = _knob("dataset", "")
+    train_labels: str = _knob("dataset", "")
+    test_images: str = _knob("dataset", "")
+    test_labels: str = _knob("dataset", "")
+    cache_path: str = _knob("dataset", "")
+    standardize: bool = _knob("dataset", True)
+    train_limit: int = _knob("dataset", 0)  # 0 = use everything
+    test_limit: int = _knob("dataset", 0)
+    hidden_sizes: tuple[int, ...] = _knob("model", (256, 256))
+    motif_size: int = _knob("model", 1)
+    weight_mode: str = _knob("model", SHARED)
+    activation: str = _knob("model", "relu")
+    init_scheme: str = _knob("model", HE_UNIFORM)
+    density_mode: str = _knob("topology", ER_MODE)
+    density_value: float = _knob("topology", 20.0)
+    epochs: int = _knob("train", 10)
+    learning_rate: float = _knob("train", 0.05)
+    batch_size: int = _knob("train", 64)  # 0 = full batch
+    evolution_mode: str = _knob("evolution", MAGNITUDE_SET, "mode")
+    zeta: float = _knob("evolution", 0.3)
+    epsilon_prune: float = _knob("evolution", 0.1)
+    noise_scale: float = _knob("evolution", 0.01)
+    evolution_period: int = _knob("evolution", 1, "period")
+    w_eff: float = _knob("score", 0.1)
+    w_acc: float = _knob("score", 0.9)
     # seeds (all explicit so a manifest fully pins the run)
-    topology_seed: int = 42
-    init_seed: int = 42
-    evolution_seed: int = 42
-    split_seed: int = 42
-    shuffle_seed: int = 42
-    # output
-    out_dir: str = "runs/latest"
+    topology_seed: int = _knob("seeds", 42, "topology")
+    init_seed: int = _knob("seeds", 42, "init")
+    evolution_seed: int = _knob("seeds", 42, "evolution")
+    split_seed: int = _knob("seeds", 42, "split")
+    shuffle_seed: int = _knob("seeds", 42, "shuffle")
+    out_dir: str = _knob("output", "runs/latest")
+
+    def density_spec(self) -> BlockDensitySpec:
+        """The topology sampler's density; ConfigError when out of range."""
+        with _as_config_error():
+            return BlockDensitySpec(self.density_mode, self.density_value)
+
+    def evolution_policy(self) -> EvolutionPolicy | None:
+        """The evolution policy, or None when the mode is ``none``.
+
+        The rates are checked in every mode, so a manifest never records an
+        out-of-range value.  Raises :class:`ConfigError`.
+        """
+        off = self.evolution_mode == EVOLUTION_NONE
+        with _as_config_error():
+            policy = EvolutionPolicy(
+                mode=MAGNITUDE_SET if off else self.evolution_mode,
+                zeta=self.zeta, epsilon_prune=self.epsilon_prune,
+                noise_scale=self.noise_scale, rng_seed=self.evolution_seed,
+            )
+        return None if off else policy
 
     def validate(self) -> "ExperimentConfig":
-        """Raise :class:`ConfigError` on out-of-range or inconsistent knobs."""
+        """Raise :class:`ConfigError` on out-of-range or inconsistent knobs.
+
+        Density, evolution and network options are checked by the same code
+        that training uses to build them.
+        """
+        with _as_config_error():
+            check_network_options(self.activation, self.init_scheme,
+                                  self.weight_mode)
+        self.density_spec()
+        self.evolution_policy()
         checks = [
             (self.dataset_kind in ("labeled_csv", "idx"),
              f"dataset kind must be labeled_csv or idx, got "
@@ -119,36 +122,12 @@ class ExperimentConfig:
              f"hidden sizes must be positive, got {self.hidden_sizes}"),
             (self.motif_size >= 1,
              f"motif_size must be >= 1, got {self.motif_size}"),
-            (self.weight_mode in (SHARED, INDEPENDENT),
-             f"weight_mode must be shared or independent, got "
-             f"{self.weight_mode!r}"),
-            (self.activation in ("relu", "sigmoid"),
-             f"activation must be relu or sigmoid, got {self.activation!r}"),
-            (self.init_scheme in (HE_UNIFORM, HE_NORMAL),
-             f"init_scheme must be he_uniform or he_normal, got "
-             f"{self.init_scheme!r}"),
-            (self.density_mode in (ER_MODE, FIXED_MODE),
-             f"density_mode must be {ER_MODE} or {FIXED_MODE}, got "
-             f"{self.density_mode!r}"),
-            (self.density_value > 0,
-             f"density_value must be > 0, got {self.density_value}"),
-            (self.density_mode != FIXED_MODE or self.density_value <= 1.0,
-             f"fixed density must be <= 1, got {self.density_value}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
             (self.learning_rate > 0,
              f"learning_rate must be > 0, got {self.learning_rate}"),
             (self.batch_size >= 0,
              f"batch_size must be >= 0 (0 = full batch), got "
              f"{self.batch_size}"),
-            (self.evolution_mode in (MAGNITUDE_SET, LISTING4, EVOLUTION_NONE),
-             f"evolution mode must be {MAGNITUDE_SET}, {LISTING4} or "
-             f"{EVOLUTION_NONE}, got {self.evolution_mode!r}"),
-            (0.0 < self.zeta < 1.0,
-             f"zeta must be in (0, 1), got {self.zeta}"),
-            (0.0 <= self.epsilon_prune <= 1.0,
-             f"epsilon_prune must be in [0, 1], got {self.epsilon_prune}"),
-            (self.noise_scale >= 0,
-             f"noise_scale must be >= 0, got {self.noise_scale}"),
             (self.evolution_period >= 1,
              f"evolution period must be >= 1, got {self.evolution_period}"),
             (self.test_fraction > 0 and self.test_fraction < 1,
@@ -174,54 +153,48 @@ class ExperimentConfig:
         return self
 
 
+# (section, key, field name) of every knob, in echo order
+SCHEMA = tuple((f.metadata["section"], f.metadata["key"] or f.name, f.name)
+               for f in fields(ExperimentConfig))
+SEED_FIELDS = tuple(name for section, _, name in SCHEMA if section == "seeds")
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        sizes = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad hidden_sizes {text!r}") from exc
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    sizes = tuple(int(p) for p in text.split(",") if p.strip())
     if not sizes:
-        raise ConfigError("hidden_sizes must list at least one width")
+        raise ValueError("expected at least one width")
     return sizes
 
 
-def _coerce(name: str, kind, text: str):
-    text = text.strip()
+def _parse_value(name: str, text: str):
+    """Parse the text of field ``name`` as its default's type."""
+    kind = type(_DEFAULTS[name])
+    parse = {bool: _parse_bool, tuple: _parse_sizes}.get(kind, kind)
     try:
-        if kind is bool:
-            return _parse_bool(text)
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        if name == "hidden_sizes":
-            return _parse_hidden(text)
-        return text
-    except ConfigError:
-        raise
+        return parse(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {text!r}") from exc
+        raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from exc
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_PY_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
-
-
-def _field_kind(name: str):
-    type_name = str(_FIELD_TYPES[name])
-    for key, kind in _PY_TYPES.items():
-        if type_name.startswith(key):
-            return kind
-    return None  # hidden_sizes handled by name
+def _format_value(value) -> str:
+    """Config-file text of a field value; :func:`_parse_value` inverts it."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def load_config(path, base: ExperimentConfig | None = None
@@ -232,7 +205,7 @@ def load_config(path, base: ExperimentConfig | None = None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     config = base if base is not None else ExperimentConfig()
-    known = {(section, key): name for section, key, name in _LAYOUT}
+    known = {(section, key): name for section, key, name in SCHEMA}
     for section in parser.sections():
         if section == "result":
             continue  # manifests carry results; harmless on re-load
@@ -242,20 +215,23 @@ def load_config(path, base: ExperimentConfig | None = None
                 raise ConfigError(
                     f"{path}: unknown option [{section}] {key}"
                 )
-            setattr(config, name, _coerce(name, _field_kind(name), value))
+            setattr(config, name, _parse_value(name, value))
     return config
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict
                     ) -> ExperimentConfig:
-    """Set non-None override values (CLI flags) onto the config."""
+    """Set non-None override values (CLI flags) onto the config.
+
+    String values are parsed as a config file's are.
+    """
     for name, value in overrides.items():
         if value is None:
             continue
-        if not hasattr(config, name):
+        if name not in _DEFAULTS:
             raise ConfigError(f"unknown config field {name!r}")
-        if name == "hidden_sizes" and isinstance(value, str):
-            value = _parse_hidden(value)
+        if isinstance(value, str):
+            value = _parse_value(name, value)
         setattr(config, name, value)
     return config
 
@@ -263,32 +239,15 @@ def apply_overrides(config: ExperimentConfig, overrides: dict
 def config_to_text(config: ExperimentConfig,
                    result: dict | None = None) -> str:
     """Echo a config (plus an optional ``[result]`` section) as INI text."""
-    parser = configparser.ConfigParser()
-    for section, key, name in _LAYOUT:
-        if not parser.has_section(section):
-            parser.add_section(section)
-        value = getattr(config, name)
-        if name == "hidden_sizes":
-            text = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        parser.set(section, key, text)
+    sections: dict[str, list[str]] = {}
+    for section, key, name in SCHEMA:
+        sections.setdefault(section, []).append(
+            f"{key} = {_format_value(getattr(config, name))}")
     if result:
-        parser.add_section("result")
-        for key, value in result.items():
-            parser.set("result", key,
-                       repr(value) if isinstance(value, float) else str(value))
-    out = []
-    for section in parser.sections():
-        out.append(f"[{section}]")
-        for key, value in parser.items(section):
-            out.append(f"{key} = {value}")
-        out.append("")
-    return "\n".join(out)
+        sections["result"] = [f"{key} = {_format_value(value)}"
+                              for key, value in result.items()]
+    return "\n\n".join("\n".join([f"[{section}]", *lines])
+                       for section, lines in sections.items()) + "\n"
 
 
 def read_manifest_result(path) -> dict:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SaturationError
-from .network import HE_UNIFORM, Network, SparseLayer
+from .network import Network, SparseLayer, he_sample
 
 MAGNITUDE_SET = "magnitude_set"
 LISTING4 = "listing4"
@@ -124,15 +124,6 @@ def _zero_block(layer: SparseLayer, r: int, c: int):
         layer.weights[r * e:(r + 1) * e, c * e:(c + 1) * e] = 0.0
 
 
-def _fresh_block_values(layer: SparseLayer, fan_in: int, k: int,
-                        init_scheme: str, rng: np.random.Generator):
-    e = layer.expand_factor
-    if init_scheme == HE_UNIFORM:
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=(k, e, e))
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(k, e, e))
-
-
 def evolve_magnitude(network: Network, policy: EvolutionPolicy,
                      event_index: int = 0) -> tuple[Network, EvolutionStats]:
     """One magnitude-based prune-and-regrow event, in place.
@@ -179,8 +170,7 @@ def evolve_magnitude(network: Network, policy: EvolutionPolicy,
 
         free_r, free_c = np.nonzero(~mask)
         pick = rng.choice(free_r.size, size=k, replace=False)
-        values = _fresh_block_values(layer, sizes[i], k,
-                                     network.init_scheme, rng)
+        values = he_sample(rng, network.init_scheme, sizes[i], (k, e, e))
         gr, gc = free_r[pick], free_c[pick]
         mask[gr, gc] = True
         if e == 1:

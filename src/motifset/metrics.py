@@ -147,7 +147,7 @@ def tradeoff_sweep(t_base: float, t: float, a_base: float, a: float,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
-    if grid.min() < 0.0 or grid.max() > 1.0:
+    if not ((grid >= 0.0) & (grid <= 1.0)).all():  # NaN fails too
         raise ValueError("sweep grid values must lie in [0, 1]")
     points = []
     baseline_scores = []

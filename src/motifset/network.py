@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, StaleCacheError
-from .topology import MotifTopology
+from .topology import MotifTopology, tile_cells
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -63,6 +63,27 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def he_sample(rng: np.random.Generator, init_scheme: str, fan_in: int,
+              size) -> np.ndarray:
+    """He-initialised values: uniform on ``(-sqrt(6 / fan_in),
+    sqrt(6 / fan_in))`` or normal with std ``sqrt(2 / fan_in)``."""
+    if init_scheme == HE_UNIFORM:
+        bound = np.sqrt(6.0 / fan_in)
+        return rng.uniform(-bound, bound, size=size)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=size)
+
+
+def check_network_options(activation: str, init_scheme: str,
+                          weight_mode: str):
+    """Raise ValueError on an unknown activation, init scheme or weight mode."""
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    if init_scheme not in _INIT_SCHEMES:
+        raise ValueError(f"unknown init scheme {init_scheme!r}")
+    if weight_mode not in _WEIGHT_MODES:
+        raise ValueError(f"unknown weight mode {weight_mode!r}")
+
+
 @dataclass
 class SparseLayer:
     """One weight layer of the network.
@@ -86,10 +107,7 @@ class SparseLayer:
 
     def weight_mask(self) -> np.ndarray:
         """Boolean mask at the granularity of ``weights``."""
-        e = self.expand_factor
-        if e == 1:
-            return self.block_mask
-        return np.repeat(np.repeat(self.block_mask, e, axis=0), e, axis=1)
+        return tile_cells(self.block_mask, self.expand_factor)
 
 
 @dataclass
@@ -137,11 +155,34 @@ class Gradients:
 
 
 def expand_weights(layer: SparseLayer) -> np.ndarray:
-    """Neuron-granularity weight matrix equivalent to this layer."""
-    e = layer.share_tile
-    if e == 1:
-        return layer.weights.copy()
-    return np.repeat(np.repeat(layer.weights, e, axis=0), e, axis=1)
+    """Neuron-granularity weight matrix equivalent to this layer (a copy)."""
+    return tile_cells(layer.weights, layer.share_tile).copy()
+
+
+def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
+                 weight_mode: str) -> Network:
+    """A network on ``topology`` with every weight and bias zero.
+
+    Lays out each weight layer's grid: shared hidden layers store one weight
+    per block, every other layer one per neuron pair.  The network takes
+    ``topology`` itself, so its masks are the layers' ``block_mask``.
+    Raises ValueError for an unknown activation, init scheme or weight mode.
+    """
+    check_network_options(activation, init_scheme, weight_mode)
+    sizes = topology.layer_sizes
+    layers = []
+    for i, mask in enumerate(topology.block_masks):
+        block_tile = topology.tile(i)
+        share_tile = block_tile if weight_mode == SHARED else 1
+        layers.append(SparseLayer(
+            weights=np.zeros((sizes[i] // share_tile,
+                              sizes[i + 1] // share_tile)),
+            bias=np.zeros(sizes[i + 1], dtype=np.float64),
+            block_mask=mask,
+            block_tile=block_tile,
+            share_tile=share_tile,
+        ))
+    return Network(topology, layers, activation, weight_mode, init_scheme)
 
 
 def init_network(topology: MotifTopology, activation: str = "relu",
@@ -150,46 +191,19 @@ def init_network(topology: MotifTopology, activation: str = "relu",
     """Build a network with freshly initialized weights.
 
     Layer ``i`` draws from an independent generator seeded ``(seed, i)``.
-    He initialization uses the full previous layer width as fan-in:
-    uniform on ``(-sqrt(6 / fan_in), sqrt(6 / fan_in))`` or normal with
-    std ``sqrt(2 / fan_in)``.  A full weight grid is drawn first and then
-    zeroed outside the mask, so the surviving values do not depend on which
-    blocks happen to be active.  Biases start at zero.
+    He initialization (:func:`he_sample`) uses the full previous layer width
+    as fan-in.  A full weight grid is drawn first and then zeroed outside
+    the mask, so the surviving values do not depend on which blocks happen
+    to be active.  Biases start at zero.
     """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    if init_scheme not in _INIT_SCHEMES:
-        raise ValueError(f"unknown init scheme {init_scheme!r}")
-    if weight_mode not in _WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
-
-    owned = topology.copy_mutable()
-    sizes = owned.layer_sizes
-    layers = []
-    for i in range(owned.n_weight_layers):
-        block_tile = owned.tile(i)
-        share_tile = block_tile if weight_mode == SHARED else 1
-        rows = sizes[i] // share_tile
-        cols = sizes[i + 1] // share_tile
+    network = zero_network(topology.copy_mutable(), activation, init_scheme,
+                           weight_mode)
+    for i, layer in enumerate(network.layers):
         rng = np.random.default_rng((seed, i))
-        fan_in = sizes[i]
-        if init_scheme == HE_UNIFORM:
-            bound = np.sqrt(6.0 / fan_in)
-            raw = rng.uniform(-bound, bound, size=(rows, cols))
-        else:
-            raw = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(rows, cols))
-        mask_b = owned.block_masks[i]
-        e = block_tile // share_tile
-        wmask = mask_b if e == 1 else np.repeat(np.repeat(mask_b, e, 0), e, 1)
-        weights = np.where(wmask, raw, 0.0)
-        layers.append(SparseLayer(
-            weights=weights,
-            bias=np.zeros(sizes[i + 1], dtype=np.float64),
-            block_mask=mask_b,
-            block_tile=block_tile,
-            share_tile=share_tile,
-        ))
-    return Network(owned, layers, activation, weight_mode, init_scheme)
+        raw = he_sample(rng, init_scheme, network.layer_sizes[i],
+                        layer.weights.shape)
+        layer.weights = np.where(layer.weight_mask(), raw, 0.0)
+    return network
 
 
 def _pool_cols(a: np.ndarray, m: int) -> np.ndarray:

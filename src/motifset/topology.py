@@ -27,6 +27,35 @@ _MODES = (ER_MODE, FIXED_MODE)
 TOPOLOGY_HEADER = "motif-topology v1"
 
 
+def check_layer_sizes(layer_sizes: tuple[int, ...], motif_size: int):
+    """Raise unless every non-output width is a positive multiple of
+    ``motif_size`` and there is at least one weight layer."""
+    if len(layer_sizes) < 2:
+        raise EmptyNetworkError(
+            f"need at least input and output sizes, got {layer_sizes}"
+        )
+    if motif_size < 1:
+        raise ValueError(f"motif size must be >= 1, got {motif_size}")
+    if any(s < 1 for s in layer_sizes):
+        raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
+    for size in layer_sizes[:-1]:
+        if size % motif_size != 0:
+            raise DivisibilityError(
+                f"layer width {size} is not divisible by motif size "
+                f"{motif_size} (only the output layer is exempt)"
+            )
+
+
+def tile_cells(cells: np.ndarray, t: int) -> np.ndarray:
+    """Expand every cell of a 2-D array into a ``t x t`` patch.
+
+    Returns ``cells`` itself, not a copy, when ``t == 1``.
+    """
+    if t == 1:
+        return cells
+    return np.repeat(np.repeat(cells, t, axis=0), t, axis=1)
+
+
 @dataclass(frozen=True)
 class BlockDensitySpec:
     """How many blocks of a layer's block grid should be active.
@@ -80,20 +109,7 @@ class MotifTopology:
     density_mode: str | None = None
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2:
-            raise EmptyNetworkError(
-                f"need at least input and output sizes, got {self.layer_sizes}"
-            )
-        if self.motif_size < 1:
-            raise ValueError(f"motif size must be >= 1, got {self.motif_size}")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
-        for size in self.layer_sizes[:-1]:
-            if size % self.motif_size != 0:
-                raise DivisibilityError(
-                    f"layer width {size} is not divisible by motif size "
-                    f"{self.motif_size} (only the output layer is exempt)"
-                )
+        check_layer_sizes(self.layer_sizes, self.motif_size)
         if len(self.block_masks) != self.n_weight_layers:
             raise ValueError(
                 f"expected {self.n_weight_layers} masks, got {len(self.block_masks)}"
@@ -150,18 +166,7 @@ def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
     to :func:`motifset.network.init_network` to get an evolvable copy.
     """
     layer_sizes = tuple(int(s) for s in layer_sizes)
-    if len(layer_sizes) < 2:
-        raise EmptyNetworkError(
-            f"need at least input and output sizes, got {layer_sizes}"
-        )
-    if motif_size < 1:
-        raise ValueError(f"motif size must be >= 1, got {motif_size}")
-    for size in layer_sizes[:-1]:
-        if size % motif_size != 0:
-            raise DivisibilityError(
-                f"layer width {size} is not divisible by motif size "
-                f"{motif_size} (only the output layer is exempt)"
-            )
+    check_layer_sizes(layer_sizes, motif_size)
 
     n_layers = len(layer_sizes) - 1
     masks = []
@@ -203,10 +208,7 @@ def expand_mask(topology: MotifTopology, layer_index: int) -> np.ndarray:
     """
     topology._check_index(layer_index)
     mask = topology.block_masks[layer_index]
-    t = topology.tile(layer_index)
-    if t == 1:
-        return mask.copy()
-    return np.repeat(np.repeat(mask, t, axis=0), t, axis=1)
+    return tile_cells(mask, topology.tile(layer_index)).copy()
 
 
 def export_topology(topology: MotifTopology) -> str:
@@ -227,6 +229,12 @@ def export_topology(topology: MotifTopology) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(parts: list[str], count: int, line: str) -> list[int]:
+    if len(parts) != count:
+        raise ValueError(f"expected {count} numbers in line {line!r}")
+    return [int(p) for p in parts]
+
+
 def parse_topology(text: str, motif_size: int | None = None,
                    epsilon: float | None = None,
                    density_mode: str | None = None) -> MotifTopology:
@@ -237,6 +245,7 @@ def parse_topology(text: str, motif_size: int | None = None,
     with a single weight layer (stored at tile 1) pass ``motif_size``
     explicitly if it matters.  ``epsilon``/``density_mode`` are not stored
     in the text format; pass them to re-attach them (checkpoints do).
+    Raises ValueError for a malformed line or a block outside its grid.
     """
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines or lines[0] != TOPOLOGY_HEADER:
@@ -250,7 +259,7 @@ def parse_topology(text: str, motif_size: int | None = None,
             continue
         parts = ln.split()
         if parts[0] == "layer":
-            idx, rows, cols, tile = (int(p) for p in parts[1:5])
+            idx, rows, cols, tile = _ints(parts[1:], 4, ln)
             if idx != len(shapes):
                 raise ValueError(f"layer lines out of order at index {idx}")
             shapes.append((rows, cols, tile))
@@ -259,7 +268,12 @@ def parse_topology(text: str, motif_size: int | None = None,
         else:
             if current is None:
                 raise ValueError("block line before any layer line")
-            r, c = int(parts[0]), int(parts[1])
+            r, c = _ints(parts, 2, ln)
+            if not (0 <= r < current.shape[0] and 0 <= c < current.shape[1]):
+                raise ValueError(
+                    f"block {r} {c} lies outside the {current.shape[0]} x "
+                    f"{current.shape[1]} grid of layer {len(shapes) - 1}"
+                )
             current[r, c] = True
 
     if not shapes:

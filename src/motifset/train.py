@@ -24,12 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import save_checkpoint
-from .config import (
-    EVOLUTION_NONE,
-    ExperimentConfig,
-    config_to_text,
-    read_manifest_result,
-)
+from .config import ExperimentConfig, config_to_text, read_manifest_result
 from .data import (
     Dataset,
     build_csv_dataset,
@@ -39,12 +34,7 @@ from .data import (
     save_dataset_cache,
 )
 from .errors import MissingFieldError, NonFiniteError, SaturationError
-from .evolution import (
-    EVOLUTION_CSV_HEADER,
-    EvolutionPolicy,
-    evolution_schedule,
-    evolve,
-)
+from .evolution import EVOLUTION_CSV_HEADER, evolution_schedule, evolve
 from .metrics import (
     METRICS_CSV_HEADER,
     SCORE_CSV_HEADER,
@@ -59,7 +49,7 @@ from .metrics import (
     tradeoff_sweep,
 )
 from .network import backward, forward, init_network, loss, predict_accuracy, sgd_step
-from .topology import BlockDensitySpec, build_topology
+from .topology import build_topology
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
@@ -118,18 +108,12 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     dataset = load_dataset(config)
     layer_sizes = (dataset.n_features, *config.hidden_sizes,
                    dataset.n_classes)
-    density = BlockDensitySpec(config.density_mode, config.density_value)
-    topology = build_topology(layer_sizes, config.motif_size, density,
+    topology = build_topology(layer_sizes, config.motif_size,
+                              config.density_spec(),
                               seed=config.topology_seed)
     network = init_network(topology, config.activation, config.init_scheme,
                            config.init_seed, config.weight_mode)
-    policy = None
-    if config.evolution_mode != EVOLUTION_NONE:
-        policy = EvolutionPolicy(
-            mode=config.evolution_mode, zeta=config.zeta,
-            epsilon_prune=config.epsilon_prune,
-            noise_scale=config.noise_scale, rng_seed=config.evolution_seed,
-        )
+    policy = config.evolution_policy()
 
     x_tr, y_tr = dataset.x_train, dataset.y_train
     n = x_tr.shape[0]
@@ -206,6 +190,13 @@ def _manifest_measurements(path, use_flops: bool) -> tuple[float, float]:
     return float(result[time_key]), float(result["final_accuracy"])
 
 
+def _write_scores(out_dir, name: str, result: SweepResult):
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / name).write_text(
+        SCORE_CSV_HEADER + "\n" + "\n".join(score_csv_rows(result)) + "\n")
+
+
 def run_score(baseline_manifest, variant_manifest, w_eff: float = 0.1,
               w_acc: float | None = None, use_flops: bool = False,
               out_dir=None) -> ScoreReport:
@@ -219,11 +210,8 @@ def run_score(baseline_manifest, variant_manifest, w_eff: float = 0.1,
     t_var, a_var = _manifest_measurements(variant_manifest, use_flops)
     report = comprehensive_score(t_base, t_var, a_base, a_var, w_eff, w_acc)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        single = SweepResult([report], [report.w_acc], None)
-        (out_dir / "score.csv").write_text(
-            SCORE_CSV_HEADER + "\n" + "\n".join(score_csv_rows(single)) + "\n")
+        _write_scores(out_dir, "score.csv",
+                      SweepResult([report], [report.w_acc], None))
     return report
 
 
@@ -234,8 +222,5 @@ def run_sweep(baseline_manifest, variant_manifest, grid=None,
     t_var, a_var = _manifest_measurements(variant_manifest, use_flops)
     result = tradeoff_sweep(t_base, t_var, a_base, a_var, grid)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text(
-            SCORE_CSV_HEADER + "\n" + "\n".join(score_csv_rows(result)) + "\n")
+        _write_scores(out_dir, "sweep.csv", result)
     return result

@@ -1,8 +1,12 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from motifset.checkpoint import load_checkpoint, save_checkpoint
+from motifset.cli import main
 from motifset.errors import CheckpointFormatError
 from motifset.network import backward, forward, sgd_step
 
@@ -95,3 +99,38 @@ def test_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+def _edit_checkpoint(path, edit):
+    """Rewrite a checkpoint's metadata and topology text through ``edit``."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 12)
+    meta = json.loads(raw[16:16 + meta_len])
+    at = 16 + meta_len
+    (topo_len,) = struct.unpack_from("<Q", raw, at)
+    topo = raw[at + 8:at + 8 + topo_len].decode()
+    meta, topo = edit(meta, topo)
+    meta_bytes, topo_bytes = json.dumps(meta).encode(), topo.encode()
+    path.write_bytes(raw[:12] + struct.pack("<I", len(meta_bytes))
+                     + meta_bytes + struct.pack("<Q", len(topo_bytes))
+                     + topo_bytes + raw[at + 8 + topo_len:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta, topo: ({k: v for k, v in meta.items()
+                         if k != "weight_mode"}, topo),
+    lambda meta, topo: (meta, topo + "99 0\n"),
+    lambda meta, topo: (meta, topo + "-1 0\n"),
+    lambda meta, topo: (meta, topo + "3\n"),
+    lambda meta, topo: ({**meta, "activation": "tanh"}, topo),
+    lambda meta, topo: ({**meta, "init_scheme": "xavier"}, topo),
+    lambda meta, topo: ({**meta, "weight_mode": "dense"}, topo),
+], ids=["missing-key", "block-out-of-range", "negative-block",
+        "short-block-line", "tanh", "init-scheme", "weight-mode"])
+def test_damaged_checkpoint_rejected(tmp_path, edit):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(), path)
+    _edit_checkpoint(path, edit)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+    assert main(["export-topology", "--checkpoint", str(path)]) == 3

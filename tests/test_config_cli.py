@@ -1,8 +1,11 @@
 """Config parsing/echo, preset resolution, CLI subcommands and exit codes."""
+import configparser
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from motifset.cli import main
+from motifset.cli import _resolve_config, build_parser, main
 from motifset.config import (
     ExperimentConfig,
     apply_overrides,
@@ -64,6 +67,7 @@ class TestConfigFiles:
         ("epochs", 0), ("learning_rate", -0.1), ("motif_size", 0),
         ("zeta", 1.0), ("weight_mode", "psychic"), ("batch_size", -1),
         ("evolution_period", 0), ("w_eff", 0.5),  # w_eff+w_acc != 1
+        ("density_value", float("inf")),
     ])
     def test_validation_failures(self, field, value):
         config = ExperimentConfig(csv_path="x.csv")
@@ -73,11 +77,45 @@ class TestConfigFiles:
 
     def test_overrides_skip_none(self):
         config = ExperimentConfig()
-        apply_overrides(config, {"epochs": None, "motif_size": 2,
-                                 "hidden_sizes": "8,8"})
+        apply_overrides(config, {"epochs": None, "motif_size": "2",
+                                 "zeta": 0.25, "hidden_sizes": "8,8"})
         assert config.epochs == ExperimentConfig().epochs
         assert config.motif_size == 2
+        assert config.zeta == 0.25
         assert config.hidden_sizes == (8, 8)
+        with pytest.raises(ConfigError):
+            apply_overrides(config, {"motif_size": "x"})
+
+    def test_every_field_has_a_cli_flag(self, tmp_path):
+        config = ExperimentConfig(
+            dataset_kind="idx", csv_path="a.csv", label_column=0,
+            test_fraction=0.25, train_images="ti", train_labels="tl",
+            test_images="vi", test_labels="vl", cache_path="c.bin",
+            standardize=False, train_limit=100, test_limit=50,
+            hidden_sizes=(32, 16), motif_size=2, weight_mode="independent",
+            activation="sigmoid", init_scheme="he_normal",
+            density_mode="fixed_density", density_value=0.5, epochs=3,
+            learning_rate=0.125, batch_size=0, evolution_mode="listing4",
+            zeta=0.45, epsilon_prune=0.2, noise_scale=0.5,
+            evolution_period=2, w_eff=0.25, w_acc=0.75, topology_seed=1,
+            init_seed=2, evolution_seed=3, split_seed=4, shuffle_seed=5,
+            out_dir="runs/z")
+        assert all(getattr(config, f.name) != f.default
+                   for f in fields(config))
+        text = config_to_text(config)
+        echoed = configparser.ConfigParser()
+        echoed.read_string(text)
+        values = [value for section in echoed.sections()
+                  for _, value in echoed.items(section)]
+        argv = ["train"]
+        for f, value in zip(fields(config), values, strict=True):
+            flag = "--out" if f.name == "out_dir" else "--" + f.name.replace(
+                "_", "-")
+            argv += [flag, value]
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        from_flags = _resolve_config(build_parser().parse_args(argv))
+        assert from_flags == load_config(p) == config
 
     @pytest.mark.parametrize("name", [
         "fmnist-full", "fmnist-simple", "fmnist-desk", "lung-full",
@@ -215,6 +253,15 @@ class TestCliScoreSweep:
         rows = (tmp_path / "o" / "sweep.csv").read_text().strip().splitlines()
         scores = [float(r.split(",")[4]) for r in rows[1:]]
         assert scores == [1.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "a,b"], ["--grid", "2"], ["--grid-step", "-0.1"],
+        ["--grid-step", "1.5"]])
+    def test_bad_grid_exit_code(self, tmp_path, capsys, flags):
+        base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
+        assert main(["sweep", "--baseline", str(base), "--variant",
+                     str(base), *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_use_flops_channel(self, tmp_path, capsys):
         base = _manifest(tmp_path, "base.txt", 10.0, 0.8)
