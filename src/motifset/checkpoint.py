@@ -1,27 +1,28 @@
 """Versioned binary network checkpoints with bit-exact round trips.
 
-Layout: 8-byte magic, u32 version, length-prefixed JSON metadata
-(activation, weight mode, init scheme, motif size, density record, layer
-sizes), a length-prefixed ``motif-topology v1`` text section, then per
-layer the raw float64 little-endian weight matrix and bias vector.  All
-shapes are implied by the metadata and topology, so the payload carries
-only data.
+A :mod:`motifset.container` file (magic ``MSETCKPT``, version 2).  The JSON
+metadata holds the activation, weight mode, init scheme, motif size,
+density record and layer sizes; the first section is the ``motif-topology
+v1`` text, then per layer the raw float64 little-endian weight matrix and
+bias vector.  All shapes are implied by the metadata and topology, so the
+sections carry only data.
 """
 from __future__ import annotations
 
-import json
-import struct
+import itertools
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import CheckpointFormatError, DivisibilityError, EmptyNetworkError
 from .network import Network, zero_network
 from .topology import export_topology, parse_topology
 
 CHECKPOINT_MAGIC = b"MSETCKPT"
-CHECKPOINT_VERSION = 1
-_META_KEYS = {"activation", "weight_mode", "init_scheme", "motif_size",
-              "epsilon", "density_mode", "layer_sizes"}
+CHECKPOINT_VERSION = 2
+_META_TYPES = {"activation": str, "weight_mode": str, "init_scheme": str,
+               "motif_size": int, "epsilon": (int, float, type(None)),
+               "density_mode": (str, type(None)), "layer_sizes": list}
 
 
 def save_checkpoint(network: Network, path):
@@ -36,27 +37,10 @@ def save_checkpoint(network: Network, path):
         "density_mode": topo.density_mode,
         "layer_sizes": list(topo.layer_sizes),
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    topo_bytes = export_topology(topo).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<Q", len(topo_bytes)))
-        f.write(topo_bytes)
-        for layer in network.layers:
-            f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-
-
-def _take(raw: bytes, offset: int, count: int, what: str):
-    if offset + count > len(raw):
-        raise CheckpointFormatError(
-            f"checkpoint ends inside {what} (need {count} bytes at "
-            f"offset {offset}, file has {len(raw)})"
-        )
-    return raw[offset:offset + count], offset + count
+    arrays = (np.ascontiguousarray(a, dtype="<f8")
+              for layer in network.layers for a in (layer.weights, layer.bias))
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta,
+                    itertools.chain([export_topology(topo).encode()], arrays))
 
 
 def load_checkpoint(path) -> Network:
@@ -65,34 +49,17 @@ def load_checkpoint(path) -> Network:
     Raises :class:`CheckpointFormatError` for a damaged file, including
     metadata that :func:`motifset.network.init_network` would reject.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    head, offset = _take(raw, 0, len(CHECKPOINT_MAGIC), "magic")
-    if head != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {head!r}")
-    chunk, offset = _take(raw, offset, 4, "version")
-    (version,) = struct.unpack("<I", chunk)
-    if version != CHECKPOINT_VERSION:
+    meta, sections = read_container(path, CHECKPOINT_MAGIC,
+                                    CHECKPOINT_VERSION, CheckpointFormatError)
+    wrong = sorted(key for key, kind in _META_TYPES.items()
+                   if not isinstance(meta.get(key), kind))
+    if wrong:
         raise CheckpointFormatError(
-            f"{path}: unsupported checkpoint version {version}"
+            f"{path}: metadata keys {wrong} are missing or of the wrong type"
         )
-    chunk, offset = _take(raw, offset, 4, "metadata length")
-    (meta_len,) = struct.unpack("<I", chunk)
-    chunk, offset = _take(raw, offset, meta_len, "metadata")
-    try:
-        meta = json.loads(chunk.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: unreadable metadata") from exc
-    if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
-        raise CheckpointFormatError(
-            f"{path}: metadata must hold the keys {sorted(_META_KEYS)}"
-        )
-    chunk, offset = _take(raw, offset, 8, "topology length")
-    (topo_len,) = struct.unpack("<Q", chunk)
-    chunk, offset = _take(raw, offset, topo_len, "topology text")
     try:
         topology = parse_topology(
-            chunk.decode(),
+            str(sections[0], "utf-8") if sections else "",
             motif_size=meta["motif_size"],
             epsilon=meta["epsilon"],
             density_mode=meta["density_mode"],
@@ -102,22 +69,18 @@ def load_checkpoint(path) -> Network:
     except (ValueError, DivisibilityError, EmptyNetworkError) as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
 
-    if tuple(meta["layer_sizes"]) != topology.layer_sizes:
+    if meta["layer_sizes"] != list(topology.layer_sizes):
         raise CheckpointFormatError(
             f"{path}: metadata layer sizes {meta['layer_sizes']} disagree "
             f"with topology {list(topology.layer_sizes)}"
         )
-
-    for i, layer in enumerate(network.layers):
-        chunk, offset = _take(raw, offset, layer.weights.nbytes,
-                              f"layer {i} weights")
-        layer.weights = np.frombuffer(chunk, dtype="<f8").reshape(
-            layer.weights.shape).copy()
-        chunk, offset = _take(raw, offset, layer.bias.nbytes,
-                              f"layer {i} bias")
-        layer.bias = np.frombuffer(chunk, dtype="<f8").copy()
-    if offset != len(raw):
+    targets = [a for layer in network.layers
+               for a in (layer.weights, layer.bias)]
+    if [s.nbytes for s in sections[1:]] != [a.nbytes for a in targets]:
         raise CheckpointFormatError(
-            f"{path}: {len(raw) - offset} trailing bytes after last layer"
+            f"{path}: weight and bias sections do not match the topology"
         )
+    for target, section in zip(targets, sections[1:]):
+        target[...] = np.frombuffer(section, dtype="<f8").reshape(
+            target.shape)
     return network

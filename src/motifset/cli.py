@@ -27,6 +27,7 @@ from .config import (
     load_config,
     preset_path,
 )
+from .container import atomic_open
 from .errors import ConfigError, DataError, MotifSetError, NonFiniteError
 from .topology import build_topology, export_topology
 from .train import run_prepare, run_score, run_sweep, run_train
@@ -120,8 +121,7 @@ def _cmd_sweep(args) -> int:
         result = run_sweep(args.baseline, args.variant, grid=grid,
                            use_flops=args.use_flops, out_dir=args.out)
     except ValueError as exc:
-        # tradeoff_sweep rejects grid values outside [0, 1]; a non-numeric
-        # manifest result lands here too
+        # tradeoff_sweep rejects grid values outside [0, 1]
         raise ConfigError(str(exc)) from exc
     if result.crossover_w_eff is None:
         print("variant never beats the baseline on this grid")
@@ -148,7 +148,7 @@ def _cmd_export_topology(args) -> int:
                                   seed=config.topology_seed)
     text = export_topology(topology)
     if args.out:
-        with open(args.out, "w") as f:
+        with atomic_open(args.out) as f:
             f.write(text)
         print(f"wrote {args.out}")
     else:

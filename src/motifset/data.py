@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import csv
 import gzip
-import hashlib
-import io
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .container import read_container, write_container
 from .errors import (
     CorruptCacheError,
     CountMismatchError,
@@ -42,7 +40,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 CACHE_MAGIC = b"MSETDATA"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _STD_FLOOR = 1e-8
 
@@ -350,108 +348,43 @@ def limit_dataset(dataset: Dataset, train_limit: int = 0,
 # binary cache
 
 
-def _params_to_jsonable(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, (np.floating, np.integer)):
-            out[key] = value.item()
-        else:
-            out[key] = value
-    return out
-
-
-def _pack_matrix(buf: io.BytesIO, arr: np.ndarray):
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    buf.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-    buf.write(arr.tobytes())
-
-
-def _unpack_matrix(view: memoryview, offset: int):
-    if offset + 16 > len(view):
-        raise CorruptCacheError("cache payload ends inside a matrix header")
-    rows, cols = struct.unpack_from("<QQ", view, offset)
-    offset += 16
-    nbytes = rows * cols * 8
-    if offset + nbytes > len(view):
-        raise CorruptCacheError("cache payload ends inside matrix data")
-    arr = np.frombuffer(view, dtype="<f8", count=rows * cols,
-                        offset=offset).reshape(rows, cols).copy()
-    return arr, offset + nbytes
-
-
 def save_dataset_cache(dataset: Dataset, path):
-    """Write a dataset to the versioned, checksummed binary container.
+    """Write a dataset to a :mod:`motifset.container` file.
 
-    Layout: 8-byte magic, u32 version, 32-byte SHA-256 of the payload,
-    payload = length-prefixed JSON metadata followed by the four matrices
-    (u64 dims, float64 little-endian data).
+    Magic ``MSETDATA``, version 2.  The JSON metadata holds the feature and
+    class counts, the preprocessing steps and the shapes of the four
+    matrices, which follow as float64 little-endian sections.
     """
+    matrices = (dataset.x_train, dataset.y_train, dataset.x_test,
+                dataset.y_test)
     meta = {
         "n_features": dataset.n_features,
         "n_classes": dataset.n_classes,
-        "preprocessing": [
-            {"name": s.name, "params": _params_to_jsonable(s.params)}
-            for s in dataset.preprocessing
-        ],
+        "preprocessing": [{"name": s.name, "params": s.params}
+                          for s in dataset.preprocessing],
+        "shapes": [list(a.shape) for a in matrices],
     }
-    payload = io.BytesIO()
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    payload.write(struct.pack("<I", len(meta_bytes)))
-    payload.write(meta_bytes)
-    for arr in (dataset.x_train, dataset.y_train, dataset.x_test,
-                dataset.y_test):
-        _pack_matrix(payload, arr)
-    blob = payload.getvalue()
-    digest = hashlib.sha256(blob).digest()
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<I", CACHE_VERSION))
-        f.write(digest)
-        f.write(blob)
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, meta,
+                    (np.ascontiguousarray(a, dtype="<f8") for a in matrices))
 
 
 def load_dataset_cache(path) -> Dataset:
-    """Read a cache container back; checksum failure raises CorruptCacheError."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CACHE_MAGIC) + 4 + 32:
-        raise CorruptCacheError(f"{path}: shorter than the fixed header")
-    if raw[:len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise CorruptCacheError(f"{path}: bad magic {raw[:8]!r}")
-    offset = len(CACHE_MAGIC)
-    (version,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    if version != CACHE_VERSION:
-        raise CorruptCacheError(f"{path}: unsupported cache version {version}")
-    digest = raw[offset:offset + 32]
-    offset += 32
-    blob = raw[offset:]
-    if hashlib.sha256(blob).digest() != digest:
-        raise CorruptCacheError(f"{path}: checksum mismatch (stale or corrupt)")
-
-    view = memoryview(blob)
-    if len(view) < 4:
-        raise CorruptCacheError(f"{path}: payload too short for metadata")
-    (meta_len,) = struct.unpack_from("<I", view, 0)
-    pos = 4
-    if pos + meta_len > len(view):
-        raise CorruptCacheError(f"{path}: payload ends inside metadata")
-    meta = json.loads(bytes(view[pos:pos + meta_len]).decode())
-    pos += meta_len
-    matrices = []
-    for _ in range(4):
-        arr, pos = _unpack_matrix(view, pos)
-        matrices.append(arr)
-    steps = [
-        PreprocessingStep(
-            s["name"],
-            {k: (np.asarray(v, dtype=np.float64)
-                 if isinstance(v, list) else v)
-             for k, v in s["params"].items()})
-        for s in meta.get("preprocessing", [])
-    ]
-    x_tr, y_tr, x_te, y_te = matrices
-    return Dataset(x_tr, y_tr, x_te, y_te, int(meta["n_features"]),
-                   int(meta["n_classes"]), steps)
+    """Read a cache container back; any damage raises CorruptCacheError."""
+    meta, sections = read_container(path, CACHE_MAGIC, CACHE_VERSION,
+                                    CorruptCacheError)
+    try:
+        x_tr, y_tr, x_te, y_te = (
+            np.frombuffer(section, dtype="<f8").reshape(shape).copy()
+            for section, shape in zip(sections, meta["shapes"], strict=True))
+        steps = [
+            PreprocessingStep(
+                s["name"],
+                {k: (np.asarray(v, dtype=np.float64)
+                     if isinstance(v, list) else v)
+                 for k, v in s["params"].items()})
+            for s in meta.get("preprocessing", [])
+        ]
+        return Dataset(x_tr, y_tr, x_te, y_te, int(meta["n_features"]),
+                       int(meta["n_classes"]), steps)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCacheError(f"{path}: malformed cache: {exc}") from exc

@@ -46,6 +46,18 @@ def check_layer_sizes(layer_sizes: tuple[int, ...], motif_size: int):
             )
 
 
+def _block_grid(layer_sizes, motif_size: int, layer_index: int
+                ) -> tuple[int, int, int]:
+    """``(rows, cols, tile)`` of weight layer ``layer_index``'s block grid.
+
+    The tile is the motif size, except on the last weight layer, which stays
+    at neuron granularity (tile 1).
+    """
+    tile = 1 if layer_index == len(layer_sizes) - 2 else motif_size
+    return (layer_sizes[layer_index] // tile,
+            layer_sizes[layer_index + 1] // tile, tile)
+
+
 def tile_cells(cells: np.ndarray, t: int) -> np.ndarray:
     """Expand every cell of a 2-D array into a ``t x t`` patch.
 
@@ -129,14 +141,11 @@ class MotifTopology:
     def tile(self, layer_index: int) -> int:
         """Block tile size of weight layer ``layer_index`` (1 on the last)."""
         self._check_index(layer_index)
-        if layer_index == self.n_weight_layers - 1:
-            return 1
-        return self.motif_size
+        return _block_grid(self.layer_sizes, self.motif_size, layer_index)[2]
 
     def block_shape(self, layer_index: int) -> tuple[int, int]:
-        t = self.tile(layer_index)
-        return (self.layer_sizes[layer_index] // t,
-                self.layer_sizes[layer_index + 1] // t)
+        self._check_index(layer_index)
+        return _block_grid(self.layer_sizes, self.motif_size, layer_index)[:2]
 
     def copy_mutable(self) -> "MotifTopology":
         """Deep copy with writable masks, for a network that will evolve."""
@@ -168,12 +177,9 @@ def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
     layer_sizes = tuple(int(s) for s in layer_sizes)
     check_layer_sizes(layer_sizes, motif_size)
 
-    n_layers = len(layer_sizes) - 1
     masks = []
-    for i in range(n_layers):
-        tile = 1 if i == n_layers - 1 else motif_size
-        rows = layer_sizes[i] // tile
-        cols = layer_sizes[i + 1] // tile
+    for i in range(len(layer_sizes) - 1):
+        rows, cols, _ = _block_grid(layer_sizes, motif_size, i)
         rng = np.random.default_rng((seed, i))
         p = density.target_density(rows, cols)
         total = rows * cols

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, config_to_text, read_manifest_result
+from .container import atomic_open
 from .data import (
     Dataset,
     build_csv_dataset,
@@ -33,7 +34,12 @@ from .data import (
     load_dataset_cache,
     save_dataset_cache,
 )
-from .errors import MissingFieldError, NonFiniteError, SaturationError
+from .errors import (
+    ConfigError,
+    MissingFieldError,
+    NonFiniteError,
+    SaturationError,
+)
 from .evolution import EVOLUTION_CSV_HEADER, evolution_schedule, evolve
 from .metrics import (
     METRICS_CSV_HEADER,
@@ -174,7 +180,8 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
         "final_train_loss": run.train_losses[-1],
         **_environment_lines(),
     }
-    (out_dir / "manifest.txt").write_text(config_to_text(config, result))
+    with atomic_open(out_dir / "manifest.txt") as f:
+        f.write(config_to_text(config, result))
     return run
 
 
@@ -182,19 +189,26 @@ def _manifest_measurements(path, use_flops: bool) -> tuple[float, float]:
     """(time-or-flops, accuracy) from a manifest's [result] section."""
     result = read_manifest_result(path)
     time_key = "total_flops" if use_flops else "train_time_s"
+    values = []
     for key in (time_key, "final_accuracy"):
         if key not in result:
             raise MissingFieldError(
                 f"{path}: manifest [result] lacks {key!r}"
             )
-    return float(result[time_key]), float(result["final_accuracy"])
+        try:
+            values.append(float(result[key]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: manifest [result] {key} = "
+                              f"{result[key]!r} is not a number") from exc
+    return tuple(values)
 
 
 def _write_scores(out_dir, name: str, result: SweepResult):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(
-        SCORE_CSV_HEADER + "\n" + "\n".join(score_csv_rows(result)) + "\n")
+    with atomic_open(out_dir / name) as f:
+        f.write(SCORE_CSV_HEADER + "\n"
+                + "\n".join(score_csv_rows(result)) + "\n")
 
 
 def run_score(baseline_manifest, variant_manifest, w_eff: float = 0.1,

@@ -25,6 +25,15 @@ def toy_csv(tmp_path):
     return path
 
 
+class Unwritable:
+    """Stands in for an array whose conversion fails halfway through a save."""
+
+    shape = (1, 1)
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
 def small_network(sizes=(8, 8, 4), motif_size=2, density=0.5, seed=0,
                   weight_mode="shared", activation="relu",
                   density_mode="fixed"):

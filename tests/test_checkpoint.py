@@ -1,16 +1,21 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
-import json
 import struct
 
 import numpy as np
 import pytest
 
-from motifset.checkpoint import load_checkpoint, save_checkpoint
+from motifset.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    save_checkpoint,
+)
 from motifset.cli import main
+from motifset.container import read_container, write_container
 from motifset.errors import CheckpointFormatError
 from motifset.network import backward, forward, sgd_step
 
-from conftest import small_network
+from conftest import Unwritable, small_network
 
 
 def _trained(seed=0, **kw):
@@ -101,19 +106,50 @@ def test_trailing_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def _edit_checkpoint(path, edit):
-    """Rewrite a checkpoint's metadata and topology text through ``edit``."""
+def test_every_flipped_byte_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(), path)
     raw = path.read_bytes()
-    (meta_len,) = struct.unpack_from("<I", raw, 12)
-    meta = json.loads(raw[16:16 + meta_len])
-    at = 16 + meta_len
-    (topo_len,) = struct.unpack_from("<Q", raw, at)
-    topo = raw[at + 8:at + 8 + topo_len].decode()
-    meta, topo = edit(meta, topo)
-    meta_bytes, topo_bytes = json.dumps(meta).encode(), topo.encode()
-    path.write_bytes(raw[:12] + struct.pack("<I", len(meta_bytes))
-                     + meta_bytes + struct.pack("<Q", len(topo_bytes))
-                     + topo_bytes + raw[at + 8 + topo_len:])
+    for offset in range(len(raw)):
+        damaged = bytearray(raw)
+        damaged[offset] ^= 0xFF
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+
+def test_version_1_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2) + b"{}"
+                     + bytes(40))
+    with pytest.raises(CheckpointFormatError, match="unsupported version 1"):
+        load_checkpoint(path)
+    assert main(["export-topology", "--checkpoint", str(path)]) == 3
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    net = _trained()
+    path = tmp_path / "ck.bin"
+    save_checkpoint(net, path)
+    before = path.read_bytes()
+    net.layers[-1].bias = Unwritable()  # fails after the other sections
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(net, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
+def _edit_checkpoint(path, edit):
+    """Rewrite a checkpoint's metadata and topology text through ``edit``.
+
+    The result is sealed again, so the loader gets past the checksum and
+    reaches its metadata and topology checks.
+    """
+    meta, sections = read_container(path, CHECKPOINT_MAGIC,
+                                    CHECKPOINT_VERSION, CheckpointFormatError)
+    meta, topo = edit(meta, str(sections[0], "utf-8"))
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta,
+                    [topo.encode(), *sections[1:]])
 
 
 @pytest.mark.parametrize("edit", [
@@ -125,12 +161,16 @@ def _edit_checkpoint(path, edit):
     lambda meta, topo: ({**meta, "activation": "tanh"}, topo),
     lambda meta, topo: ({**meta, "init_scheme": "xavier"}, topo),
     lambda meta, topo: ({**meta, "weight_mode": "dense"}, topo),
+    lambda meta, topo: ({**meta, "motif_size": "2"}, topo),
+    lambda meta, topo: ({**meta, "epsilon": "20"}, topo),
 ], ids=["missing-key", "block-out-of-range", "negative-block",
-        "short-block-line", "tanh", "init-scheme", "weight-mode"])
+        "short-block-line", "tanh", "init-scheme", "weight-mode",
+        "motif-size-str", "epsilon-str"])
 def test_damaged_checkpoint_rejected(tmp_path, edit):
     path = tmp_path / "ck.bin"
     save_checkpoint(_trained(), path)
     _edit_checkpoint(path, edit)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError) as caught:
         load_checkpoint(path)
+    assert "checksum" not in str(caught.value)
     assert main(["export-topology", "--checkpoint", str(path)]) == 3

@@ -141,9 +141,8 @@ class TestCliTrain:
                      "--batch-size", "16", "--seed", "5",
                      "--out", str(out)])
         assert code == 0
-        for name in ("metrics.csv", "evolution.csv", "checkpoint.bin",
-                     "manifest.txt"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.bin", "evolution.csv", "manifest.txt", "metrics.csv"]
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0].startswith("epoch,")
         assert len(lines) == 3  # header + 2 epochs
@@ -186,6 +185,7 @@ class TestCliPrepareAndCache:
         cache = tmp_path / "cache.bin"
         assert main(["prepare", "--csv-path", str(toy_csv), "--seed", "5",
                      "--cache-out", str(cache)]) == 0
+        assert not list(tmp_path.glob("*.tmp"))
         direct, cached = tmp_path / "direct", tmp_path / "cached"
         base = ["--epochs", "2", "--hidden-sizes", "8,8", "--seed", "5",
                 "--density-mode", "fixed_density", "--density-value", "0.5"]
@@ -230,6 +230,7 @@ class TestCliScoreSweep:
                      str(var), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "S=0.910191" in printed
+        assert [p.name for p in out.iterdir()] == ["score.csv"]
         row = (out / "score.csv").read_text().strip().splitlines()[1]
         assert float(row.split(",")[4]) == pytest.approx(
             0.9101913249766013, abs=1e-15)
@@ -241,6 +242,7 @@ class TestCliScoreSweep:
         assert main(["sweep", "--baseline", str(base), "--variant",
                      str(var), "--out", str(out)]) == 0
         assert "0.08" in capsys.readouterr().out
+        assert [p.name for p in out.iterdir()] == ["sweep.csv"]
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 102  # header + 101 grid points
 
@@ -261,6 +263,14 @@ class TestCliScoreSweep:
         base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
         assert main(["sweep", "--baseline", str(base), "--variant",
                      str(base), *flags]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "sweep"])
+    def test_non_numeric_result_exit_code(self, tmp_path, capsys, command):
+        base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
+        var = _manifest(tmp_path, "var.txt", 100.0, "high")
+        assert main([command, "--baseline", str(base), "--variant",
+                     str(var)]) == 2
         assert "config error:" in capsys.readouterr().err
 
     def test_use_flops_channel(self, tmp_path, capsys):

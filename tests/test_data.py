@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifset.data import (
+    CACHE_MAGIC,
     Dataset,
     PreprocessingStep,
     build_csv_dataset,
@@ -31,6 +32,8 @@ from motifset.errors import (
     TooFewSamplesError,
     TruncatedFileError,
 )
+
+from conftest import Unwritable
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, gz=False,
@@ -313,6 +316,34 @@ class TestCache:
         path.write_bytes(b"MSET")
         with pytest.raises(CorruptCacheError):
             load_dataset_cache(path)
+
+    def test_every_flipped_byte_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        save_dataset_cache(self._dataset(), path)
+        raw = path.read_bytes()
+        for offset in range(len(raw)):
+            damaged = bytearray(raw)
+            damaged[offset] ^= 0xFF
+            path.write_bytes(damaged)
+            with pytest.raises(CorruptCacheError):
+                load_dataset_cache(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(CACHE_MAGIC + struct.pack("<I", 1) + bytes(64))
+        with pytest.raises(CorruptCacheError, match="unsupported version 1"):
+            load_dataset_cache(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        save_dataset_cache(self._dataset(), path)
+        before = path.read_bytes()
+        ds = self._dataset()
+        ds.y_test = Unwritable()  # the last section, after three others
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset_cache(ds, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
 
 
 class TestCsvPipeline:
