@@ -197,13 +197,30 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _read_ini(path) -> configparser.ConfigParser:
+    """Parse a config or manifest file, taking values literally.
+
+    Malformed text (no section header, a duplicate section or key, bytes
+    that do not decode) raises ConfigError; an unreadable file, OSError.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        with open(path) as f:
+            parser.read_file(f)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return parser
+
+
 def load_config(path, base: ExperimentConfig | None = None
                 ) -> ExperimentConfig:
-    """Read a config (or manifest) file on top of defaults or ``base``."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    """Read a config (or manifest) file on top of defaults or ``base``;
+    an unreadable file raises ConfigError too."""
+    try:
+        parser = _read_ini(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     config = base if base is not None else ExperimentConfig()
     known = {(section, key): name for section, key, name in SCHEMA}
     for section in parser.sections():
@@ -251,11 +268,11 @@ def config_to_text(config: ExperimentConfig,
 
 
 def read_manifest_result(path) -> dict:
-    """Return the ``[result]`` section of a manifest as a string dict."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigError(f"cannot read manifest {path}")
+    """Return the ``[result]`` section of a manifest as a string dict.
+
+    An unreadable manifest raises OSError, like any other input file.
+    """
+    parser = _read_ini(path)
     if not parser.has_section("result"):
         return {}
     return dict(parser.items("result"))

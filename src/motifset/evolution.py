@@ -8,8 +8,8 @@ Two rewiring modes are provided:
     magnitude is deactivated (weights zeroed, mask cleared) and the same
     number of blocks is regrown uniformly at random among the inactive
     positions, with freshly initialized weights.  Block magnitude is the
-    absolute weight for shared layers and the mean absolute weight over the
-    tile for independent layers.
+    mean absolute weight over the block's tile of stored weights (a single
+    weight for shared layers).
 
 ``listing4``
     A literal noise-driven variant: every stored active weight is zeroed
@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SaturationError
-from .network import Network, SparseLayer, he_sample
+from .network import Network, he_sample
+from .topology import blocks
 
 MAGNITUDE_SET = "magnitude_set"
 LISTING4 = "listing4"
@@ -90,10 +91,6 @@ class EvolutionStats:
     def total_pruned(self) -> int:
         return sum(s.pruned for s in self.layers)
 
-    @property
-    def total_regrown(self) -> int:
-        return sum(s.regrown for s in self.layers)
-
     def csv_rows(self, epoch: int) -> list[str]:
         return [
             f"{epoch},{s.layer},{s.pruned},{s.regrown},{s.active_blocks},"
@@ -105,34 +102,16 @@ class EvolutionStats:
 EVOLUTION_CSV_HEADER = "epoch,layer,pruned,regrown,active_blocks,saturated"
 
 
-def _block_magnitudes(layer: SparseLayer, rows: np.ndarray,
-                      cols: np.ndarray) -> np.ndarray:
-    """|weight| per active block (mean over the tile for independent mode)."""
-    e = layer.expand_factor
-    if e == 1:
-        return np.abs(layer.weights[rows, cols])
-    br, bc = layer.block_mask.shape
-    per_block = np.abs(layer.weights).reshape(br, e, bc, e).mean(axis=(1, 3))
-    return per_block[rows, cols]
-
-
-def _zero_block(layer: SparseLayer, r: int, c: int):
-    e = layer.expand_factor
-    if e == 1:
-        layer.weights[r, c] = 0.0
-    else:
-        layer.weights[r * e:(r + 1) * e, c * e:(c + 1) * e] = 0.0
-
-
 def evolve_magnitude(network: Network, policy: EvolutionPolicy,
                      event_index: int = 0) -> tuple[Network, EvolutionStats]:
     """One magnitude-based prune-and-regrow event, in place.
 
     Pruning order sorts active blocks by magnitude ascending with a stable
-    sort, so equal magnitudes break ties by (row, col) position.  Regrowth
-    samples uniformly without replacement from the blocks inactive *after*
-    pruning, so a just-pruned block can be immediately regrown with a fresh
-    weight.  A layer already at full density is left untouched and flagged
+    sort, so equal magnitudes break ties by (row, col) position; a tile's
+    magnitude sums each tile row, then the row sums top to bottom, over the
+    cell count.  Regrowth samples uniformly without replacement from the
+    blocks inactive *after* pruning, so a just-pruned block can be
+    immediately regrown with a fresh weight.  A layer already at full density is left untouched and flagged
     (a :class:`SaturationError` warning is emitted).
     """
     if policy.mode != MAGNITUDE_SET:
@@ -156,28 +135,21 @@ def evolve_magnitude(network: Network, policy: EvolutionPolicy,
             stats.layers.append(LayerEvolutionStats(i, 0, 0, active))
             continue
 
-        mags = _block_magnitudes(layer, rows, cols)
-        order = np.argsort(mags, kind="stable")
-        prune_sel = order[:k]
         e = layer.expand_factor
+        w = blocks(layer.weights, e)  # w[r, :, c, :] is block (r, c)
+        tiles = np.abs(w[rows, :, cols, :])
+        mags = np.add.accumulate(tiles.sum(axis=2), axis=1)[:, -1] / (e * e)
+        prune_sel = np.argsort(mags, kind="stable")[:k]
         pr, pc = rows[prune_sel], cols[prune_sel]
         mask[pr, pc] = False
-        if e == 1:
-            layer.weights[pr, pc] = 0.0
-        else:
-            for r, c in zip(pr.tolist(), pc.tolist()):
-                _zero_block(layer, r, c)
+        w[pr, :, pc, :] = 0.0
 
         free_r, free_c = np.nonzero(~mask)
         pick = rng.choice(free_r.size, size=k, replace=False)
-        values = he_sample(rng, network.init_scheme, sizes[i], (k, e, e))
         gr, gc = free_r[pick], free_c[pick]
         mask[gr, gc] = True
-        if e == 1:
-            layer.weights[gr, gc] = values[:, 0, 0]
-        else:
-            for j, (r, c) in enumerate(zip(gr.tolist(), gc.tolist())):
-                layer.weights[r * e:(r + 1) * e, c * e:(c + 1) * e] = values[j]
+        w[gr, :, gc, :] = he_sample(rng, network.init_scheme, sizes[i],
+                                    (k, e, e))
 
         stats.layers.append(
             LayerEvolutionStats(i, k, k, int(mask.sum())))
@@ -199,13 +171,15 @@ def evolve_listing4(network: Network, policy: EvolutionPolicy,
     stats = EvolutionStats()
     for i, layer in enumerate(network.layers):
         rng = np.random.default_rng((policy.rng_seed, event_index, i))
-        wmask = layer.weight_mask()
-        u = rng.random(layer.weights.shape)
-        zap = (u < policy.epsilon_prune) & wmask
-        layer.weights[zap] = 0.0
+        e = layer.expand_factor
+        w = blocks(layer.weights, e)
+        active = np.broadcast_to(layer.block_mask[:, None, :, None], w.shape)
+        zap = (blocks(rng.random(layer.weights.shape), e)
+               < policy.epsilon_prune) & active
+        w[zap] = 0.0
         if policy.noise_scale > 0.0:
-            noise = rng.standard_normal(layer.weights.shape)
-            layer.weights[wmask] += noise[wmask] * policy.noise_scale
+            noise = blocks(rng.standard_normal(layer.weights.shape), e)
+            w[active] += noise[active] * policy.noise_scale
         stats.layers.append(LayerEvolutionStats(
             i, int(zap.sum()), 0, int(layer.block_mask.sum())))
     return network, stats

@@ -46,7 +46,6 @@ class RunMeasurement:
     per_epoch_time_s: list[float] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)
     test_accuracies: list[float] = field(default_factory=list)
-    per_epoch_flops: list[int] = field(default_factory=list)
     total_time_s: float = 0.0
     final_accuracy: float = 0.0
     flop_count: int = 0
@@ -62,7 +61,6 @@ def record_epoch(run: RunMeasurement, epoch_time_s: float, train_loss: float,
     run.per_epoch_time_s.append(float(epoch_time_s))
     run.train_losses.append(float(train_loss))
     run.test_accuracies.append(float(test_accuracy))
-    run.per_epoch_flops.append(int(flops))
     run.final_accuracy = float(test_accuracy)
     run.flop_count += int(flops)
     return run

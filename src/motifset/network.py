@@ -6,7 +6,7 @@ Two weight modes exist per network:
     Hidden-facing layers store one scalar weight per active block.  The
     forward pass never materializes the expanded matrix: inputs are pooled
     over each group of ``m`` consecutive features, multiplied by the block
-    weight grid, and the block outputs are broadcast back to the ``m``
+    weight grid, and the block outputs are spread back to the ``m``
     neurons of each output block.  This is exactly equivalent to multiplying
     by the tiled neuron-granularity matrix, but the matrix product shrinks
     by ``m`` in both dimensions.
@@ -17,8 +17,10 @@ Two weight modes exist per network:
     every connection trains its own value.
 
 The final weight layer always stores neuron-granularity weights (tile 1).
-Hidden activations are ReLU or sigmoid; the output is a row-stabilized
-softmax trained with cross-entropy.
+:meth:`SparseLayer.masked` is the one masking rule of both modes, and
+pooling is the identity at tile 1, so forward and backward take one path
+for every layer.  Hidden activations are ReLU or sigmoid; the output is a
+row-stabilized softmax trained with cross-entropy.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, StaleCacheError
-from .topology import MotifTopology, tile_cells
+from .topology import MotifTopology, blocks, tile_cells
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -39,7 +41,6 @@ _INIT_SCHEMES = (HE_UNIFORM, HE_NORMAL)
 
 _ACTIVATIONS = ("relu", "sigmoid")
 
-LOSS_NAME = "cross_entropy"
 _PROB_FLOOR = 1e-12
 
 
@@ -105,9 +106,11 @@ class SparseLayer:
         """Blocks-to-weights tile ratio (``m`` for independent hidden layers)."""
         return self.block_tile // self.share_tile
 
-    def weight_mask(self) -> np.ndarray:
-        """Boolean mask at the granularity of ``weights``."""
-        return tile_cells(self.block_mask, self.expand_factor)
+    def masked(self, a: np.ndarray) -> np.ndarray:
+        """A copy of weight-shaped ``a`` with 0.0 outside the active blocks."""
+        keep = self.block_mask[:, None, :, None]
+        return np.where(keep, blocks(a, self.expand_factor),
+                        0.0).reshape(a.shape)
 
 
 @dataclass
@@ -139,10 +142,9 @@ class ForwardCache:
 
     ``a_list[0]`` is the input batch, ``a_list[i]`` the activation after
     layer ``i - 1``, so ``a_list[-1]`` holds softmax probabilities.
-    ``z_list[i]`` is the pre-activation of layer ``i``.
+    Pre-activations are not kept: the ReLU derivative is ``a_list[i] > 0``.
     """
 
-    z_list: list[np.ndarray] = field(default_factory=list)
     a_list: list[np.ndarray] = field(default_factory=list)
 
 
@@ -156,7 +158,7 @@ class Gradients:
 
 def expand_weights(layer: SparseLayer) -> np.ndarray:
     """Neuron-granularity weight matrix equivalent to this layer (a copy)."""
-    return tile_cells(layer.weights, layer.share_tile).copy()
+    return tile_cells(layer.weights, layer.share_tile)
 
 
 def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
@@ -202,23 +204,23 @@ def init_network(topology: MotifTopology, activation: str = "relu",
         rng = np.random.default_rng((seed, i))
         raw = he_sample(rng, init_scheme, network.layer_sizes[i],
                         layer.weights.shape)
-        layer.weights = np.where(layer.weight_mask(), raw, 0.0)
+        layer.weights = layer.masked(raw)
     return network
 
 
 def _pool_cols(a: np.ndarray, m: int) -> np.ndarray:
-    """Sum each group of ``m`` consecutive columns."""
+    """Sum each group of ``m`` consecutive columns (``a`` itself at 1)."""
+    if m == 1:
+        return a
     n, d = a.shape
     return a.reshape(n, d // m, m).sum(axis=2)
 
 
-def _layer_preactivation(layer: SparseLayer, a_prev: np.ndarray) -> np.ndarray:
-    if layer.share_tile > 1:
-        m = layer.share_tile
-        pooled = _pool_cols(a_prev, m)
-        z_blocks = pooled @ layer.weights
-        return np.repeat(z_blocks, m, axis=1) + layer.bias
-    return a_prev @ layer.weights + layer.bias
+def _spread_cols(a: np.ndarray, m: int) -> np.ndarray:
+    """Repeat every column ``m`` times (``a`` itself at 1)."""
+    if m == 1:
+        return a
+    return np.repeat(a, m, axis=1)
 
 
 def forward(network: Network, batch: np.ndarray) -> ForwardCache:
@@ -238,8 +240,8 @@ def forward(network: Network, batch: np.ndarray) -> ForwardCache:
     cache.a_list.append(a)
     last = len(network.layers) - 1
     for i, layer in enumerate(network.layers):
-        z = _layer_preactivation(layer, a)
-        cache.z_list.append(z)
+        m = layer.share_tile
+        z = _spread_cols(_pool_cols(a, m) @ layer.weights, m) + layer.bias
         a = softmax(z) if i == last else act(z)
         cache.a_list.append(a)
     return cache
@@ -261,9 +263,10 @@ def loss(cache: ForwardCache, y_true: np.ndarray) -> float:
 
 def _check_cache(network: Network, cache: ForwardCache):
     n_layers = len(network.layers)
-    if len(cache.z_list) != n_layers or len(cache.a_list) != n_layers + 1:
+    if len(cache.a_list) != n_layers + 1:
         raise StaleCacheError(
-            f"cache holds {len(cache.z_list)} layers, network has {n_layers}"
+            f"cache holds {len(cache.a_list) - 1} layers, network has "
+            f"{n_layers}"
         )
     for i, layer in enumerate(network.layers):
         if cache.a_list[i].shape[1] != network.layer_sizes[i]:
@@ -278,9 +281,9 @@ def backward(network: Network, cache: ForwardCache,
     """Backpropagate cross-entropy gradients through the cached pass.
 
     The softmax/cross-entropy pair gives the output delta ``probs - y``
-    directly.  Shared layers accumulate block gradients by pooling: with
-    ``P`` the column-pooled input and ``Q`` the column-pooled delta,
-    ``dW_block = P.T @ Q / n`` on the active blocks.  All gradients are
+    directly.  With ``P``/``Q`` the column-pooled input/delta (unpooled at
+    tile 1), ``dW = P.T @ Q / n`` on the active blocks, and ``Q @ W.T``
+    spread back over the tile feeds the previous layer.  All gradients are
     means over the batch.
     """
     _check_cache(network, cache)
@@ -297,31 +300,18 @@ def backward(network: Network, cache: ForwardCache,
     delta = probs - y
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
-        a_prev = cache.a_list[i]
-        if layer.share_tile > 1:
-            m = layer.share_tile
-            p = _pool_cols(a_prev, m)
-            q = _pool_cols(delta, m)
-            gw = (p.T @ q) / n
-            gw = np.where(layer.block_mask, gw, 0.0)
-        else:
-            gw = (a_prev.T @ delta) / n
-            gw = np.where(layer.weight_mask(), gw, 0.0)
+        m = layer.share_tile
+        q = _pool_cols(delta, m)
+        gw = (_pool_cols(cache.a_list[i], m).T @ q) / n
+        weight_grads[i] = layer.masked(gw)
         bias_grads[i] = delta.mean(axis=0)
-        weight_grads[i] = gw
         if i > 0:
-            if layer.share_tile > 1:
-                m = layer.share_tile
-                q = _pool_cols(delta, m)
-                da = np.repeat(q @ layer.weights.T, m, axis=1)
-            else:
-                da = delta @ layer.weights.T
+            da = _spread_cols(q @ layer.weights.T, m)
+            a_mid = cache.a_list[i]
             if network.activation == "relu":
-                deriv = (cache.z_list[i - 1] > 0).astype(np.float64)
+                delta = da * (a_mid > 0).astype(np.float64)
             else:
-                a_mid = cache.a_list[i]
-                deriv = a_mid * (1.0 - a_mid)
-            delta = da * deriv
+                delta = da * (a_mid * (1.0 - a_mid))
     return Gradients(weight_grads, bias_grads)  # type: ignore[arg-type]
 
 

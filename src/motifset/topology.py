@@ -58,14 +58,23 @@ def _block_grid(layer_sizes, motif_size: int, layer_index: int
             layer_sizes[layer_index + 1] // tile, tile)
 
 
-def tile_cells(cells: np.ndarray, t: int) -> np.ndarray:
-    """Expand every cell of a 2-D array into a ``t x t`` patch.
+def blocks(a: np.ndarray, t: int) -> np.ndarray:
+    """The ``(rows, t, cols, t)`` view of a C-contiguous 2-D array.
 
-    Returns ``cells`` itself, not a copy, when ``t == 1``.
+    ``blocks(a, t)[r, :, c, :]`` is the ``t x t`` tile of block ``(r, c)``,
+    and writes through the view land in ``a``.
     """
-    if t == 1:
-        return cells
-    return np.repeat(np.repeat(cells, t, axis=0), t, axis=1)
+    if not a.flags.c_contiguous:
+        raise ValueError("blocks() needs a C-contiguous array")
+    rows, cols = a.shape
+    return a.reshape(rows // t, t, cols // t, t)
+
+
+def tile_cells(cells: np.ndarray, t: int) -> np.ndarray:
+    """A new array with each cell of 2-D ``cells`` expanded to a t x t patch."""
+    out = np.empty((cells.shape[0] * t, cells.shape[1] * t), cells.dtype)
+    blocks(out, t)[...] = cells[:, None, :, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,7 @@ def expand_mask(topology: MotifTopology, layer_index: int) -> np.ndarray:
     """
     topology._check_index(layer_index)
     mask = topology.block_masks[layer_index]
-    return tile_cells(mask, topology.tile(layer_index)).copy()
+    return tile_cells(mask, topology.tile(layer_index))
 
 
 def export_topology(topology: MotifTopology) -> str:

@@ -59,8 +59,9 @@ from .topology import build_topology
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    """Materialize the dataset a config describes (cache wins if present)."""
-    if config.cache_path and Path(config.cache_path).exists():
+    """Materialize the dataset a config describes; a set ``cache_path``
+    replaces the raw loaders, so a missing cache file raises OSError."""
+    if config.cache_path:
         dataset = load_dataset_cache(config.cache_path)
     elif config.dataset_kind == "idx":
         dataset = build_idx_dataset(

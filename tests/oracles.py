@@ -11,6 +11,16 @@ import math
 import numpy as np
 
 
+def weight_mask(layer):
+    """Boolean mask at the granularity of ``layer.weights``: cell ``(i, j)``
+    is active when block ``(i // e, j // e)`` is, ``e`` the layer's
+    blocks-to-weights tile ratio."""
+    e = layer.expand_factor
+    rows, cols = layer.weights.shape
+    return np.array([[bool(layer.block_mask[i // e][j // e])
+                      for j in range(cols)] for i in range(rows)])
+
+
 class DenseMLP:
     """Scalar-loop MLP with softmax output and cross-entropy loss.
 
@@ -147,7 +157,7 @@ def finite_diff_grads(network, x, y, step=1e-5):
     bias_grads = []
     for layer in network.layers:
         gw = np.zeros_like(layer.weights)
-        active = np.nonzero(layer.weight_mask())
+        active = np.nonzero(weight_mask(layer))
         for idx in zip(*active):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + step
@@ -181,3 +191,53 @@ def max_rel_error(analytic, numeric, floor=1e-6):
         denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), floor)
         worst = max(worst, float((np.abs(g - f) / denom).max()))
     return worst
+
+
+def reference_evolve_magnitude(network, policy, event_index=0):
+    """Scalar-loop prune-and-regrow event, in place, for comparison with
+    :func:`motifset.evolution.evolve_magnitude`.
+
+    Blocks are visited in row-major order and every tile is read and
+    written through explicit slices.  A tile's magnitude adds the absolute
+    values of each tile row left to right, then the row sums top to bottom,
+    and divides by the cell count.  The generator is drawn from exactly as
+    the package documents: one ``choice`` over the blocks free after
+    pruning, then one He draw of shape ``(k, e, e)``.
+    """
+    for i, layer in enumerate(network.layers):
+        rng = np.random.default_rng((policy.rng_seed, event_index, i))
+        mask, w, e = layer.block_mask, layer.weights, layer.expand_factor
+        n_rows, n_cols = mask.shape
+        active = [(r, c) for r in range(n_rows) for c in range(n_cols)
+                  if mask[r, c]]
+        k = math.floor(policy.zeta * len(active))
+        if len(active) == n_rows * n_cols or k == 0:
+            continue
+        mags = []
+        for r, c in active:
+            tile = w[r * e:(r + 1) * e, c * e:(c + 1) * e]
+            total = 0.0
+            for a in range(e):
+                row = 0.0
+                for b in range(e):
+                    row += abs(float(tile[a, b]))
+                total += row
+            mags.append(total / (e * e))
+        order = sorted(range(len(active)), key=lambda j: mags[j])
+        for j in order[:k]:
+            r, c = active[j]
+            mask[r, c] = False
+            w[r * e:(r + 1) * e, c * e:(c + 1) * e] = 0.0
+        free = [(r, c) for r in range(n_rows) for c in range(n_cols)
+                if not mask[r, c]]
+        pick = rng.choice(len(free), size=k, replace=False)
+        fan_in = network.layer_sizes[i]
+        if network.init_scheme == "he_uniform":
+            bound = math.sqrt(6.0 / fan_in)
+            values = rng.uniform(-bound, bound, size=(k, e, e))
+        else:
+            values = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(k, e, e))
+        for j, p in enumerate(pick):
+            r, c = free[p]
+            mask[r, c] = True
+            w[r * e:(r + 1) * e, c * e:(c + 1) * e] = values[j]

@@ -131,13 +131,16 @@ def _nudge_off_kinks(net, x, seed):
     differences straddle the non-differentiable point and disagree with
     the (one-sided) analytic derivative.  The check is only meaningful at
     differentiable points, so we move away from them deterministically.
+    Hidden pre-activations are recomputed from each layer's input with the
+    expanded weights, since the forward cache keeps only activations.
     """
     if net.activation != "relu":
         return
     for attempt in range(50):
         cache = forward(net, x)
-        closest = min(float(np.abs(z).min())
-                      for z in cache.z_list[:-1])
+        closest = min(
+            float(np.abs(a @ expand_weights(layer) + layer.bias).min())
+            for a, layer in zip(cache.a_list, net.layers[:-1]))
         if closest > 1e-3:
             return
         jitter = np.random.default_rng((seed, attempt))

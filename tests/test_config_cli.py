@@ -48,6 +48,11 @@ class TestConfigFiles:
         p.write_text("[train]\nepochs = 5  # short run\n")
         assert load_config(p).epochs == 5
 
+    def test_percent_sign_taken_literally(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[dataset]\ncsv_path = data/100%.csv\n")
+        assert load_config(p).csv_path == "data/100%.csv"
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[train]\nwarp_speed = 9\n")
@@ -209,6 +214,18 @@ class TestCliPrepareAndCache:
         assert code == 3
 
 
+    def test_missing_cache_exit_code(self, toy_csv, tmp_path, capsys):
+        # a cache_path replaces the raw loaders, so a typo must not fall
+        # back to the CSV
+        out = tmp_path / "r"
+        code = main(["train", "--csv-path", str(toy_csv), "--cache-path",
+                     str(tmp_path / "typo.bin"), "--epochs", "1",
+                     "--out", str(out)])
+        assert code == 3
+        assert "i/o error:" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+
 def _manifest(tmp_path, name, train_time, accuracy):
     config = ExperimentConfig(csv_path="toy.csv")
     from motifset.config import config_to_text
@@ -287,6 +304,39 @@ class TestCliScoreSweep:
         code = main(["score", "--baseline", str(path), "--variant",
                      str(path)])
         assert code == 2
+
+
+_NO_HEADER = "epochs = 3\n"
+_DUPLICATE_KEY = "[train]\nepochs = 3\nepochs = 4\n"
+
+
+@pytest.mark.parametrize("command,text,code,prefix", [
+    ("train", None, 2, "config error:"),
+    ("train", _NO_HEADER, 2, "config error:"),
+    ("train", _DUPLICATE_KEY, 2, "config error:"),
+    ("score", None, 3, "i/o error:"),
+    ("score", _NO_HEADER, 2, "config error:"),
+    ("score", _DUPLICATE_KEY, 2, "config error:"),
+    ("sweep", None, 3, "i/o error:"),
+    ("sweep", _NO_HEADER, 2, "config error:"),
+    ("sweep", _DUPLICATE_KEY, 2, "config error:"),
+], ids=["train-missing", "train-no-header", "train-duplicate-key",
+        "score-missing", "score-no-header", "score-duplicate-key",
+        "sweep-missing", "sweep-no-header", "sweep-duplicate-key"])
+def test_bad_config_or_manifest_file(tmp_path, capsys, command, text, code,
+                                     prefix):
+    """Missing config: exit 2; missing manifest: exit 3 like any other
+    missing input; malformed text in either: exit 2, never a traceback."""
+    bad = tmp_path / "bad.txt"
+    if text is not None:
+        bad.write_text(text)
+    if command == "train":
+        argv = ["train", "--config", str(bad), "--out", str(tmp_path / "r")]
+    else:
+        good = _manifest(tmp_path, "good.txt", 100.0, 0.9)
+        argv = [command, "--baseline", str(bad), "--variant", str(good)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 class TestCliExportTopology:

@@ -9,6 +9,7 @@ from motifset.topology import (
     BlockDensitySpec,
     MotifTopology,
     active_block_count,
+    blocks,
     build_topology,
     expand_mask,
     export_topology,
@@ -176,6 +177,27 @@ class TestExpandMask:
             expand_mask(topo, 1)
         with pytest.raises(IndexError):
             expand_mask(topo, -1)
+
+    @pytest.mark.parametrize("tile", [1, 2])
+    def test_returns_a_copy(self, tile):
+        topo = build_topology([4, 4, 3], tile, BlockDensitySpec.fixed(1.0))
+        expand_mask(topo, 0)[:] = False
+        assert topo.block_masks[0].all()
+
+
+class TestBlocks:
+    def test_tile_of_block_and_write_through(self):
+        a = np.arange(24.0).reshape(4, 6)
+        view = blocks(a, 2)
+        assert view.shape == (2, 2, 3, 2)
+        np.testing.assert_array_equal(view[1, :, 2, :], a[2:4, 4:6])
+        view[0, :, 1, :] = -1.0
+        assert (a[0:2, 2:4] == -1.0).all() and (a < 0).sum() == 4
+
+    def test_non_contiguous_rejected(self):
+        # a reshape of a strided array would copy, losing every write
+        with pytest.raises(ValueError):
+            blocks(np.zeros((4, 6)).T, 2)
 
 
 class TestTextFormat:
