@@ -9,7 +9,10 @@ Two weight modes exist per network:
     weight grid, and the block outputs are spread back to the ``m``
     neurons of each output block.  This is exactly equivalent to multiplying
     by the tiled neuron-granularity matrix, but the matrix product shrinks
-    by ``m`` in both dimensions.
+    by ``m`` in both dimensions.  Pooling sums ``m`` strided column slices
+    (:func:`_pool_cols`); each layer pools its input once per step, in
+    :func:`forward`, which keeps it in the :class:`ForwardCache` for
+    :func:`backward`, and pools its delta once, in :func:`backward`.
 
 ``independent``
     Weights are stored at neuron granularity and only the *mask* lives on
@@ -142,10 +145,14 @@ class ForwardCache:
 
     ``a_list[0]`` is the input batch, ``a_list[i]`` the activation after
     layer ``i - 1``, so ``a_list[-1]`` holds softmax probabilities.
+    ``pooled[i]`` is layer ``i``'s input pooled over its share tile, the
+    left operand of both its forward product and its weight gradient; at
+    tile 1 it is ``a_list[i]`` itself, so it costs no memory there.
     Pre-activations are not kept: the ReLU derivative is ``a_list[i] > 0``.
     """
 
     a_list: list[np.ndarray] = field(default_factory=list)
+    pooled: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -209,11 +216,22 @@ def init_network(topology: MotifTopology, activation: str = "relu",
 
 
 def _pool_cols(a: np.ndarray, m: int) -> np.ndarray:
-    """Sum each group of ``m`` consecutive columns (``a`` itself at 1)."""
+    """Sum each group of ``m`` consecutive columns (``a`` itself at 1).
+
+    A copy of the strided slice ``a[:, 0::m]`` adds ``a[:, j::m]`` for
+    ``j = 1 .. m-1`` in place, so every group is summed left to right.  For
+    ``m <= 7`` that is the order of numpy's ``reshape(n, d // m, m)
+    .sum(axis=2)``, so the sums agree bit for bit (except that a group of
+    ``-0.0`` alone sums to ``-0.0``, where numpy gives ``+0.0``); from
+    ``m = 8`` numpy sums a group pairwise over 8 accumulators, so the two
+    can differ in the last bit.
+    """
     if m == 1:
         return a
-    n, d = a.shape
-    return a.reshape(n, d // m, m).sum(axis=2)
+    out = a[:, 0::m].copy()
+    for j in range(1, m):
+        out += a[:, j::m]
+    return out
 
 
 def _spread_cols(a: np.ndarray, m: int) -> np.ndarray:
@@ -241,7 +259,8 @@ def forward(network: Network, batch: np.ndarray) -> ForwardCache:
     last = len(network.layers) - 1
     for i, layer in enumerate(network.layers):
         m = layer.share_tile
-        z = _spread_cols(_pool_cols(a, m) @ layer.weights, m) + layer.bias
+        cache.pooled.append(_pool_cols(a, m))
+        z = _spread_cols(cache.pooled[i] @ layer.weights, m) + layer.bias
         a = softmax(z) if i == last else act(z)
         cache.a_list.append(a)
     return cache
@@ -263,16 +282,22 @@ def loss(cache: ForwardCache, y_true: np.ndarray) -> float:
 
 def _check_cache(network: Network, cache: ForwardCache):
     n_layers = len(network.layers)
-    if len(cache.a_list) != n_layers + 1:
+    if len(cache.a_list) != n_layers + 1 or len(cache.pooled) != n_layers:
         raise StaleCacheError(
-            f"cache holds {len(cache.a_list) - 1} layers, network has "
-            f"{n_layers}"
+            f"cache holds {len(cache.a_list) - 1} layers and "
+            f"{len(cache.pooled)} pooled inputs, network has {n_layers}"
         )
     for i, layer in enumerate(network.layers):
         if cache.a_list[i].shape[1] != network.layer_sizes[i]:
             raise StaleCacheError(
                 f"cache activation {i} has width {cache.a_list[i].shape[1]}, "
                 f"network expects {network.layer_sizes[i]}"
+            )
+        width = network.layer_sizes[i] // layer.share_tile
+        if cache.pooled[i].shape != (cache.a_list[i].shape[0], width):
+            raise StaleCacheError(
+                f"cache pooled input {i} has shape {cache.pooled[i].shape}, "
+                f"network expects width {width}"
             )
 
 
@@ -281,10 +306,11 @@ def backward(network: Network, cache: ForwardCache,
     """Backpropagate cross-entropy gradients through the cached pass.
 
     The softmax/cross-entropy pair gives the output delta ``probs - y``
-    directly.  With ``P``/``Q`` the column-pooled input/delta (unpooled at
-    tile 1), ``dW = P.T @ Q / n`` on the active blocks, and ``Q @ W.T``
-    spread back over the tile feeds the previous layer.  All gradients are
-    means over the batch.
+    directly.  With ``P`` the pooled input that :func:`forward` cached and
+    ``Q`` the column-pooled delta (both unpooled at tile 1),
+    ``dW = P.T @ Q / n`` on the active blocks, and ``Q @ W.T`` spread back
+    over the tile feeds the previous layer.  All gradients are means over
+    the batch.
     """
     _check_cache(network, cache)
     probs = cache.a_list[-1]
@@ -302,7 +328,7 @@ def backward(network: Network, cache: ForwardCache,
         layer = network.layers[i]
         m = layer.share_tile
         q = _pool_cols(delta, m)
-        gw = (_pool_cols(cache.a_list[i], m).T @ q) / n
+        gw = (cache.pooled[i].T @ q) / n
         weight_grads[i] = layer.masked(gw)
         bias_grads[i] = delta.mean(axis=0)
         if i > 0:

@@ -96,17 +96,22 @@ def _environment_lines() -> dict:
     }
 
 
-def _check_finite(network, epoch: int):
+def _check_finite(network, where: str):
+    """Raise NonFiniteError naming the first layer with a NaN or infinite
+    weight or bias; ``where`` says when in the run it was found."""
     for i, layer in enumerate(network.layers):
         if not (np.isfinite(layer.weights).all()
                 and np.isfinite(layer.bias).all()):
-            raise NonFiniteError(
-                f"non-finite parameters in layer {i} after epoch {epoch}"
-            )
+            raise NonFiniteError(f"non-finite parameters in layer {i} {where}")
 
 
 def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
-    """Train a network per the config; writes run files, returns measurements."""
+    """Train a network per the config; writes run files, returns measurements.
+
+    Raises NonFiniteError as soon as a batch's loss is not finite, naming
+    the epoch, the batch index and the first layer whose parameters are not
+    finite; the epoch gets no ``metrics.csv`` row.
+    """
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,11 +145,17 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
             for start in range(0, n, batch_size):
                 idx = perm[start:start + batch_size]
                 cache = forward(network, x_tr[idx])
-                loss_sum += loss(cache, y_tr[idx]) * idx.size
+                batch_loss = loss(cache, y_tr[idx])
+                if not np.isfinite(batch_loss):
+                    where = f"at epoch {epoch}, batch {start // batch_size}"
+                    _check_finite(network, where)
+                    raise NonFiniteError(f"non-finite loss {batch_loss} "
+                                         f"{where}, from finite parameters")
+                loss_sum += batch_loss * idx.size
                 grads = backward(network, cache, y_tr[idx])
                 sgd_step(network, grads, config.learning_rate)
             epoch_time = time.perf_counter() - t0
-            _check_finite(network, epoch)
+            _check_finite(network, f"after epoch {epoch}")
 
             train_loss = loss_sum / n
             accuracy = predict_accuracy(network, dataset.x_test,

@@ -21,6 +21,21 @@ def weight_mask(layer):
                       for j in range(cols)] for i in range(rows)])
 
 
+def pool_cols_reference(a, m):
+    """Sum each group of ``m`` consecutive columns of 2-D ``a`` with scalar
+    additions, left to right from the group's first entry."""
+    out = []
+    for row in np.asarray(a).tolist():
+        pooled = []
+        for g in range(0, len(row), m):
+            total = row[g]
+            for v in row[g + 1:g + m]:
+                total += v
+            pooled.append(total)
+        out.append(pooled)
+    return np.array(out, dtype=np.float64)
+
+
 class DenseMLP:
     """Scalar-loop MLP with softmax output and cross-entropy loss.
 

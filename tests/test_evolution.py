@@ -170,6 +170,38 @@ class TestMagnitudePrune:
                 np.testing.assert_array_equal(la.block_mask, lb.block_mask)
                 np.testing.assert_array_equal(la.weights, lb.weights)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_matches_scalar_reference_on_near_tie(self, m):
+        # tile a sums to 1 + 2u over columns first but to 1 over rows
+        # first, a tie with tile b, so only the documented row-first order
+        # prunes a (the earlier of the tied pair) and keeps b
+        u = 2.0 ** -53
+        nets = [small_network(sizes=(16, 16, 4), motif_size=m, density=0.5,
+                              seed=70 + m, weight_mode="independent")
+                for _ in range(2)]
+        rows, cols = np.nonzero(nets[0].layers[0].block_mask)
+        (ra, rb), (ca, cb) = rows[:2], cols[:2]
+
+        def tile(net, r, c):
+            return net.layers[0].weights[r * m:(r + 1) * m,
+                                         c * m:(c + 1) * m]
+
+        for net in nets:
+            net.layers[0].weights[weight_mask(net.layers[0])] = 1.0
+            a, b = tile(net, ra, ca), tile(net, rb, cb)
+            a[:], b[:] = 0.0, 0.0
+            a[0, 0], a[0, 1], a[1, 1] = 1.0, u, u
+            b[0, 0] = 1.0
+        policy = _policy(zeta=1.5 / rows.size, rng_seed=71)  # one prune
+        evolve_magnitude(nets[0], policy, 0)
+        reference_evolve_magnitude(nets[1], policy, 0)
+        for la, lb in zip(nets[0].layers, nets[1].layers):
+            np.testing.assert_array_equal(la.block_mask, lb.block_mask)
+            np.testing.assert_array_equal(la.weights, lb.weights)
+        assert nets[0].layers[0].block_mask[rb, cb]
+        kept = tile(nets[0], rb, cb)
+        assert kept[0, 0] == kept.sum() == 1.0
+
     def test_topology_masks_track_layer_masks(self):
         net = small_network(sizes=(8, 8, 4), density=0.5, seed=14)
         evolve_magnitude(net, _policy(rng_seed=15), 0)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifset.network
 from motifset.errors import ShapeError, StaleCacheError
 from motifset.network import (
     ForwardCache,
+    _pool_cols,
     backward,
     expand_weights,
     forward,
@@ -20,7 +22,8 @@ from motifset.network import (
 from motifset.topology import BlockDensitySpec, build_topology
 
 from conftest import small_network
-from oracles import DenseMLP, finite_diff_grads, max_rel_error, weight_mask
+from oracles import (DenseMLP, finite_diff_grads, max_rel_error,
+                     pool_cols_reference, weight_mask)
 
 
 def _batch(n, d, seed=0):
@@ -227,6 +230,52 @@ class TestBackward:
             backward(net, cache, _onehot_targets(5, 4))
         with pytest.raises(StaleCacheError):
             backward(net, ForwardCache(), _onehot_targets(5, 4))
+        # pooled inputs missing, one layer short, layer 0 left unpooled,
+        # a sample short
+        cache = forward(net, _batch(5, 8))
+        for pooled in ([], cache.pooled[:-1],
+                       [cache.a_list[0]] + cache.pooled[1:],
+                       [p[:-1] for p in cache.pooled]):
+            with pytest.raises(StaleCacheError):
+                backward(net, ForwardCache(cache.a_list, pooled),
+                         _onehot_targets(5, 4))
+
+
+class TestPooling:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    def test_sums_each_group_left_to_right(self, m):
+        # magnitudes from 1e-8 to 1e7 make every change of summation
+        # order visible in the last bits
+        rng = np.random.default_rng(60 + m)
+        a = rng.normal(size=(7, 24 * m)) * 10.0 ** rng.integers(
+            -8, 8, size=(7, 24 * m))
+        np.testing.assert_array_equal(_pool_cols(a, m),
+                                      pool_cols_reference(a, m))
+
+    @pytest.mark.parametrize("mode", ["shared", "independent"])
+    def test_pools_at_most_twice_per_layer_per_step(self, mode,
+                                                    monkeypatch):
+        # forward pools each input once and caches it; backward pools
+        # only the deltas
+        calls = []
+
+        def counted(a, m):
+            calls.append(m)
+            return _pool_cols(a, m)
+
+        monkeypatch.setattr(motifset.network, "_pool_cols", counted)
+        net = small_network(sizes=(8, 8, 8, 4), motif_size=2,
+                            weight_mode=mode)
+        x = _batch(5, 8)
+        backward(net, forward(net, x), _onehot_targets(5, 4))
+        assert len(calls) <= 2 * len(net.layers)
+
+    def test_cached_input_is_pooled_input(self):
+        net = small_network(sizes=(8, 8, 4), motif_size=2)
+        cache = forward(net, _batch(5, 8))
+        np.testing.assert_array_equal(cache.pooled[0],
+                                      pool_cols_reference(cache.a_list[0], 2))
+        assert cache.pooled[1] is cache.a_list[1]  # tile-1 output layer
 
 
 class TestSgd:

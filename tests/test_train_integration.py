@@ -7,6 +7,8 @@ import pytest
 
 from motifset._synthetic import write_synthetic_idx_dataset
 from motifset.config import ExperimentConfig
+from motifset.errors import NonFiniteError
+from motifset.metrics import METRICS_CSV_HEADER
 from motifset.train import run_train
 
 
@@ -132,6 +134,22 @@ class TestEvolutionDisabled:
         run_train(config, echo=lambda *_: None)
         lines = (out / "evolution.csv").read_text().strip().splitlines()
         assert len(lines) == 1  # header only
+
+
+class TestNonFinite:
+    def test_stops_at_the_first_non_finite_batch(self, toy_csv, tmp_path):
+        # at this rate the first update overflows layer 0's weights, so
+        # the second batch's loss is NaN; the epoch is never finished
+        out = tmp_path / "nf"
+        config = ExperimentConfig(
+            csv_path=str(toy_csv), standardize=False, hidden_sizes=(8, 8),
+            motif_size=2, density_mode="fixed_density", density_value=0.5,
+            epochs=3, learning_rate=1e308, batch_size=16, out_dir=str(out))
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteError, match=r"^non-finite parameters in layer 0 "
+                                      r"at epoch 0, batch 1$"):
+            run_train(config, echo=lambda *_: None)
+        assert (out / "metrics.csv").read_text() == METRICS_CSV_HEADER + "\n"
 
 
 def test_digits_real_data_end_to_end(tmp_path):
