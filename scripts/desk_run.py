@@ -18,29 +18,8 @@ from pathlib import Path
 
 from motifset.config import (SEED_FIELDS, apply_overrides, load_config,
                              preset_path)
-from motifset.metrics import comprehensive_score
-from motifset.train import run_sweep, run_train
-
-IDX_NAMES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
-
-
-def locate_idx(directory):
-    """Map config fields to files under directory, accepting .gz or raw."""
-    found = {}
-    for field, stem in IDX_NAMES.items():
-        for name in (stem + ".gz", stem):
-            path = directory / name
-            if path.is_file():
-                found[field] = str(path)
-                break
-        else:
-            return None
-    return found
+from motifset.data import find_idx_files
+from motifset.train import run_score, run_sweep, run_train
 
 
 def main():
@@ -60,20 +39,19 @@ def main():
     if args.synthetic:
         from motifset._synthetic import write_synthetic_idx_dataset
         print("generating synthetic IDX data under", args.out / "data")
-        paths = write_synthetic_idx_dataset(args.out / "data", n_train=2000,
+        files = write_synthetic_idx_dataset(args.out / "data", n_train=2000,
                                             n_test=500, noise_std=100.0,
                                             seed=5)
-        apply_overrides(config, {k: str(v) for k, v in paths.items()})
         config.train_limit = 0
         if args.epochs is None:
             config.epochs = 10
     else:
-        files = locate_idx(args.data_dir)
+        files = find_idx_files(args.data_dir)
         if files is None:
             print(f"error: IDX files not found under {args.data_dir};"
                   f" pass --data-dir or use --synthetic", file=sys.stderr)
             return 1
-        apply_overrides(config, files)
+    apply_overrides(config, {k: str(v) for k, v in files.items()})
     if args.epochs is not None:
         config.epochs = args.epochs
     apply_overrides(config, dict.fromkeys(SEED_FIELDS, args.seed))
@@ -95,12 +73,9 @@ def main():
           f" {sum(r2.per_epoch_time_s):.2f} s ({speedup:+.1%})")
     print(f"analytic MACs: {r1.flop_count} -> {r2.flop_count}"
           f" ({1 - r2.flop_count / r1.flop_count:+.1%})")
-    report = comprehensive_score(sum(r1.per_epoch_time_s),
-                                 sum(r2.per_epoch_time_s),
-                                 r1.final_accuracy, r2.final_accuracy,
-                                 w_eff=config.w_eff)
+    report = run_score(manifests[1], manifests[2], w_eff=config.w_eff)
     print(f"comprehensive score S(m=2) = {report.s:.4f}"
-          f"  (baseline fixed point {config.w_acc})")
+          f"  (baseline fixed point {report.w_acc})")
 
     sweep = run_sweep(manifests[1], manifests[2], out_dir=args.out)
     cross = sweep.crossover_w_eff

@@ -9,11 +9,11 @@ exercised end to end without shipping any real dataset.
 """
 from __future__ import annotations
 
-import gzip
-import struct
 from pathlib import Path
 
 import numpy as np
+
+from .data import IDX_FILES, write_idx
 
 
 def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
@@ -48,24 +48,6 @@ def make_samples(templates: np.ndarray, n_samples: int, noise_std: float,
             labels.astype(np.uint8))
 
 
-def write_idx_pair(images: np.ndarray, labels: np.ndarray, images_path,
-                   labels_path, side: int = 28):
-    """Write IDX image/label files; gzip-compress when the path ends in .gz."""
-    def _open(path):
-        path = Path(path)
-        if path.suffix == ".gz":
-            return gzip.open(path, "wb")
-        return open(path, "wb")
-
-    n = images.shape[0]
-    with _open(images_path) as f:
-        f.write(struct.pack(">IIII", 0x00000803, n, side, side))
-        f.write(images.astype(np.uint8).tobytes())
-    with _open(labels_path) as f:
-        f.write(struct.pack(">II", 0x00000801, n))
-        f.write(labels.astype(np.uint8).tobytes())
-
-
 def write_synthetic_idx_dataset(directory, n_train: int = 2000,
                                 n_test: int = 500, noise_std: float = 60.0,
                                 seed: int = 0, side: int = 28,
@@ -76,14 +58,9 @@ def write_synthetic_idx_dataset(directory, n_train: int = 2000,
     templates = make_class_templates(n_classes, side, seed)
     x_tr, y_tr = make_samples(templates, n_train, noise_std, seed)
     x_te, y_te = make_samples(templates, n_test, noise_std, seed + 1)
-    paths = {
-        "train_images": directory / "train-images-idx3-ubyte",
-        "train_labels": directory / "train-labels-idx1-ubyte",
-        "test_images": directory / "t10k-images-idx3-ubyte",
-        "test_labels": directory / "t10k-labels-idx1-ubyte",
-    }
-    write_idx_pair(x_tr, y_tr, paths["train_images"], paths["train_labels"],
-                   side)
-    write_idx_pair(x_te, y_te, paths["test_images"], paths["test_labels"],
-                   side)
+    paths = {field: directory / name for field, name in IDX_FILES.items()}
+    write_idx(paths["train_images"], paths["train_labels"],
+              x_tr.reshape(n_train, side, side), y_tr)
+    write_idx(paths["test_images"], paths["test_labels"],
+              x_te.reshape(n_test, side, side), y_te)
     return paths

@@ -4,21 +4,23 @@ Supported sources:
 
 * IDX image/label file pairs (the MNIST-family container: big-endian
   header, raw byte payload), transparently gunzipped when the path ends in
-  ``.gz``.
+  ``.gz``.  :func:`write_idx` writes the format and :func:`find_idx_files`
+  finds the four standard files in a directory.
 * Labeled CSV with one sample per row, numeric features, and a label
   column that may hold numbers or strings (mapped to class ids in sorted
   order).  A non-numeric first row is treated as a header and skipped.
 
-Preprocessing is recorded step by step on the returned :class:`Dataset`
-so a run manifest can state exactly what was applied.  Standardization is
-always fit on the training split only.
+Every source ends in a :class:`Dataset`, which rejects an empty split or
+zero feature columns.  Standardization is always fit on the training split
+only.
 """
 from __future__ import annotations
 
 import csv
 import gzip
 import struct
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,15 @@ from .errors import (
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+_IMAGE_HEAD = struct.Struct(">IIII")  # magic, count, rows, cols
+_LABEL_HEAD = struct.Struct(">II")  # magic, count
+
+IDX_FILES = {
+    "train_images": "train-images-idx3-ubyte",
+    "train_labels": "train-labels-idx1-ubyte",
+    "test_images": "t10k-images-idx3-ubyte",
+    "test_labels": "t10k-labels-idx1-ubyte",
+}
 
 CACHE_MAGIC = b"MSETDATA"
 CACHE_VERSION = 2
@@ -46,20 +57,12 @@ _STD_FLOOR = 1e-8
 
 
 @dataclass
-class PreprocessingStep:
-    """One applied transform and the parameters needed to reproduce it."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass
 class Dataset:
     """A ready-to-train dataset with one-hot targets.
 
     ``x_*`` are float64 matrices, ``y_*`` one-hot float64 matrices with
-    ``n_classes`` columns.  ``preprocessing`` lists the applied transforms
-    in order.
+    ``n_classes`` columns.  Raises :class:`EmptyFileError` for zero
+    feature columns and :class:`TooFewSamplesError` for an empty split.
     """
 
     x_train: np.ndarray
@@ -68,11 +71,14 @@ class Dataset:
     y_test: np.ndarray
     n_features: int
     n_classes: int
-    preprocessing: list[PreprocessingStep] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.n_features == 0:
+            raise EmptyFileError("the data has no feature columns")
         for name, x, y in (("train", self.x_train, self.y_train),
                            ("test", self.x_test, self.y_test)):
+            if x.shape[0] == 0:
+                raise TooFewSamplesError(f"{name}: no samples")
             if x.shape[0] != y.shape[0]:
                 raise ValueError(
                     f"{name}: {x.shape[0]} samples but {y.shape[0]} targets"
@@ -91,11 +97,11 @@ class Dataset:
 # IDX
 
 
-def _open_maybe_gzip(path):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _open_maybe_gzip(path, mode: str):
+    """Open ``path`` in binary ``mode``, through gzip when it ends in .gz."""
+    if Path(path).suffix == ".gz":
+        return gzip.open(path, mode)
+    return open(path, mode)
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
@@ -115,9 +121,9 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     :class:`TruncatedFileError`, or :class:`CountMismatchError` on the
     corresponding defects.
     """
-    with _open_maybe_gzip(images_path) as f:
-        header = _read_exact(f, 16, images_path, "image header")
-        magic, n, rows, cols = struct.unpack(">IIII", header)
+    with _open_maybe_gzip(images_path, "rb") as f:
+        header = _read_exact(f, _IMAGE_HEAD.size, images_path, "image header")
+        magic, n, rows, cols = _IMAGE_HEAD.unpack(header)
         if magic != IDX_IMAGE_MAGIC:
             raise MagicNumberError(
                 f"{images_path}: magic 0x{magic:08x}, expected "
@@ -126,9 +132,9 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         payload = _read_exact(f, n * rows * cols, images_path, "pixel data")
     images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
 
-    with _open_maybe_gzip(labels_path) as f:
-        header = _read_exact(f, 8, labels_path, "label header")
-        magic, n_labels = struct.unpack(">II", header)
+    with _open_maybe_gzip(labels_path, "rb") as f:
+        header = _read_exact(f, _LABEL_HEAD.size, labels_path, "label header")
+        magic, n_labels = _LABEL_HEAD.unpack(header)
         if magic != IDX_LABEL_MAGIC:
             raise MagicNumberError(
                 f"{labels_path}: magic 0x{magic:08x}, expected "
@@ -143,6 +149,35 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             f"{n_labels} labels"
         )
     return images, labels
+
+
+def write_idx(images_path, labels_path, images: np.ndarray,
+              labels: np.ndarray):
+    """Write ``(n, rows, cols)`` images and ``(n,)`` labels as uint8 IDX
+    files, gzipped when a path ends in ``.gz``; inverts :func:`load_idx`."""
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    n, rows, cols = images.shape
+    with _open_maybe_gzip(images_path, "wb") as f:
+        f.write(_IMAGE_HEAD.pack(IDX_IMAGE_MAGIC, n, rows, cols))
+        f.write(images.tobytes())
+    with _open_maybe_gzip(labels_path, "wb") as f:
+        f.write(_LABEL_HEAD.pack(IDX_LABEL_MAGIC, len(labels)))
+        f.write(labels.tobytes())
+
+
+def find_idx_files(directory) -> dict[str, Path] | None:
+    """Map each :data:`IDX_FILES` field to ``directory/NAME.gz``, else to
+    ``directory/NAME``; None when any of the four is missing."""
+    directory, found = Path(directory), {}
+    for field, name in IDX_FILES.items():
+        for path in (directory / f"{name}.gz", directory / name):
+            if path.is_file():
+                found[field] = path
+                break
+        else:
+            return None
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -161,9 +196,11 @@ def load_labeled_csv(path, label_column: int = -1
     """Load a labeled CSV as ``(features, labels)``.
 
     ``label_column`` indexes the label field (negative indices allowed).
-    String labels are mapped to ``0..K-1`` in sorted order; numeric labels
-    are sorted numerically.  The first row is dropped as a header when any
-    of its feature cells fails to parse as a number.
+    Labels are mapped to ``0..K-1`` in sorted order: numerically when every
+    label is a finite number, else as strings.  The first row is dropped as
+    a header when any of its feature cells fails to parse as a number; any
+    other feature cell that is not a finite number raises
+    :class:`NonNumericError`.
     """
     with open(path, "r", newline="") as f:
         rows = [row for row in csv.reader(f) if row]
@@ -198,23 +235,17 @@ def load_labeled_csv(path, label_column: int = -1
                 raw_labels.append(cell.strip())
                 continue
             value = _try_float(cell)
-            if value is None:
-                raise NonNumericError(
-                    f"{path}: row {i}, column {j}: {cell!r} is not numeric"
-                )
+            if value is None or not math.isfinite(value):
+                raise NonNumericError(f"{path}: row {i}, column {j}: "
+                                      f"{cell!r} is not a finite number")
             features[i, k] = value
             k += 1
 
-    numeric = [_try_float(lbl) for lbl in raw_labels]
-    if all(v is not None for v in numeric):
-        classes = sorted(set(numeric))
-        mapping = {v: idx for idx, v in enumerate(classes)}
-        labels = np.array([mapping[v] for v in numeric], dtype=np.int64)
-    else:
-        classes = sorted(set(raw_labels))
-        mapping = {v: idx for idx, v in enumerate(classes)}
-        labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
-    return features, labels
+    keys = [_try_float(lbl) for lbl in raw_labels]
+    if not all(v is not None and math.isfinite(v) for v in keys):
+        keys = raw_labels
+    mapping = {v: idx for idx, v in enumerate(sorted(set(keys)))}
+    return features, np.array([mapping[v] for v in keys], dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -298,15 +329,14 @@ def build_idx_dataset(train_images, train_labels, test_images, test_labels,
             f"train images have {x_tr.shape[1]} pixels, test images "
             f"{x_te.shape[1]}"
         )
-    steps = [PreprocessingStep("normalize_01", {"divisor": 255.0})]
-    x_tr = normalize_01(x_tr)
-    x_te = normalize_01(x_te)
+    x_tr, x_te = normalize_01(x_tr), normalize_01(x_te)
+    # validated before standardize, which cannot fit an empty train split
+    dataset = Dataset(x_tr, one_hot(lab_tr, n_classes), x_te,
+                      one_hot(lab_te, n_classes), x_tr.shape[1], n_classes)
     if apply_standardize:
-        x_tr, x_te, params = standardize(x_tr, x_te)
-        steps.append(PreprocessingStep("standardize", params))
-    y_tr = one_hot(lab_tr, n_classes)
-    y_te = one_hot(lab_te, n_classes)
-    return Dataset(x_tr, y_tr, x_te, y_te, x_tr.shape[1], n_classes, steps)
+        dataset.x_train, dataset.x_test, _ = standardize(dataset.x_train,
+                                                         dataset.x_test)
+    return dataset
 
 
 def build_csv_dataset(path, label_column: int = -1,
@@ -317,31 +347,19 @@ def build_csv_dataset(path, label_column: int = -1,
     n_classes = int(labels.max()) + 1 if labels.size else 0
     y = one_hot(labels, n_classes)
     x_tr, y_tr, x_te, y_te = split(features, y, test_fraction, seed)
-    steps = [PreprocessingStep(
-        "split", {"test_fraction": test_fraction, "seed": seed})]
     if apply_standardize:
-        x_tr, x_te, params = standardize(x_tr, x_te)
-        steps.append(PreprocessingStep("standardize", params))
-    return Dataset(x_tr, y_tr, x_te, y_te, features.shape[1], n_classes,
-                   steps)
+        x_tr, x_te, _ = standardize(x_tr, x_te)
+    return Dataset(x_tr, y_tr, x_te, y_te, features.shape[1], n_classes)
 
 
 def limit_dataset(dataset: Dataset, train_limit: int = 0,
                   test_limit: int = 0) -> Dataset:
     """Keep only the first N train/test rows (0 means keep all)."""
-    if train_limit <= 0 and test_limit <= 0:
-        return dataset
-    x_tr, y_tr = dataset.x_train, dataset.y_train
-    x_te, y_te = dataset.x_test, dataset.y_test
-    steps = list(dataset.preprocessing)
-    if train_limit > 0:
-        x_tr, y_tr = x_tr[:train_limit], y_tr[:train_limit]
-    if test_limit > 0:
-        x_te, y_te = x_te[:test_limit], y_te[:test_limit]
-    steps.append(PreprocessingStep(
-        "limit", {"train_limit": train_limit, "test_limit": test_limit}))
-    return Dataset(x_tr, y_tr, x_te, y_te, dataset.n_features,
-                   dataset.n_classes, steps)
+    tr = slice(train_limit if train_limit > 0 else None)
+    te = slice(test_limit if test_limit > 0 else None)
+    return Dataset(dataset.x_train[tr], dataset.y_train[tr],
+                   dataset.x_test[te], dataset.y_test[te],
+                   dataset.n_features, dataset.n_classes)
 
 
 # --------------------------------------------------------------------------
@@ -352,16 +370,14 @@ def save_dataset_cache(dataset: Dataset, path):
     """Write a dataset to a :mod:`motifset.container` file.
 
     Magic ``MSETDATA``, version 2.  The JSON metadata holds the feature and
-    class counts, the preprocessing steps and the shapes of the four
-    matrices, which follow as float64 little-endian sections.
+    class counts and the shapes of the four matrices, which follow as
+    float64 little-endian sections.
     """
     matrices = (dataset.x_train, dataset.y_train, dataset.x_test,
                 dataset.y_test)
     meta = {
         "n_features": dataset.n_features,
         "n_classes": dataset.n_classes,
-        "preprocessing": [{"name": s.name, "params": s.params}
-                          for s in dataset.preprocessing],
         "shapes": [list(a.shape) for a in matrices],
     }
     write_container(path, CACHE_MAGIC, CACHE_VERSION, meta,
@@ -369,22 +385,17 @@ def save_dataset_cache(dataset: Dataset, path):
 
 
 def load_dataset_cache(path) -> Dataset:
-    """Read a cache container back; any damage raises CorruptCacheError."""
+    """Read a cache container back; any damage raises CorruptCacheError.
+
+    Other metadata keys, such as older caches' ``preprocessing``, are ignored.
+    """
     meta, sections = read_container(path, CACHE_MAGIC, CACHE_VERSION,
                                     CorruptCacheError)
     try:
         x_tr, y_tr, x_te, y_te = (
             np.frombuffer(section, dtype="<f8").reshape(shape).copy()
             for section, shape in zip(sections, meta["shapes"], strict=True))
-        steps = [
-            PreprocessingStep(
-                s["name"],
-                {k: (np.asarray(v, dtype=np.float64)
-                     if isinstance(v, list) else v)
-                 for k, v in s["params"].items()})
-            for s in meta.get("preprocessing", [])
-        ]
         return Dataset(x_tr, y_tr, x_te, y_te, int(meta["n_features"]),
-                       int(meta["n_classes"]), steps)
+                       int(meta["n_classes"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCacheError(f"{path}: malformed cache: {exc}") from exc

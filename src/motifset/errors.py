@@ -80,11 +80,11 @@ class RaggedRowError(DataError):
 
 
 class NonNumericError(DataError):
-    """A CSV feature cell cannot be parsed as a number."""
+    """A CSV feature cell is not a finite number (text, nan or inf)."""
 
 
 class EmptyFileError(DataError):
-    """The input file contains no data rows."""
+    """The input holds no data rows, or its samples have no features."""
 
 
 class OutOfRangeError(DataError):
@@ -92,7 +92,7 @@ class OutOfRangeError(DataError):
 
 
 class TooFewSamplesError(DataError):
-    """A split would leave the train or test side empty."""
+    """The train or test split is empty, or a split would leave it so."""
 
 
 class CorruptCacheError(DataError):

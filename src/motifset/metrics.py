@@ -129,8 +129,12 @@ class SweepResult:
     """
 
     points: list[ScoreReport]
-    baseline_scores: list[float]
     crossover_w_eff: float | None
+
+    @property
+    def baseline_scores(self) -> list[float]:
+        """The baseline's score at each point, its fixed point ``w_acc``."""
+        return [p.w_acc for p in self.points]
 
 
 def tradeoff_sweep(t_base: float, t: float, a_base: float, a: float,
@@ -148,25 +152,19 @@ def tradeoff_sweep(t_base: float, t: float, a_base: float, a: float,
     if not ((grid >= 0.0) & (grid <= 1.0)).all():  # NaN fails too
         raise ValueError("sweep grid values must lie in [0, 1]")
     points = []
-    baseline_scores = []
     crossover = None
     for w in grid.tolist():
         report = comprehensive_score(t_base, t, a_base, a, w_eff=w)
         points.append(report)
-        baseline_scores.append(report.w_acc)
         if crossover is None and report.s > report.w_acc:
             crossover = w
-    return SweepResult(points, baseline_scores, crossover)
+    return SweepResult(points, crossover)
 
 
 def score_csv_rows(result: SweepResult) -> list[str]:
-    rows = []
-    for report, base in zip(result.points, result.baseline_scores):
-        rows.append(
-            f"{fmt(report.w_eff)},{fmt(report.w_acc)},{fmt(report.r_r)},"
-            f"{fmt(report.a_r)},{fmt(report.s)},{fmt(base)}"
-        )
-    return rows
+    """One ``SCORE_CSV_HEADER`` row per point; ``s_baseline`` is ``w_acc``."""
+    return [f"{fmt(p.w_eff)},{fmt(p.w_acc)},{fmt(p.r_r)},{fmt(p.a_r)},"
+            f"{fmt(p.s)},{fmt(p.w_acc)}" for p in result.points]
 
 
 # --------------------------------------------------------------------------

@@ -224,20 +224,18 @@ def _write_scores(out_dir, name: str, result: SweepResult):
 
 
 def run_score(baseline_manifest, variant_manifest, w_eff: float = 0.1,
-              w_acc: float | None = None, use_flops: bool = False,
-              out_dir=None) -> ScoreReport:
+              use_flops: bool = False, out_dir=None) -> ScoreReport:
     """Score a variant manifest against a baseline manifest.
 
     The efficiency channel is wall-clock training time by default, or the
-    analytic MAC count with ``use_flops``.  Writes ``score.csv`` when
-    ``out_dir`` is given.
+    analytic MAC count with ``use_flops``; ``w_acc`` is ``1 - w_eff``.
+    Writes ``score.csv`` when ``out_dir`` is given.
     """
     t_base, a_base = _manifest_measurements(baseline_manifest, use_flops)
     t_var, a_var = _manifest_measurements(variant_manifest, use_flops)
-    report = comprehensive_score(t_base, t_var, a_base, a_var, w_eff, w_acc)
+    report = comprehensive_score(t_base, t_var, a_base, a_var, w_eff)
     if out_dir is not None:
-        _write_scores(out_dir, "score.csv",
-                      SweepResult([report], [report.w_acc], None))
+        _write_scores(out_dir, "score.csv", SweepResult([report], None))
     return report
 
 

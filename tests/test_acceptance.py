@@ -24,6 +24,7 @@ from motifset.config import (
     load_config,
     preset_path,
 )
+from motifset.data import find_idx_files
 from motifset.evolution import EvolutionPolicy, evolve, evolve_listing4
 from motifset.metrics import comprehensive_score, flop_counter, tradeoff_sweep
 from motifset.network import (
@@ -293,10 +294,6 @@ def test_criterion_06_reduction_law():
 # --------------------------------------------------------------------------
 # 07: desk-scale training on the real image benchmark (needs local data)
 
-_IDX_STEMS = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-              "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-
-
 def _find_fmnist():
     """Locate the four IDX files, gzipped or raw, or return None.
 
@@ -310,13 +307,8 @@ def _find_fmnist():
     candidates.append(Path(__file__).resolve().parent.parent
                       / "data" / "fmnist")
     for directory in candidates:
-        found = {}
-        for stem in _IDX_STEMS:
-            for name in (stem + ".gz", stem):
-                if (directory / name).is_file():
-                    found[stem] = directory / name
-                    break
-        if len(found) == len(_IDX_STEMS):
+        found = find_idx_files(directory)
+        if found is not None:
             return found
     return None
 
@@ -334,12 +326,7 @@ def test_criterion_07_desk_scale_training(tmp_path):
                     " or place them under data/fmnist/ (criterion 07 not"
                     " evaluated; training path covered by synthetic tests)")
     base = load_config(preset_path("fmnist-desk"))
-    apply_overrides(base, {
-        "train_images": str(files["train-images-idx3-ubyte"]),
-        "train_labels": str(files["train-labels-idx1-ubyte"]),
-        "test_images": str(files["t10k-images-idx3-ubyte"]),
-        "test_labels": str(files["t10k-labels-idx1-ubyte"]),
-    })
+    apply_overrides(base, {k: str(v) for k, v in files.items()})
     r1 = run_train(apply_overrides(base, {"motif_size": 1,
                                           "out_dir": str(tmp_path / "m1")}),
                    echo=lambda *_: None)

@@ -14,6 +14,7 @@ from motifset.config import (
     preset_path,
     read_manifest_result,
 )
+from motifset.data import write_idx
 from motifset.errors import ConfigError
 
 
@@ -224,6 +225,59 @@ class TestCliPrepareAndCache:
         assert code == 3
         assert "i/o error:" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+
+def _idx_args(tmp_path, n_train, n_test, side):
+    """Write a train/test IDX pair of ``side x side`` images; CLI flags."""
+    args = ["--dataset-kind", "idx"]
+    for split, n in (("train", n_train), ("test", n_test)):
+        images = tmp_path / f"{split}-images"
+        labels = tmp_path / f"{split}-labels"
+        write_idx(images, labels, np.zeros((n, side, side)), np.arange(n) % 2)
+        args += [f"--{split}-images", str(images), f"--{split}-labels",
+                 str(labels)]
+    return args
+
+
+def _label_only_csv(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("a\nb\na\nb\na\nb\n")
+    return ["--csv-path", str(path)]
+
+
+@pytest.mark.parametrize("command,make_args,message", [
+    ("train", lambda p: _idx_args(p, 0, 3, 2), "train: no samples"),
+    ("train", lambda p: _idx_args(p, 3, 0, 2), "test: no samples"),
+    ("train", lambda p: _idx_args(p, 3, 3, 0), "no feature columns"),
+    ("train", _label_only_csv, "no feature columns"),
+    ("prepare", _label_only_csv, "no feature columns"),
+], ids=["idx-empty-train", "idx-empty-test", "idx-0x0-pixels",
+        "csv-label-only-train", "csv-label-only-prepare"])
+def test_empty_or_featureless_data_exit_code(tmp_path, capsys, command,
+                                             make_args, message):
+    """An empty split or zero feature columns is a data error (exit 3)."""
+    argv = [command, *make_args(tmp_path), "--hidden-sizes", "4",
+            "--epochs", "1", "--out", str(tmp_path / "r")]
+    if command == "prepare":
+        argv += ["--cache-out", str(tmp_path / "cache.bin")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+    assert not (tmp_path / "cache.bin").exists()
+    assert not (tmp_path / "r" / "metrics.csv").exists()
+
+
+def test_non_finite_csv_feature_exit_code(toy_csv, tmp_path, capsys):
+    """A nan cell is bad input (exit 3), not a training failure (exit 4)."""
+    lines = toy_csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "nan"
+    lines[5] = ",".join(cells)
+    toy_csv.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--csv-path", str(toy_csv), "--epochs", "1",
+                 "--hidden-sizes", "8,8", "--out", str(tmp_path / "r")]) == 3
+    assert "row 5, column 2: 'nan' is not a finite number" in (
+        capsys.readouterr().err)
 
 
 def _manifest(tmp_path, name, train_time, accuracy):

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifset.container import write_container
 from motifset.data import (
     CACHE_MAGIC,
+    CACHE_VERSION,
+    IDX_FILES,
     Dataset,
-    PreprocessingStep,
     build_csv_dataset,
+    find_idx_files,
     load_dataset_cache,
     load_idx,
     load_labeled_csv,
@@ -20,6 +23,7 @@ from motifset.data import (
     save_dataset_cache,
     split,
     standardize,
+    write_idx,
 )
 from motifset.errors import (
     CorruptCacheError,
@@ -99,6 +103,49 @@ class TestIdx:
         with pytest.raises(CountMismatchError):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    def test_write_idx_round_trip(self, tmp_path, suffix):
+        images = np.arange(3 * 2 * 5, dtype=np.uint8).reshape(3, 2, 5) * 8
+        labels = np.array([9, 0, 4], dtype=np.uint8)
+        ip = tmp_path / f"images{suffix}"
+        lp = tmp_path / f"labels{suffix}"
+        write_idx(ip, lp, images, labels)
+        back_images, back_labels = load_idx(ip, lp)
+        np.testing.assert_array_equal(back_images, images.reshape(3, 10))
+        np.testing.assert_array_equal(back_labels, labels)
+        # gzipped when and only when the name says so
+        assert (ip.read_bytes()[:2] == b"\x1f\x8b") == (suffix == ".gz")
+
+    def test_write_idx_matches_hand_assembled_bytes(self, tmp_path):
+        pixels = [0, 255, 128, 3, 10, 20, 30, 40]
+        ref_ip, ref_lp = _write_idx_pair(tmp_path, pixels, [7, 2])
+        ip, lp = tmp_path / "images", tmp_path / "labels"
+        write_idx(ip, lp, np.array(pixels).reshape(2, 2, 2), [7, 2])
+        assert ip.read_bytes() == ref_ip.read_bytes()
+        assert lp.read_bytes() == ref_lp.read_bytes()
+
+
+class TestFindIdxFiles:
+    def _touch(self, directory, names):
+        for name in names:
+            (directory / name).write_bytes(b"")
+
+    def test_prefers_gz_and_falls_back_to_raw(self, tmp_path):
+        names = list(IDX_FILES.values())
+        self._touch(tmp_path, names)
+        self._touch(tmp_path, [names[0] + ".gz"])
+        found = find_idx_files(tmp_path)
+        assert list(found) == list(IDX_FILES)
+        assert found["train_images"] == tmp_path / (names[0] + ".gz")
+        for field in list(IDX_FILES)[1:]:
+            assert found[field] == tmp_path / IDX_FILES[field]
+
+    @pytest.mark.parametrize("missing", list(IDX_FILES))
+    def test_none_when_one_is_missing(self, tmp_path, missing):
+        self._touch(tmp_path, [name + ".gz" for field, name
+                               in IDX_FILES.items() if field != missing])
+        assert find_idx_files(tmp_path) is None
+
 
 class TestCsv:
     def test_string_labels_sorted_mapping(self, tmp_path):
@@ -140,6 +187,21 @@ class TestCsv:
         p.write_text("1,2,a\n1,oops,b\n")
         with pytest.raises(NonNumericError):
             load_labeled_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,2,a\n3,{cell},b\n")
+        with pytest.raises(NonNumericError, match=f"row 1, column 1: "
+                                                  f"'{cell}' is not a finite"):
+            load_labeled_csv(p)
+
+    def test_non_finite_labels_mapped_as_strings(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,nan\n2,2\n3,nan\n4,10\n")
+        _, y = load_labeled_csv(p)
+        # sorted as strings: "10" < "2" < "nan"
+        np.testing.assert_array_equal(y, [2, 1, 2, 0])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -276,9 +338,6 @@ class TestCache:
             y_test=one_hot(rng.integers(0, 3, 8), 3),
             n_features=5,
             n_classes=3,
-            preprocessing=[PreprocessingStep("standardize",
-                                             {"mean": np.zeros(5),
-                                              "std": np.ones(5)})],
         )
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -289,9 +348,31 @@ class TestCache:
         np.testing.assert_array_equal(back.x_train, ds.x_train)
         np.testing.assert_array_equal(back.y_test, ds.y_test)
         assert back.n_features == 5 and back.n_classes == 3
-        assert back.preprocessing[0].name == "standardize"
-        np.testing.assert_array_equal(back.preprocessing[0].params["std"],
-                                      np.ones(5))
+
+    def test_cache_with_preprocessing_record_loads(self, tmp_path):
+        """Older writers stored a ``preprocessing`` list in the metadata."""
+        ds = self._dataset()
+        matrices = (ds.x_train, ds.y_train, ds.x_test, ds.y_test)
+        meta = {
+            "n_features": 5,
+            "n_classes": 3,
+            "preprocessing": [
+                {"name": "split", "params": {"test_fraction": 0.25,
+                                             "seed": 2}},
+                {"name": "standardize", "params": {"mean": np.zeros(5),
+                                                   "std": np.ones(5)}},
+            ],
+            "shapes": [list(a.shape) for a in matrices],
+        }
+        path = tmp_path / "old.bin"
+        write_container(path, CACHE_MAGIC, CACHE_VERSION, meta,
+                        (np.ascontiguousarray(a, dtype="<f8")
+                         for a in matrices))
+        back = load_dataset_cache(path)
+        for got, want in zip((back.x_train, back.y_train, back.x_test,
+                              back.y_test), matrices):
+            assert got.tobytes() == want.tobytes()
+        assert back.n_features == 5 and back.n_classes == 3
 
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "cache.bin"
@@ -353,8 +434,6 @@ class TestCsvPipeline:
         assert ds.x_test.shape[0] == 40 and ds.x_train.shape[0] == 80
         # standardized on train only
         np.testing.assert_allclose(ds.x_train.mean(axis=0), 0.0, atol=1e-10)
-        names = [s.name for s in ds.preprocessing]
-        assert names == ["split", "standardize"]
 
     def test_pipeline_then_cache_round_trip(self, toy_csv, tmp_path):
         ds = build_csv_dataset(toy_csv, seed=2)

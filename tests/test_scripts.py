@@ -1,0 +1,46 @@
+"""Smoke tests of the command line scripts under ``scripts/``."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from motifset.train import run_score
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_FILES = ["checkpoint.bin", "evolution.csv", "manifest.txt", "metrics.csv"]
+
+
+def _run(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_desk_run_synthetic(tmp_path):
+    done = _run("desk_run.py", "--synthetic", "--epochs", 1, "--out",
+                tmp_path)
+    assert done.returncode == 0, done.stderr
+    for m in ("m1", "m2"):
+        assert sorted(p.name for p in (tmp_path / m).iterdir()) == RUN_FILES
+    assert (tmp_path / "sweep.csv").is_file()
+    report = run_score(tmp_path / "m1" / "manifest.txt",
+                       tmp_path / "m2" / "manifest.txt")
+    assert f"comprehensive score S(m=2) = {report.s:.4f}" in done.stdout
+
+
+def test_desk_run_missing_idx_files(tmp_path):
+    done = _run("desk_run.py", "--data-dir", tmp_path, "--out",
+                tmp_path / "out")
+    assert done.returncode == 1
+    assert f"IDX files not found under {tmp_path}" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_tables_prints_readme_scores():
+    done = _run("score_tables.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    scores = [row[5] for row in rows if row and row[0] in ("1", "2", "4")]
+    assert scores == ["0.9000", "0.9102", "0.8819",
+                      "0.9000", "0.9198", "0.9089"]
