@@ -15,14 +15,26 @@ import numpy as np
 
 from .container import read_container, write_container
 from .errors import CheckpointFormatError, DivisibilityError, EmptyNetworkError
-from .network import Network, zero_network
-from .topology import export_topology, parse_topology
+from .network import Network, SparseLayer, zero_network
+from .topology import blocks, export_topology, parse_topology
 
 CHECKPOINT_MAGIC = b"MSETCKPT"
 CHECKPOINT_VERSION = 2
 _META_TYPES = {"activation": str, "weight_mode": str, "init_scheme": str,
                "motif_size": int, "epsilon": (int, float, type(None)),
                "density_mode": (str, type(None)), "layer_sizes": list}
+
+
+def _inactive_nonzero(layer: SparseLayer) -> int:
+    """How many weights outside the active blocks are not ``+0.0``.
+
+    Counts cells whose bits are not all zero, over the whole grid less
+    the active blocks, so no copy larger than the active cells is made.
+    """
+    bits = blocks(layer.weights.view(np.uint64), layer.expand_factor)
+    rows, cols = np.nonzero(layer.block_mask)
+    return (np.count_nonzero(bits)
+            - np.count_nonzero(bits[rows, :, cols, :]))
 
 
 def save_checkpoint(network: Network, path):
@@ -47,7 +59,10 @@ def load_checkpoint(path) -> Network:
     """Reconstruct a network from a checkpoint file, bit for bit.
 
     Raises :class:`CheckpointFormatError` for a damaged file, including
-    metadata that :func:`motifset.network.init_network` would reject.
+    metadata that :func:`motifset.network.init_network` would reject and a
+    weight outside the active blocks that is anything but ``+0.0``
+    (``-0.0`` included): the forward pass multiplies by those weights, and
+    the in-place update keeps them ``+0.0`` only if they start that way.
     """
     meta, sections = read_container(path, CHECKPOINT_MAGIC,
                                     CHECKPOINT_VERSION, CheckpointFormatError)
@@ -83,4 +98,11 @@ def load_checkpoint(path) -> Network:
     for target, section in zip(targets, sections[1:]):
         target[...] = np.frombuffer(section, dtype="<f8").reshape(
             target.shape)
+    for i, layer in enumerate(network.layers):
+        stray = _inactive_nonzero(layer)
+        if stray:
+            raise CheckpointFormatError(
+                f"{path}: layer {i} has {stray} weights outside its active "
+                f"blocks that are not +0.0"
+            )
     return network

@@ -8,7 +8,8 @@ Supported sources:
   finds the four standard files in a directory.
 * Labeled CSV with one sample per row, numeric features, and a label
   column that may hold numbers or strings (mapped to class ids in sorted
-  order).  A non-numeric first row is treated as a header and skipped.
+  order).  A first row none of whose feature cells is a number is treated
+  as a header and skipped.
 
 Every source ends in a :class:`Dataset`, which rejects an empty split or
 zero feature columns.  Standardization is always fit on the training split
@@ -105,7 +106,12 @@ def _open_maybe_gzip(path, mode: str):
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
-    data = f.read(count)
+    try:
+        data = f.read(count)
+    except EOFError as exc:  # gzip stream cut short
+        raise TruncatedFileError(
+            f"{path}: compressed data ends inside the {what}"
+        ) from exc
     if len(data) != count:
         raise TruncatedFileError(
             f"{path}: expected {count} bytes of {what}, got {len(data)}"
@@ -198,9 +204,10 @@ def load_labeled_csv(path, label_column: int = -1
     ``label_column`` indexes the label field (negative indices allowed).
     Labels are mapped to ``0..K-1`` in sorted order: numerically when every
     label is a finite number, else as strings.  The first row is dropped as
-    a header when any of its feature cells fails to parse as a number; any
-    other feature cell that is not a finite number raises
-    :class:`NonNumericError`.
+    a header only when none of its feature cells parses as a number; any
+    other feature cell that is not a finite number, including one in a
+    first row whose other feature cells parse, raises
+    :class:`NonNumericError` naming its row and column.
     """
     with open(path, "r", newline="") as f:
         rows = [row for row in csv.reader(f) if row]
@@ -216,7 +223,7 @@ def load_labeled_csv(path, label_column: int = -1
     label_idx = label_column % width
 
     feature_cells = [c for j, c in enumerate(rows[0]) if j != label_idx]
-    if any(_try_float(c) is None for c in feature_cells):
+    if feature_cells and all(_try_float(c) is None for c in feature_cells):
         rows = rows[1:]
     if not rows:
         raise EmptyFileError(f"{path}: header only, no data rows")

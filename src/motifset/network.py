@@ -20,10 +20,15 @@ Two weight modes exist per network:
     every connection trains its own value.
 
 The final weight layer always stores neuron-granularity weights (tile 1).
-:meth:`SparseLayer.masked` is the one masking rule of both modes, and
-pooling is the identity at tile 1, so forward and backward take one path
-for every layer.  Hidden activations are ReLU or sigmoid; the output is a
-row-stabilized softmax trained with cross-entropy.
+:meth:`SparseLayer.mask_in_place` is the one masking rule of both modes: it
+multiplies the ``(rows / e, e, cols)`` view of a weight-shaped array, ``e``
+the layer's expand factor, by the block mask with each column repeated
+``e`` times.  Inactive weights are always ``+0.0``, so masking a gradient
+and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
+``+0.0``) with no full-size temporary per step.  Pooling is the identity
+at tile 1, so forward and backward take one path for every layer.  Hidden
+activations are ReLU or sigmoid; the output is a row-stabilized softmax
+trained with cross-entropy.
 """
 from __future__ import annotations
 
@@ -109,11 +114,17 @@ class SparseLayer:
         """Blocks-to-weights tile ratio (``m`` for independent hidden layers)."""
         return self.block_tile // self.share_tile
 
-    def masked(self, a: np.ndarray) -> np.ndarray:
-        """A copy of weight-shaped ``a`` with 0.0 outside the active blocks."""
-        keep = self.block_mask[:, None, :, None]
-        return np.where(keep, blocks(a, self.expand_factor),
-                        0.0).reshape(a.shape)
+    def mask_in_place(self, a: np.ndarray):
+        """Multiply C-contiguous weight-shaped ``a`` by 0.0 outside the
+        active blocks and by 1.0 inside them, in place.
+
+        Active cells keep their bits; an inactive cell becomes ``+0.0`` or
+        ``-0.0`` with the sign of its old value (NaN if it was not finite).
+        """
+        e = self.expand_factor
+        rows, cols = a.shape
+        view = blocks(a, e).reshape(rows // e, e, cols)
+        view *= _spread_cols(self.block_mask, e)[:, None, :]
 
 
 @dataclass
@@ -203,15 +214,17 @@ def init_network(topology: MotifTopology, activation: str = "relu",
     He initialization (:func:`he_sample`) uses the full previous layer width
     as fan-in.  A full weight grid is drawn first and then zeroed outside
     the mask, so the surviving values do not depend on which blocks happen
-    to be active.  Biases start at zero.
+    to be active.  Inactive weights are ``+0.0``, never ``-0.0``.  Biases
+    start at zero.
     """
     network = zero_network(topology.copy_mutable(), activation, init_scheme,
                            weight_mode)
     for i, layer in enumerate(network.layers):
         rng = np.random.default_rng((seed, i))
-        raw = he_sample(rng, init_scheme, network.layer_sizes[i],
-                        layer.weights.shape)
-        layer.weights = layer.masked(raw)
+        layer.weights = he_sample(rng, init_scheme, network.layer_sizes[i],
+                                  layer.weights.shape)
+        layer.mask_in_place(layer.weights)
+        layer.weights += 0.0  # -0.0 + 0.0 is +0.0; every other value stays
     return network
 
 
@@ -308,9 +321,17 @@ def backward(network: Network, cache: ForwardCache,
     The softmax/cross-entropy pair gives the output delta ``probs - y``
     directly.  With ``P`` the pooled input that :func:`forward` cached and
     ``Q`` the column-pooled delta (both unpooled at tile 1),
-    ``dW = P.T @ Q / n`` on the active blocks, and ``Q @ W.T`` spread back
-    over the tile feeds the previous layer.  All gradients are means over
-    the batch.
+    ``dW = P.T @ Q / n`` masked in place by
+    :meth:`SparseLayer.mask_in_place`, and ``Q @ W.T`` spread back over the
+    tile feeds the previous layer.  All gradients are means over the batch.
+
+    A non-finite cell of ``P.T @ Q`` stays non-finite after masking
+    (``inf * 0.0`` and ``nan * 0.0`` are NaN), so :func:`sgd_step` carries
+    it into an inactive weight.  Short of an overflow in the product
+    itself, only a non-finite input ``P`` gives one, and then the forward
+    pass was non-finite already: ``P @ W`` multiplies that input by the
+    ``+0.0`` inactive weights, and ``inf * 0.0`` is NaN there too, so the
+    loss is NaN before this runs.
     """
     _check_cache(network, cache)
     probs = cache.a_list[-1]
@@ -328,8 +349,10 @@ def backward(network: Network, cache: ForwardCache,
         layer = network.layers[i]
         m = layer.share_tile
         q = _pool_cols(delta, m)
-        gw = (cache.pooled[i].T @ q) / n
-        weight_grads[i] = layer.masked(gw)
+        gw = cache.pooled[i].T @ q
+        gw /= n
+        layer.mask_in_place(gw)
+        weight_grads[i] = gw
         bias_grads[i] = delta.mean(axis=0)
         if i > 0:
             da = _spread_cols(q @ layer.weights.T, m)
@@ -343,7 +366,12 @@ def backward(network: Network, cache: ForwardCache,
 
 def sgd_step(network: Network, grads: Gradients,
              learning_rate: float) -> Network:
-    """In-place gradient descent update; returns the same network."""
+    """In-place gradient descent update; returns the same network.
+
+    Scales the gradients it is given by ``learning_rate`` in place, so
+    ``grads`` holds the applied steps afterwards: ``W -= lr * gW`` with no
+    temporary the size of ``W``.
+    """
     if len(grads.weight_grads) != len(network.layers):
         raise ShapeError(
             f"gradients cover {len(grads.weight_grads)} layers, network has "
@@ -356,8 +384,10 @@ def sgd_step(network: Network, grads: Gradients,
                 f"weight gradient shape {gw.shape} does not match layer "
                 f"shape {layer.weights.shape}"
             )
-        layer.weights -= learning_rate * gw
-        layer.bias -= learning_rate * gb
+        gw *= learning_rate
+        layer.weights -= gw
+        gb *= learning_rate
+        layer.bias -= gb
     return network
 
 

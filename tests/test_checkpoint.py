@@ -174,3 +174,21 @@ def test_damaged_checkpoint_rejected(tmp_path, edit):
         load_checkpoint(path)
     assert "checksum" not in str(caught.value)
     assert main(["export-topology", "--checkpoint", str(path)]) == 3
+
+
+@pytest.mark.parametrize("stray", [-0.0, 1e-300, np.nan])
+@pytest.mark.parametrize("mode,m", [("shared", 2), ("independent", 2)])
+def test_inactive_weight_other_than_plus_zero_rejected(tmp_path, stray, mode,
+                                                       m):
+    net = _trained(weight_mode=mode, motif_size=m)
+    layer = net.layers[0]
+    e = layer.expand_factor
+    r, c = np.argwhere(~layer.block_mask)[0]
+    layer.weights[r * e, c * e] = stray
+    path = tmp_path / "ck.bin"
+    save_checkpoint(net, path)
+    with pytest.raises(CheckpointFormatError,
+                       match=r"layer 0 has 1 weights outside its active "
+                             r"blocks that are not \+0\.0"):
+        load_checkpoint(path)
+    assert main(["export-topology", "--checkpoint", str(path)]) == 3

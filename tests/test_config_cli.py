@@ -239,6 +239,22 @@ def _idx_args(tmp_path, n_train, n_test, side):
     return args
 
 
+def test_truncated_gzip_idx_exit_code(tmp_path, capsys):
+    """A gzipped IDX file cut short is bad input (exit 3), not a crash."""
+    args = _idx_args(tmp_path, 40, 4, 4)
+    images = tmp_path / "train-images.gz"
+    labels = tmp_path / "train-labels"
+    rng = np.random.default_rng(0)
+    write_idx(images, labels, rng.integers(0, 256, size=(40, 4, 4)),
+              np.arange(40) % 2)
+    raw = images.read_bytes()
+    images.write_bytes(raw[:len(raw) // 2])
+    args[args.index("--train-images") + 1] = str(images)
+    assert main(["train", *args, "--hidden-sizes", "4", "--epochs", "1",
+                 "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def _label_only_csv(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("a\nb\na\nb\na\nb\n")

@@ -96,6 +96,21 @@ class TestIdx:
         with pytest.raises(TruncatedFileError):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("cut", ["images", "labels"])
+    def test_truncated_gzip(self, tmp_path, cut):
+        # random bytes do not compress, so half the file holds about half
+        # the payload and gzip runs out of stream inside it
+        rng = np.random.default_rng(3)
+        ip, lp = tmp_path / "images.gz", tmp_path / "labels.gz"
+        write_idx(ip, lp, rng.integers(0, 256, size=(40, 8, 8)),
+                  rng.integers(0, 256, size=40))
+        path = ip if cut == "images" else lp
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(TruncatedFileError,
+                           match="compressed data ends inside the"):
+            load_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         # label header promises 3 but the image header says 2
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0, 5],
@@ -168,6 +183,18 @@ class TestCsv:
         x, y = load_labeled_csv(p)
         assert x.shape == (2, 2)
         np.testing.assert_array_equal(y, [0, 1])
+
+    @pytest.mark.parametrize("first,column", [("1,oops,a", 1),
+                                              ("oops,1,a", 0)])
+    def test_partly_numeric_first_row_is_data(self, tmp_path, first, column):
+        # only a first row with no numeric feature cell is a header, so a
+        # typo in the first sample is an error, not a dropped row
+        p = tmp_path / "d.csv"
+        p.write_text(f"{first}\n1,2,b\n3,4,a\n5,6,b\n")
+        with pytest.raises(NonNumericError,
+                           match=f"row 0, column {column}: 'oops' is not a "
+                                 f"finite number"):
+            load_labeled_csv(p)
 
     def test_label_column_position(self, tmp_path):
         p = tmp_path / "d.csv"

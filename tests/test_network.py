@@ -1,12 +1,17 @@
 """Forward/backward/SGD checked against scalar-loop and finite-difference
 oracles, plus shape and cache validation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motifset.network
+from motifset.checkpoint import load_checkpoint, save_checkpoint
 from motifset.errors import ShapeError, StaleCacheError
+from motifset.evolution import (EvolutionPolicy, evolve_listing4,
+                                evolve_magnitude)
 from motifset.network import (
     ForwardCache,
     _pool_cols,
@@ -383,3 +388,62 @@ def test_masked_weights_stay_zero_through_training(seed, m, mode):
         sgd_step(net, backward(net, forward(net, x), y), 0.1)
     for layer in net.layers:
         assert (layer.weights[~weight_mask(layer)] == 0.0).all()
+
+
+def _assert_inactive_plus_zero(net, when):
+    for i, layer in enumerate(net.layers):
+        off = layer.weights[~weight_mask(layer)]
+        assert (off == 0.0).all(), f"layer {i} {when}: nonzero inactive"
+        assert not np.signbit(off).any(), f"layer {i} {when}: -0.0 inactive"
+
+
+@pytest.mark.parametrize("mode", ["shared", "independent"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_inactive_weights_are_plus_zero(tmp_path, m, mode):
+    """The in-place update relies on inactive weights being +0.0 bit for
+    bit: -0.0 would turn into +0.0 on the first step and change the
+    checkpoint bytes."""
+    net = small_network(sizes=(16, 16, 16, 4), motif_size=m, density=0.4,
+                        seed=m, weight_mode=mode)
+    _assert_inactive_plus_zero(net, "after init")
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        x = rng.normal(size=(6, 16))
+        y = np.eye(4)[rng.integers(0, 4, 6)]
+        sgd_step(net, backward(net, forward(net, x), y), 0.1)
+    _assert_inactive_plus_zero(net, "after 10 SGD steps")
+    evolve_magnitude(net, EvolutionPolicy(zeta=0.3, rng_seed=m), 0)
+    _assert_inactive_plus_zero(net, "after evolve_magnitude")
+    evolve_listing4(net, EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
+                                         noise_scale=0.01, rng_seed=m), 1)
+    _assert_inactive_plus_zero(net, "after evolve_listing4")
+    save_checkpoint(net, tmp_path / "ck.bin")
+    _assert_inactive_plus_zero(load_checkpoint(tmp_path / "ck.bin"),
+                               "after a checkpoint round trip")
+
+
+def _peak_bytes(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs (numpy reports its
+    buffers to tracemalloc), and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m,mode", [(1, "shared"), (2, "independent")])
+def test_step_allocates_no_weight_sized_temporary(m, mode):
+    """backward allocates its gradients and batch-sized arrays only, and
+    sgd_step allocates nothing the size of a weight grid."""
+    net = small_network(sizes=(600, 600, 10), motif_size=m, density=0.5,
+                        weight_mode=mode)
+    grid = net.layers[0].weights.nbytes  # the 600 x 600 layer
+    x = _batch(64, 600, seed=5)
+    cache = forward(net, x)
+    peak, grads = _peak_bytes(backward, net, cache, _onehot_targets(64, 10))
+    returned = sum(g.nbytes for g in grads.weight_grads + grads.bias_grads)
+    assert peak < returned + grid
+    peak, _ = _peak_bytes(sgd_step, net, grads, 0.1)
+    assert peak < grid

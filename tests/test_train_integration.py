@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import motifset.train
 from motifset._synthetic import write_synthetic_idx_dataset
 from motifset.config import ExperimentConfig
 from motifset.errors import NonFiniteError
@@ -150,6 +151,39 @@ class TestNonFinite:
                                       r"at epoch 0, batch 1$"):
             run_train(config, echo=lambda *_: None)
         assert (out / "metrics.csv").read_text() == METRICS_CSV_HEADER + "\n"
+
+    def test_nan_in_an_inactive_gradient_cell_stops_the_run(
+            self, toy_csv, tmp_path, monkeypatch):
+        # masking multiplies by 0.0, and NaN * 0.0 is NaN, so a NaN the
+        # backward product puts only into inactive cells reaches the
+        # weights; the next batch's loss is NaN and the run stops there
+        real_backward = motifset.train.backward
+        planted = []
+
+        def backward_with_nan_input(network, cache, y_true):
+            if not planted:
+                layer = network.layers[0]
+                empty = np.flatnonzero(~layer.block_mask.any(axis=1))
+                assert empty.size, "need a block row with no active block"
+                cache.pooled[0] = cache.pooled[0].copy()
+                cache.pooled[0][0, empty[0]] = np.nan  # feeds only that row
+                grads = real_backward(network, cache, y_true)
+                assert np.isnan(grads.weight_grads[0][empty[0]]).all()
+                planted.append(empty[0])
+                return grads
+            return real_backward(network, cache, y_true)
+
+        monkeypatch.setattr(motifset.train, "backward",
+                            backward_with_nan_input)
+        config = ExperimentConfig(
+            csv_path=str(toy_csv), hidden_sizes=(8, 8), motif_size=2,
+            density_mode="fixed_density", density_value=0.25, epochs=3,
+            learning_rate=0.05, batch_size=16, out_dir=str(tmp_path / "nan"))
+        with pytest.raises(
+                NonFiniteError, match=r"^non-finite parameters in layer 0 "
+                                      r"at epoch 0, batch 1$"):
+            run_train(config, echo=lambda *_: None)
+        assert planted
 
 
 def test_digits_real_data_end_to_end(tmp_path):
