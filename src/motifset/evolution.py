@@ -144,9 +144,10 @@ def evolve_magnitude(network: Network, policy: EvolutionPolicy,
         mask[pr, pc] = False
         w[pr, :, pc, :] = 0.0
 
-        free_r, free_c = np.nonzero(~mask)
-        pick = rng.choice(free_r.size, size=k, replace=False)
-        gr, gc = free_r[pick], free_c[pick]
+        # draw before listing the free blocks, so that choice's internal
+        # arange over them is gone before the list is built
+        pick = rng.choice(mask.size - active + k, size=k, replace=False)
+        gr, gc = np.divmod(np.flatnonzero(~mask)[pick], mask.shape[1])
         mask[gr, gc] = True
         w[gr, :, gc, :] = he_sample(rng, network.init_scheme, sizes[i],
                                     (k, e, e))

@@ -25,13 +25,17 @@ multiplies the ``(rows / e, e, cols)`` view of a weight-shaped array, ``e``
 the layer's expand factor, by the block mask with each column repeated
 ``e`` times.  Inactive weights are always ``+0.0``, so masking a gradient
 and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
-``+0.0``) with no full-size temporary per step.  Pooling is the identity
-at tile 1, so forward and backward take one path for every layer.  Hidden
-activations are ReLU or sigmoid; the output is a row-stabilized softmax
-trained with cross-entropy.
+``+0.0``) with no full-size temporary per step.  A training step,
+``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms each
+layer's weight gradient in one buffer and applies it before the next
+layer's is formed, so a step holds one weight-sized gradient.  Pooling is
+the identity at tile 1, so forward and backward take one path for every
+layer.  Hidden activations are ReLU or sigmoid; the output is a
+row-stabilized softmax trained with cross-entropy.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +54,9 @@ _INIT_SCHEMES = (HE_UNIFORM, HE_NORMAL)
 _ACTIVATIONS = ("relu", "sigmoid")
 
 _PROB_FLOOR = 1e-12
+
+# (layer index, weight gradient, bias gradient), the last layer first
+LayerGradients = Iterator[tuple[int, np.ndarray, np.ndarray]]
 
 
 def _relu(z):
@@ -314,8 +321,38 @@ def _check_cache(network: Network, cache: ForwardCache):
             )
 
 
-def backward(network: Network, cache: ForwardCache,
-             y_true: np.ndarray) -> Gradients:
+def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
+                     out: np.ndarray | None) -> LayerGradients:
+    """Yield ``(i, dW, db)`` for each layer ``i``, the last layer first.
+
+    ``dW`` is a new array, or a view into the front of ``out`` that the next
+    layer's overwrites.  Layer ``i - 1``'s delta is taken from ``W_i``
+    before layer ``i`` is yielded, so the consumer may update ``W_i``.
+    """
+    n = y.shape[0]
+    delta = cache.a_list[-1] - y
+    for i in range(len(network.layers) - 1, -1, -1):
+        layer = network.layers[i]
+        m = layer.share_tile
+        p, q = cache.pooled[i], _pool_cols(delta, m)
+        shape = (p.shape[1], q.shape[1])
+        gw = np.matmul(p.T, q, out=None if out is None
+                       else out[:shape[0] * shape[1]].reshape(shape))
+        gw /= n
+        layer.mask_in_place(gw)
+        gb = delta.mean(axis=0)
+        if i > 0:
+            da = _spread_cols(q @ layer.weights.T, m)
+            a_mid = cache.a_list[i]
+            if network.activation == "relu":
+                delta = da * (a_mid > 0).astype(np.float64)
+            else:
+                delta = da * (a_mid * (1.0 - a_mid))
+        yield i, gw, gb
+
+
+def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
+             out: np.ndarray | None = None) -> Gradients | LayerGradients:
     """Backpropagate cross-entropy gradients through the cached pass.
 
     The softmax/cross-entropy pair gives the output delta ``probs - y``
@@ -324,6 +361,12 @@ def backward(network: Network, cache: ForwardCache,
     ``dW = P.T @ Q / n`` masked in place by
     :meth:`SparseLayer.mask_in_place`, and ``Q @ W.T`` spread back over the
     tile feeds the previous layer.  All gradients are means over the batch.
+
+    Returns :class:`Gradients`.  With ``out``, a 1-D float64 buffer of at
+    least the largest weight grid's cells, returns instead an iterator of
+    ``(layer index, dW, db)``, last layer first, that forms each ``dW`` in
+    ``out`` when advanced; :func:`sgd_step` applies each before the next
+    overwrites it, so one step holds one weight-sized gradient at most.
 
     A non-finite cell of ``P.T @ Q`` stays non-finite after masking
     (``inf * 0.0`` and ``nan * 0.0`` are NaN), so :func:`sgd_step` carries
@@ -340,45 +383,36 @@ def backward(network: Network, cache: ForwardCache,
         raise ShapeError(
             f"targets shape {y.shape} does not match outputs {probs.shape}"
         )
-    n = probs.shape[0]
-    weight_grads: list[np.ndarray | None] = [None] * len(network.layers)
-    bias_grads: list[np.ndarray | None] = [None] * len(network.layers)
-
-    delta = probs - y
-    for i in range(len(network.layers) - 1, -1, -1):
-        layer = network.layers[i]
-        m = layer.share_tile
-        q = _pool_cols(delta, m)
-        gw = cache.pooled[i].T @ q
-        gw /= n
-        layer.mask_in_place(gw)
-        weight_grads[i] = gw
-        bias_grads[i] = delta.mean(axis=0)
-        if i > 0:
-            da = _spread_cols(q @ layer.weights.T, m)
-            a_mid = cache.a_list[i]
-            if network.activation == "relu":
-                delta = da * (a_mid > 0).astype(np.float64)
-            else:
-                delta = da * (a_mid * (1.0 - a_mid))
-    return Gradients(weight_grads, bias_grads)  # type: ignore[arg-type]
+    steps = _layer_gradients(network, cache, y, out)
+    if out is not None:
+        return steps
+    n_layers = len(network.layers)
+    grads = Gradients([None] * n_layers, [None] * n_layers)
+    for i, gw, gb in steps:
+        grads.weight_grads[i], grads.bias_grads[i] = gw, gb
+    return grads
 
 
-def sgd_step(network: Network, grads: Gradients,
+def sgd_step(network: Network, grads: Gradients | LayerGradients,
              learning_rate: float) -> Network:
     """In-place gradient descent update; returns the same network.
 
-    Scales the gradients it is given by ``learning_rate`` in place, so
-    ``grads`` holds the applied steps afterwards: ``W -= lr * gW`` with no
-    temporary the size of ``W``.
+    ``grads`` is :class:`Gradients` or the iterator :func:`backward`
+    returns with a buffer, whose layers are then updated one by one as
+    backward reaches them.  Scales the gradients it is given by
+    ``learning_rate`` in place: ``W -= lr * gW`` with no temporary the size
+    of ``W``.
     """
-    if len(grads.weight_grads) != len(network.layers):
-        raise ShapeError(
-            f"gradients cover {len(grads.weight_grads)} layers, network has "
-            f"{len(network.layers)}"
-        )
-    for layer, gw, gb in zip(network.layers, grads.weight_grads,
-                             grads.bias_grads):
+    if isinstance(grads, Gradients):
+        if len(grads.weight_grads) != len(network.layers):
+            raise ShapeError(
+                f"gradients cover {len(grads.weight_grads)} layers, network "
+                f"has {len(network.layers)}"
+            )
+        grads = zip(range(len(network.layers)), grads.weight_grads,
+                    grads.bias_grads)
+    for i, gw, gb in grads:
+        layer = network.layers[i]
         if gw.shape != layer.weights.shape:
             raise ShapeError(
                 f"weight gradient shape {gw.shape} does not match layer "

@@ -232,16 +232,18 @@ def export_topology(topology: MotifTopology) -> str:
     One ``layer <index> <rows> <cols> <tile>`` line per weight layer,
     followed by one ``<row> <col>`` line per active block in row-major
     order.  The format is self-delimiting and round-trips exactly through
-    :func:`parse_topology`.
+    :func:`parse_topology`.  The text is assembled one block row at a time,
+    so no string per block outlives its row.
     """
-    lines = [TOPOLOGY_HEADER]
+    parts = [TOPOLOGY_HEADER + "\n"]
     for i, mask in enumerate(topology.block_masks):
         rows, cols = mask.shape
-        lines.append(f"layer {i} {rows} {cols} {topology.tile(i)}")
-        r_idx, c_idx = np.nonzero(mask)
-        for r, c in zip(r_idx.tolist(), c_idx.tolist()):
-            lines.append(f"{r} {c}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"layer {i} {rows} {cols} {topology.tile(i)}\n")
+        for r in np.flatnonzero(mask.any(axis=1)).tolist():
+            head = f"{r} "
+            c_idx = np.flatnonzero(mask[r]).tolist()
+            parts.append(head + f"\n{head}".join(map(str, c_idx)) + "\n")
+    return "".join(parts)
 
 
 def _ints(parts: list[str], count: int, line: str) -> list[int]:

@@ -132,6 +132,7 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     batch_size = config.batch_size if config.batch_size > 0 else n
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
     run = RunMeasurement()
+    evolve_time = 0.0
 
     metrics_path = out_dir / "metrics.csv"
     evolution_path = out_dir / "evolution.csv"
@@ -142,6 +143,10 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
             t0 = time.perf_counter()
             perm = shuffle_rng.permutation(n)
             loss_sum = 0.0
+            # every step forms each layer's weight gradient in this one
+            # buffer; it is dropped before eval, evolution and checkpointing
+            grad_buffer = np.empty(max(layer.weights.size
+                                       for layer in network.layers))
             for start in range(0, n, batch_size):
                 idx = perm[start:start + batch_size]
                 cache = forward(network, x_tr[idx])
@@ -152,9 +157,11 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
                     raise NonFiniteError(f"non-finite loss {batch_loss} "
                                          f"{where}, from finite parameters")
                 loss_sum += batch_loss * idx.size
-                grads = backward(network, cache, y_tr[idx])
-                sgd_step(network, grads, config.learning_rate)
+                sgd_step(network, backward(network, cache, y_tr[idx],
+                                           grad_buffer),
+                         config.learning_rate)
             epoch_time = time.perf_counter() - t0
+            del grad_buffer
             _check_finite(network, f"after epoch {epoch}")
 
             train_loss = loss_sum / n
@@ -169,11 +176,13 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
 
             if policy is not None and evolution_schedule(
                     epoch, config.epochs, config.evolution_period):
+                t_evolve = time.perf_counter()
                 with warnings.catch_warnings():
                     # saturated layers are recorded per event in
                     # evolution.csv; no need to warn once per epoch
                     warnings.simplefilter("ignore", SaturationError)
                     _, stats = evolve(network, policy, event_index=epoch)
+                evolve_time += time.perf_counter() - t_evolve
                 for row in stats.csv_rows(epoch):
                     ef.write(row + "\n")
                 ef.flush()
@@ -187,6 +196,7 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
         "final_accuracy": run.final_accuracy,
         "total_time_s": run.total_time_s,
         "train_time_s": float(sum(run.per_epoch_time_s)),
+        "evolve_time_s": evolve_time,
         "total_flops": run.flop_count,
         "epochs": run.n_epochs,
         "final_train_loss": run.train_losses[-1],

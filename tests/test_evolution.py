@@ -1,4 +1,5 @@
 """Prune-and-regrow behavior: selection rules, conservation, determinism."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -207,6 +208,23 @@ class TestMagnitudePrune:
         evolve_magnitude(net, _policy(rng_seed=15), 0)
         for layer, mask in zip(net.layers, net.topology.block_masks):
             assert layer.block_mask is mask
+
+
+    def test_regrowth_peaks_below_16_bytes_per_free_block(self):
+        # one int64 list of the free blocks, built after the draw, and
+        # choice's own arange over them are never alive together
+        topo = build_topology((1000, 1000, 2), 1, BlockDensitySpec.fixed(0.1),
+                              seed=3)
+        net = init_network(topo, seed=4)
+        mask = net.layers[0].block_mask
+        free = mask.size - int(mask.sum()) + int(0.3 * mask.sum())
+        tracemalloc.start()
+        try:
+            evolve_magnitude(net, _policy(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * free
 
 
 class TestListing4:

@@ -435,15 +435,81 @@ def _peak_bytes(fn, *args):
 
 @pytest.mark.parametrize("m,mode", [(1, "shared"), (2, "independent")])
 def test_step_allocates_no_weight_sized_temporary(m, mode):
-    """backward allocates its gradients and batch-sized arrays only, and
-    sgd_step allocates nothing the size of a weight grid."""
+    """backward allocates its gradients and batch-sized arrays only,
+    sgd_step allocates nothing the size of a weight grid, and neither does
+    the fused step given a buffer."""
     net = small_network(sizes=(600, 600, 10), motif_size=m, density=0.5,
                         weight_mode=mode)
     grid = net.layers[0].weights.nbytes  # the 600 x 600 layer
     x = _batch(64, 600, seed=5)
+    y = _onehot_targets(64, 10)
     cache = forward(net, x)
-    peak, grads = _peak_bytes(backward, net, cache, _onehot_targets(64, 10))
+    peak, grads = _peak_bytes(backward, net, cache, y)
     returned = sum(g.nbytes for g in grads.weight_grads + grads.bias_grads)
     assert peak < returned + grid
     peak, _ = _peak_bytes(sgd_step, net, grads, 0.1)
     assert peak < grid
+    del grads
+    buffer = np.empty(max(layer.weights.size for layer in net.layers))
+    peak, _ = _peak_bytes(
+        lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
+    assert peak < grid
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _reference_backward(net, cache, y):
+    """Every layer's gradients as new arrays, from the cached activations:
+    pooled by the scalar reference, masked by the oracle's cell mask."""
+    n = y.shape[0]
+    delta = cache.a_list[-1] - y
+    weight_grads, bias_grads = [], []
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        m = layer.share_tile
+        p = pool_cols_reference(cache.a_list[i], m)
+        q = pool_cols_reference(delta, m)
+        weight_grads.insert(0, (p.T @ q) / n * weight_mask(layer))
+        bias_grads.insert(0, delta.mean(axis=0))
+        if i > 0:
+            a = cache.a_list[i]
+            deriv = ((a > 0).astype(np.float64) if net.activation == "relu"
+                     else a * (1.0 - a))
+            delta = np.repeat(q @ layer.weights.T, m, axis=1) * deriv
+    return weight_grads, bias_grads
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("mode", ["shared", "independent"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_fused_step_matches_backward_then_update(m, mode, activation):
+    """Bit for bit, backward's gradients are the reference's, and steps
+    fused through one buffer give the weights and biases of backward
+    followed by ``W -= lr * gW``: each delta must be taken before its
+    layer's weights change."""
+    def make():
+        return small_network(sizes=(16, 16, 16, 4), motif_size=m,
+                             density=0.5, seed=m, weight_mode=mode,
+                             activation=activation)
+    fused, stepped = make(), make()
+    buffer = np.empty(max(layer.weights.size for layer in fused.layers))
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        x = rng.normal(size=(6, 16))
+        y = np.eye(4)[rng.integers(0, 4, 6)]
+        cache = forward(stepped, x)
+        grads = backward(stepped, cache, y)
+        reference = _reference_backward(stepped, cache, y)
+        for got, want in zip(grads.weight_grads + grads.bias_grads,
+                             reference[0] + reference[1]):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        for layer, gw, gb in zip(stepped.layers, grads.weight_grads,
+                                 grads.bias_grads):
+            layer.weights -= 0.1 * gw
+            layer.bias -= 0.1 * gb
+        sgd_step(fused, backward(fused, forward(fused, x), y, buffer), 0.1)
+        for a, b in zip(fused.layers, stepped.layers):
+            np.testing.assert_array_equal(_bits(a.weights), _bits(b.weights))
+            np.testing.assert_array_equal(_bits(a.bias), _bits(b.bias))

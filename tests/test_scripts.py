@@ -1,4 +1,5 @@
-"""Smoke tests of the command line scripts under ``scripts/``."""
+"""Smoke tests of the command line scripts under ``scripts/`` and of the
+benchmark's own self-test."""
 import os
 import subprocess
 import sys
@@ -44,3 +45,13 @@ def test_score_tables_prints_readme_scores():
     scores = [row[5] for row in rows if row and row[0] in ("1", "2", "4")]
     assert scores == ["0.9000", "0.9102", "0.8819",
                       "0.9000", "0.9198", "0.9089"]
+
+
+def test_perfbench_selftest():
+    # the benchmark imports the package's run_train, its callees and the
+    # checkpoint loader; an API change that breaks it shows up here
+    done = subprocess.run([sys.executable,
+                           str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=900)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest: ok"

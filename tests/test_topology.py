@@ -225,6 +225,21 @@ class TestTextFormat:
         pairs = [tuple(int(v) for v in ln.split()) for ln in body]
         assert pairs == sorted(pairs)
 
+    @pytest.mark.parametrize("sizes,m,density", [
+        ((8, 8, 6), 2, 0.3), ((12, 24, 12, 5), 4, 0.2),
+        ((30, 40, 3), 1, 0.05), ((4, 4), 1, 1.0)])
+    def test_text_is_one_line_per_block(self, sizes, m, density):
+        # sparse grids leave block rows empty; those get no line
+        topo = build_topology(sizes, m, BlockDensitySpec.fixed(density),
+                              seed=7)
+        lines = ["motif-topology v1"]
+        for i, mask in enumerate(topo.block_masks):
+            rows, cols = mask.shape
+            lines.append(f"layer {i} {rows} {cols} {topo.tile(i)}")
+            lines += [f"{r} {c}" for r in range(rows) for c in range(cols)
+                      if mask[r, c]]
+        assert export_topology(topo) == "\n".join(lines) + "\n"
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_topology("not a topology\n")

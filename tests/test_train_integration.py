@@ -1,13 +1,14 @@
 """End-to-end training runs: learning dynamics, file outputs, evolution
 bookkeeping, and a real-data check when scikit-learn's digits are around."""
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import motifset.train
 from motifset._synthetic import write_synthetic_idx_dataset
-from motifset.config import ExperimentConfig
+from motifset.config import ExperimentConfig, read_manifest_result
 from motifset.errors import NonFiniteError
 from motifset.metrics import METRICS_CSV_HEADER
 from motifset.train import run_train
@@ -137,6 +138,21 @@ class TestEvolutionDisabled:
         assert len(lines) == 1  # header only
 
 
+@pytest.mark.parametrize("evolution_mode", ["magnitude_set", "none"])
+def test_manifest_records_evolve_time(toy_csv, tmp_path, evolution_mode):
+    out = tmp_path / "run"
+    run_train(ExperimentConfig(
+        csv_path=str(toy_csv), hidden_sizes=(8, 8), motif_size=2,
+        density_mode="fixed_density", density_value=0.5, epochs=3,
+        batch_size=16, evolution_mode=evolution_mode, out_dir=str(out)),
+        echo=lambda *_: None)
+    result = read_manifest_result(out / "manifest.txt")
+    evolve_s = float(result["evolve_time_s"])
+    assert (evolve_s > 0.0) == (evolution_mode != "none")
+    assert (float(result["train_time_s"]) + evolve_s
+            <= float(result["total_time_s"]))
+
+
 class TestNonFinite:
     def test_stops_at_the_first_non_finite_batch(self, toy_csv, tmp_path):
         # at this rate the first update overflows layer 0's weights, so
@@ -156,25 +172,34 @@ class TestNonFinite:
             self, toy_csv, tmp_path, monkeypatch):
         # masking multiplies by 0.0, and NaN * 0.0 is NaN, so a NaN the
         # backward product puts only into inactive cells reaches the
-        # weights; the next batch's loss is NaN and the run stops there
+        # weights in the fused step; the next batch's loss is NaN and the
+        # run stops there
         real_backward = motifset.train.backward
+        real_sgd_step = motifset.train.sgd_step
         planted = []
 
-        def backward_with_nan_input(network, cache, y_true):
+        def backward_with_nan_input(network, cache, y_true, out):
             if not planted:
                 layer = network.layers[0]
                 empty = np.flatnonzero(~layer.block_mask.any(axis=1))
                 assert empty.size, "need a block row with no active block"
                 cache.pooled[0] = cache.pooled[0].copy()
                 cache.pooled[0][0, empty[0]] = np.nan  # feeds only that row
-                grads = real_backward(network, cache, y_true)
-                assert np.isnan(grads.weight_grads[0][empty[0]]).all()
                 planted.append(empty[0])
-                return grads
-            return real_backward(network, cache, y_true)
+            return real_backward(network, cache, y_true, out)
+
+        def sgd_step_reaching_weights(network, grads, learning_rate):
+            real_sgd_step(network, grads, learning_rate)
+            if len(planted) == 1:
+                row = network.layers[0].weights[planted[0]]
+                assert np.isnan(row).all()
+                planted.append("weights")
+            return network
 
         monkeypatch.setattr(motifset.train, "backward",
                             backward_with_nan_input)
+        monkeypatch.setattr(motifset.train, "sgd_step",
+                            sgd_step_reaching_weights)
         config = ExperimentConfig(
             csv_path=str(toy_csv), hidden_sizes=(8, 8), motif_size=2,
             density_mode="fixed_density", density_value=0.25, epochs=3,
@@ -183,7 +208,34 @@ class TestNonFinite:
                 NonFiniteError, match=r"^non-finite parameters in layer 0 "
                                       r"at epoch 0, batch 1$"):
             run_train(config, echo=lambda *_: None)
-        assert planted
+        assert planted[1:] == ["weights"]
+
+
+def test_no_weight_sized_gradient_alive_during_evolve(toy_csv, tmp_path,
+                                                     monkeypatch):
+    # while evolve runs, the only buffer the size of the 96 x 96 layer's
+    # weights is those weights: no gradient or gradient buffer survives
+    # the epoch's SGD loop
+    real_evolve = motifset.train.evolve
+    sizes = []
+
+    def evolve_probed(network, policy, event_index):
+        grid = network.layers[1].weights.nbytes
+        sizes.append([t.size for t in tracemalloc.take_snapshot().traces
+                      if t.size >= grid])
+        return real_evolve(network, policy, event_index=event_index)
+
+    monkeypatch.setattr(motifset.train, "evolve", evolve_probed)
+    config = ExperimentConfig(
+        csv_path=str(toy_csv), hidden_sizes=(96, 96), motif_size=1,
+        density_mode="fixed_density", density_value=0.5, epochs=2,
+        learning_rate=0.05, batch_size=16, out_dir=str(tmp_path / "run"))
+    tracemalloc.start()
+    try:
+        run_train(config, echo=lambda *_: None)
+    finally:
+        tracemalloc.stop()
+    assert sizes == [[96 * 96 * 8]]
 
 
 def test_digits_real_data_end_to_end(tmp_path):
