@@ -143,9 +143,13 @@ def _cmd_export_topology(args) -> int:
                 "--input-size (and --output-size)"
             )
         sizes = (args.input_size, *config.hidden_sizes, args.output_size)
-        topology = build_topology(sizes, config.motif_size,
-                                  config.density_spec(),
-                                  seed=config.topology_seed)
+        try:
+            topology = build_topology(sizes, config.motif_size,
+                                      config.density_spec(),
+                                      seed=config.topology_seed)
+        except ValueError as exc:
+            # check_layer_sizes rejects a motif size or width below 1
+            raise ConfigError(str(exc)) from exc
     text = export_topology(topology)
     if args.out:
         with atomic_open(args.out) as f:

@@ -111,8 +111,9 @@ def evolve_magnitude(network: Network, policy: EvolutionPolicy,
     magnitude sums each tile row, then the row sums top to bottom, over the
     cell count.  Regrowth samples uniformly without replacement from the
     blocks inactive *after* pruning, so a just-pruned block can be
-    immediately regrown with a fresh weight.  A layer already at full density is left untouched and flagged
-    (a :class:`SaturationError` warning is emitted).
+    immediately regrown with a fresh weight.  A layer already at full
+    density is left untouched and flagged (a :class:`SaturationError`
+    warning is emitted).
     """
     if policy.mode != MAGNITUDE_SET:
         raise ValueError(f"policy mode is {policy.mode!r}, not {MAGNITUDE_SET!r}")

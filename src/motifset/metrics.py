@@ -94,22 +94,22 @@ def comprehensive_score(t_base: float, t: float, a_base: float, a: float,
 
     ``w_acc`` defaults to ``1 - w_eff``.  Raises
     :class:`NonPositiveBaselineError` when a baseline quantity is not
-    positive and :class:`WeightSumError` when the weights are negative or
-    do not sum to one.
+    positive (NaN included) and :class:`WeightSumError` when the weights
+    are negative, NaN or do not sum to one.
     """
-    if t_base <= 0:
+    if not t_base > 0:  # NaN fails too
         raise NonPositiveBaselineError(f"baseline time {t_base} must be > 0")
-    if a_base <= 0:
+    if not a_base > 0:
         raise NonPositiveBaselineError(
             f"baseline accuracy {a_base} must be > 0"
         )
     if w_acc is None:
         w_acc = 1.0 - w_eff
-    if w_eff < 0 or w_acc < 0:
+    if not (w_eff >= 0 and w_acc >= 0):  # NaN fails too
         raise WeightSumError(
             f"weights must be non-negative, got w_eff={w_eff}, w_acc={w_acc}"
         )
-    if abs(w_eff + w_acc - 1.0) > _WEIGHT_TOL:
+    if not abs(w_eff + w_acc - 1.0) <= _WEIGHT_TOL:
         raise WeightSumError(
             f"weights must sum to 1, got {w_eff} + {w_acc} = {w_eff + w_acc}"
         )

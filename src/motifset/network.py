@@ -25,17 +25,18 @@ multiplies the ``(rows / e, e, cols)`` view of a weight-shaped array, ``e``
 the layer's expand factor, by the block mask with each column repeated
 ``e`` times.  Inactive weights are always ``+0.0``, so masking a gradient
 and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
-``+0.0``) with no full-size temporary per step.  A training step,
-``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms each
-layer's weight gradient in one buffer and applies it before the next
-layer's is formed, so a step holds one weight-sized gradient.  Pooling is
+``+0.0``) with no full-size temporary per step.  :func:`backward` yields
+each layer's gradients lazily, last layer first, and :func:`sgd_step`
+applies each as it comes, so a training step,
+``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms
+every weight gradient in the one buffer and holds one at a time.  Pooling is
 the identity at tile 1, so forward and backward take one path for every
 layer.  Hidden activations are ReLU or sigmoid; the output is a
 row-stabilized softmax trained with cross-entropy.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,10 @@ HE_UNIFORM = "he_uniform"
 HE_NORMAL = "he_normal"
 _INIT_SCHEMES = (HE_UNIFORM, HE_NORMAL)
 
-_ACTIVATIONS = ("relu", "sigmoid")
-
 _PROB_FLOOR = 1e-12
 
 # (layer index, weight gradient, bias gradient), the last layer first
-LayerGradients = Iterator[tuple[int, np.ndarray, np.ndarray]]
+LayerGradients = Iterable[tuple[int, np.ndarray, np.ndarray]]
 
 
 def _relu(z):
@@ -70,6 +69,14 @@ def _sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# name: (activation, its derivative computed from the activation's output);
+# the first entry is init_network's default
+_ACTIVATIONS = {
+    "relu": (_relu, lambda a: (a > 0).astype(np.float64)),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
+}
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -173,14 +180,6 @@ class ForwardCache:
     pooled: list[np.ndarray] = field(default_factory=list)
 
 
-@dataclass
-class Gradients:
-    """Loss gradients matching each layer's stored weight granularity."""
-
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
-
-
 def expand_weights(layer: SparseLayer) -> np.ndarray:
     """Neuron-granularity weight matrix equivalent to this layer (a copy)."""
     return tile_cells(layer.weights, layer.share_tile)
@@ -212,7 +211,8 @@ def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
     return Network(topology, layers, activation, weight_mode, init_scheme)
 
 
-def init_network(topology: MotifTopology, activation: str = "relu",
+def init_network(topology: MotifTopology,
+                 activation: str = next(iter(_ACTIVATIONS)),
                  init_scheme: str = HE_UNIFORM, seed: int = 0,
                  weight_mode: str = SHARED) -> Network:
     """Build a network with freshly initialized weights.
@@ -273,7 +273,7 @@ def forward(network: Network, batch: np.ndarray) -> ForwardCache:
             f"batch has {a.shape[1]} features, network expects "
             f"{network.layer_sizes[0]}"
         )
-    act = _relu if network.activation == "relu" else _sigmoid
+    act = _ACTIVATIONS[network.activation][0]
     cache = ForwardCache()
     cache.a_list.append(a)
     last = len(network.layers) - 1
@@ -323,13 +323,9 @@ def _check_cache(network: Network, cache: ForwardCache):
 
 def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
                      out: np.ndarray | None) -> LayerGradients:
-    """Yield ``(i, dW, db)`` for each layer ``i``, the last layer first.
-
-    ``dW`` is a new array, or a view into the front of ``out`` that the next
-    layer's overwrites.  Layer ``i - 1``'s delta is taken from ``W_i``
-    before layer ``i`` is yielded, so the consumer may update ``W_i``.
-    """
+    """The generator :func:`backward` returns, after its checks."""
     n = y.shape[0]
+    derivative = _ACTIVATIONS[network.activation][1]
     delta = cache.a_list[-1] - y
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
@@ -342,17 +338,13 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
         layer.mask_in_place(gw)
         gb = delta.mean(axis=0)
         if i > 0:
-            da = _spread_cols(q @ layer.weights.T, m)
-            a_mid = cache.a_list[i]
-            if network.activation == "relu":
-                delta = da * (a_mid > 0).astype(np.float64)
-            else:
-                delta = da * (a_mid * (1.0 - a_mid))
+            delta = (_spread_cols(q @ layer.weights.T, m)
+                     * derivative(cache.a_list[i]))
         yield i, gw, gb
 
 
 def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
-             out: np.ndarray | None = None) -> Gradients | LayerGradients:
+             out: np.ndarray | None = None) -> LayerGradients:
     """Backpropagate cross-entropy gradients through the cached pass.
 
     The softmax/cross-entropy pair gives the output delta ``probs - y``
@@ -362,11 +354,14 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     :meth:`SparseLayer.mask_in_place`, and ``Q @ W.T`` spread back over the
     tile feeds the previous layer.  All gradients are means over the batch.
 
-    Returns :class:`Gradients`.  With ``out``, a 1-D float64 buffer of at
-    least the largest weight grid's cells, returns instead an iterator of
-    ``(layer index, dW, db)``, last layer first, that forms each ``dW`` in
-    ``out`` when advanced; :func:`sgd_step` applies each before the next
-    overwrites it, so one step holds one weight-sized gradient at most.
+    Returns an iterator of ``(layer index, dW, db)``, last layer first,
+    that forms each layer's gradients when advanced; the cache and targets
+    are checked when this is called.  Layer ``i - 1``'s delta is taken
+    from ``W_i`` before layer ``i`` is yielded, so a consumer such as
+    :func:`sgd_step` may update ``W_i`` at once.  Each ``dW`` is a new
+    array, or, given ``out`` (a 1-D float64 buffer of at least the largest
+    weight grid's cells), a view into the front of ``out`` that the next
+    layer's overwrites, so a step holds one weight-sized gradient at most.
 
     A non-finite cell of ``P.T @ Q`` stays non-finite after masking
     (``inf * 0.0`` and ``nan * 0.0`` are NaN), so :func:`sgd_step` carries
@@ -383,34 +378,19 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
         raise ShapeError(
             f"targets shape {y.shape} does not match outputs {probs.shape}"
         )
-    steps = _layer_gradients(network, cache, y, out)
-    if out is not None:
-        return steps
-    n_layers = len(network.layers)
-    grads = Gradients([None] * n_layers, [None] * n_layers)
-    for i, gw, gb in steps:
-        grads.weight_grads[i], grads.bias_grads[i] = gw, gb
-    return grads
+    return _layer_gradients(network, cache, y, out)
 
 
-def sgd_step(network: Network, grads: Gradients | LayerGradients,
+def sgd_step(network: Network, grads: LayerGradients,
              learning_rate: float) -> Network:
     """In-place gradient descent update; returns the same network.
 
-    ``grads`` is :class:`Gradients` or the iterator :func:`backward`
-    returns with a buffer, whose layers are then updated one by one as
-    backward reaches them.  Scales the gradients it is given by
-    ``learning_rate`` in place: ``W -= lr * gW`` with no temporary the size
-    of ``W``.
+    ``grads`` is any iterable of ``(layer index, dW, db)``, such as the
+    iterator :func:`backward` returns; each layer is updated as its triple
+    comes, and a ``dW`` not of its layer's shape raises ShapeError.  Scales
+    the gradients it is given by ``learning_rate`` in place:
+    ``W -= lr * gW`` with no temporary the size of ``W``.
     """
-    if isinstance(grads, Gradients):
-        if len(grads.weight_grads) != len(network.layers):
-            raise ShapeError(
-                f"gradients cover {len(grads.weight_grads)} layers, network "
-                f"has {len(network.layers)}"
-            )
-        grads = zip(range(len(network.layers)), grads.weight_grads,
-                    grads.bias_grads)
     for i, gw, gb in grads:
         layer = network.layers[i]
         if gw.shape != layer.weights.shape:

@@ -14,6 +14,7 @@ streaming output files in the run directory:
 """
 from __future__ import annotations
 
+import math
 import platform
 import sys
 import time
@@ -218,10 +219,13 @@ def _manifest_measurements(path, use_flops: bool) -> tuple[float, float]:
                 f"{path}: manifest [result] lacks {key!r}"
             )
         try:
-            values.append(float(result[key]))
-        except ValueError as exc:
+            value = float(result[key])
+        except ValueError:
+            value = math.nan  # reported below like a non-finite value
+        if not math.isfinite(value):
             raise ConfigError(f"{path}: manifest [result] {key} = "
-                              f"{result[key]!r} is not a number") from exc
+                              f"{result[key]!r} is not a finite number")
+        values.append(value)
     return tuple(values)
 
 

@@ -195,6 +195,18 @@ def finite_diff_grads(network, x, y, step=1e-5):
     return weight_grads, bias_grads
 
 
+def collect_gradients(network, cache, y):
+    """``(weight_grads, bias_grads)``: the per-layer gradients that the
+    package's ``backward`` yields without a buffer, in layer order."""
+    from motifset.network import backward
+
+    n_layers = len(network.layers)
+    weight_grads, bias_grads = [None] * n_layers, [None] * n_layers
+    for i, gw, gb in backward(network, cache, y):
+        weight_grads[i], bias_grads[i] = gw, gb
+    return weight_grads, bias_grads
+
+
 def max_rel_error(analytic, numeric, floor=1e-6):
     """Worst-case relative disagreement with an absolute floor.
 

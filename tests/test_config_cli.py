@@ -1,5 +1,6 @@
 """Config parsing/echo, preset resolution, CLI subcommands and exit codes."""
 import configparser
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -360,6 +361,26 @@ class TestCliScoreSweep:
                      str(var)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "sweep"])
+    @pytest.mark.parametrize("key", ["train_time_s", "final_accuracy"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_result_exit_code(self, tmp_path, capsys, command,
+                                         key, value):
+        base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
+        var = tmp_path / "var.txt"
+        var.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}",
+                              base.read_text()))
+        assert main([command, "--baseline", str(base), "--variant",
+                     str(var)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
+
+    def test_nan_w_eff_exit_code(self, tmp_path, capsys):
+        base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
+        assert main(["score", "--baseline", str(base), "--variant",
+                     str(base), "--w-eff", "nan"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_use_flops_channel(self, tmp_path, capsys):
         base = _manifest(tmp_path, "base.txt", 10.0, 0.8)
         var = _manifest(tmp_path, "var.txt", 5.0, 0.8)
@@ -434,3 +455,13 @@ class TestCliExportTopology:
         assert text.startswith("motif-topology v1")
         from motifset.topology import parse_topology
         assert parse_topology(text).layer_sizes == (8, 8, 8, 4)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--output-size", "0"), ("--motif-size", "0"), ("--input-size", "-4"),
+        ("--hidden-sizes", "0")])
+    def test_bad_size_exit_code(self, capsys, flag, value):
+        # argparse keeps the last value given for a flag
+        assert main(["export-topology", "--input-size", "8",
+                     "--hidden-sizes", "8", "--output-size", "4",
+                     flag, value]) == 2
+        assert "config error:" in capsys.readouterr().err

@@ -75,13 +75,15 @@ class TestComprehensiveScore:
         assert report.s > 0.9
 
     @pytest.mark.parametrize("t_base,a_base", [
-        (0.0, 0.9), (-5.0, 0.9), (10.0, 0.0), (10.0, -0.1)])
+        (0.0, 0.9), (-5.0, 0.9), (10.0, 0.0), (10.0, -0.1),
+        (float("nan"), 0.9), (10.0, float("nan"))])
     def test_non_positive_baseline_rejected(self, t_base, a_base):
         with pytest.raises(NonPositiveBaselineError):
             comprehensive_score(t_base, 1.0, a_base, 0.5)
 
     @pytest.mark.parametrize("w_eff,w_acc", [
-        (0.5, 0.6), (-0.1, 1.1), (0.9, 0.0), (1.2, -0.2)])
+        (0.5, 0.6), (-0.1, 1.1), (0.9, 0.0), (1.2, -0.2),
+        (float("nan"), None), (float("nan"), 0.5), (0.5, float("nan"))])
     def test_weight_validation(self, w_eff, w_acc):
         with pytest.raises(WeightSumError):
             comprehensive_score(10.0, 5.0, 0.9, 0.8, w_eff, w_acc)

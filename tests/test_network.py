@@ -27,8 +27,8 @@ from motifset.network import (
 from motifset.topology import BlockDensitySpec, build_topology
 
 from conftest import small_network
-from oracles import (DenseMLP, finite_diff_grads, max_rel_error,
-                     pool_cols_reference, weight_mask)
+from oracles import (DenseMLP, collect_gradients, finite_diff_grads,
+                     max_rel_error, pool_cols_reference, weight_mask)
 
 
 def _batch(n, d, seed=0):
@@ -180,8 +180,8 @@ class TestBackward:
                             seed=12)
         x = _batch(6, 8, seed=13)
         cache = forward(net, x)
-        grads = backward(net, cache, cache.a_list[-1].copy())
-        for gw, gb in zip(grads.weight_grads, grads.bias_grads):
+        grads = collect_gradients(net, cache, cache.a_list[-1].copy())
+        for gw, gb in zip(*grads):
             assert np.abs(gw).max() <= 1e-12
             assert np.abs(gb).max() <= 1e-12
 
@@ -189,8 +189,9 @@ class TestBackward:
         net = small_network(density=0.4, seed=20)
         x = _batch(5, 8, seed=21)
         cache = forward(net, x)
-        grads = backward(net, cache, _onehot_targets(5, 4, seed=22))
-        for layer, gw in zip(net.layers, grads.weight_grads):
+        weight_grads, _ = collect_gradients(net, cache,
+                                            _onehot_targets(5, 4, seed=22))
+        for layer, gw in zip(net.layers, weight_grads):
             assert (gw[~weight_mask(layer)] == 0.0).all()
 
     @pytest.mark.parametrize("m,mode,activation", [
@@ -207,10 +208,10 @@ class TestBackward:
         x = _batch(6, 8, seed=30 + m)
         y = _onehot_targets(6, 4, seed=31 + m)
         cache = forward(net, x)
-        grads = backward(net, cache, y)
+        weight_grads, bias_grads = collect_gradients(net, cache, y)
         fd_w, fd_b = finite_diff_grads(net, x, y)
-        assert max_rel_error(grads.weight_grads, fd_w) <= 1e-4
-        assert max_rel_error(grads.bias_grads, fd_b) <= 1e-4
+        assert max_rel_error(weight_grads, fd_w) <= 1e-4
+        assert max_rel_error(bias_grads, fd_b) <= 1e-4
 
     def test_block_gradient_is_sum_over_tile(self):
         """A shared block's gradient equals the summed per-connection
@@ -219,13 +220,13 @@ class TestBackward:
                             seed=40, activation="sigmoid")
         x = _batch(5, 6, seed=41)
         y = _onehot_targets(5, 3, seed=42)
-        grads = backward(net, forward(net, x), y)
+        weight_grads, _ = collect_gradients(net, forward(net, x), y)
         oracle = DenseMLP([expand_weights(l) for l in net.layers],
                           [l.bias for l in net.layers], "sigmoid")
         gw_oracle, _ = oracle.backward(x, y)
         m = 2
         pooled = gw_oracle[0].reshape(3, m, 3, m).sum(axis=(1, 3))
-        np.testing.assert_allclose(grads.weight_grads[0], pooled, atol=1e-12)
+        np.testing.assert_allclose(weight_grads[0], pooled, atol=1e-12)
 
     def test_stale_cache_rejected(self):
         net = small_network()
@@ -299,10 +300,10 @@ class TestSgd:
                             seed=52)
         x = _batch(6, 4, seed=53)
         y = _onehot_targets(6, 3, seed=54)
-        grads = backward(net, forward(net, x), y)
+        weight_grads, bias_grads = collect_gradients(net, forward(net, x), y)
         expected = [l.weights - 0.1 * g
-                    for l, g in zip(net.layers, grads.weight_grads)]
-        sgd_step(net, grads, 0.1)
+                    for l, g in zip(net.layers, weight_grads)]
+        sgd_step(net, zip(range(2), weight_grads, bias_grads), 0.1)
         for e, layer in zip(expected, net.layers):
             np.testing.assert_allclose(layer.weights, e, atol=0)
 
@@ -435,21 +436,23 @@ def _peak_bytes(fn, *args):
 
 @pytest.mark.parametrize("m,mode", [(1, "shared"), (2, "independent")])
 def test_step_allocates_no_weight_sized_temporary(m, mode):
-    """backward allocates its gradients and batch-sized arrays only,
-    sgd_step allocates nothing the size of a weight grid, and neither does
-    the fused step given a buffer."""
+    """Collecting backward's unbuffered gradients allocates them and
+    batch-sized arrays only, sgd_step over them allocates nothing the size
+    of a weight grid, and neither does the fused step given a buffer."""
     net = small_network(sizes=(600, 600, 10), motif_size=m, density=0.5,
                         weight_mode=mode)
     grid = net.layers[0].weights.nbytes  # the 600 x 600 layer
     x = _batch(64, 600, seed=5)
     y = _onehot_targets(64, 10)
     cache = forward(net, x)
-    peak, grads = _peak_bytes(backward, net, cache, y)
-    returned = sum(g.nbytes for g in grads.weight_grads + grads.bias_grads)
+    peak, (weight_grads, bias_grads) = _peak_bytes(collect_gradients, net,
+                                                   cache, y)
+    returned = sum(g.nbytes for g in weight_grads + bias_grads)
     assert peak < returned + grid
-    peak, _ = _peak_bytes(sgd_step, net, grads, 0.1)
+    peak, _ = _peak_bytes(sgd_step, net,
+                          zip(range(2), weight_grads, bias_grads), 0.1)
     assert peak < grid
-    del grads
+    del weight_grads, bias_grads
     buffer = np.empty(max(layer.weights.size for layer in net.layers))
     peak, _ = _peak_bytes(
         lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
@@ -500,13 +503,12 @@ def test_fused_step_matches_backward_then_update(m, mode, activation):
         x = rng.normal(size=(6, 16))
         y = np.eye(4)[rng.integers(0, 4, 6)]
         cache = forward(stepped, x)
-        grads = backward(stepped, cache, y)
+        weight_grads, bias_grads = collect_gradients(stepped, cache, y)
         reference = _reference_backward(stepped, cache, y)
-        for got, want in zip(grads.weight_grads + grads.bias_grads,
+        for got, want in zip(weight_grads + bias_grads,
                              reference[0] + reference[1]):
             np.testing.assert_array_equal(_bits(got), _bits(want))
-        for layer, gw, gb in zip(stepped.layers, grads.weight_grads,
-                                 grads.bias_grads):
+        for layer, gw, gb in zip(stepped.layers, weight_grads, bias_grads):
             layer.weights -= 0.1 * gw
             layer.bias -= 0.1 * gb
         sgd_step(fused, backward(fused, forward(fused, x), y, buffer), 0.1)
