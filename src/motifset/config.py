@@ -14,6 +14,7 @@ section and key, and its default's type fixes how its text is parsed.
 from __future__ import annotations
 
 import configparser
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -123,8 +124,9 @@ class ExperimentConfig:
             (self.motif_size >= 1,
              f"motif_size must be >= 1, got {self.motif_size}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
-            (self.learning_rate > 0,
-             f"learning_rate must be > 0, got {self.learning_rate}"),
+            (math.isfinite(self.learning_rate) and self.learning_rate > 0,
+             f"learning_rate must be finite and > 0, got "
+             f"{self.learning_rate}"),
             (self.batch_size >= 0,
              f"batch_size must be >= 0 (0 = full batch), got "
              f"{self.batch_size}"),

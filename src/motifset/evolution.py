@@ -48,7 +48,8 @@ class EvolutionPolicy:
         Independent zeroing probability of the ``listing4`` mode, in
         ``[0, 1]`` (both endpoints are meaningful: never / always).
     noise_scale
-        Standard deviation multiplier of the additive ``listing4`` noise.
+        Standard deviation multiplier of the additive ``listing4`` noise,
+        finite and ``>= 0``.
     """
 
     mode: str = MAGNITUDE_SET
@@ -66,9 +67,9 @@ class EvolutionPolicy:
             raise ValueError(
                 f"epsilon_prune must be in [0, 1], got {self.epsilon_prune}"
             )
-        if self.noise_scale < 0.0:
+        if not np.isfinite(self.noise_scale) or self.noise_scale < 0.0:
             raise ValueError(
-                f"noise_scale must be >= 0, got {self.noise_scale}"
+                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
             )
 
 

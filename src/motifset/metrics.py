@@ -131,11 +131,6 @@ class SweepResult:
     points: list[ScoreReport]
     crossover_w_eff: float | None
 
-    @property
-    def baseline_scores(self) -> list[float]:
-        """The baseline's score at each point, its fixed point ``w_acc``."""
-        return [p.w_acc for p in self.points]
-
 
 def tradeoff_sweep(t_base: float, t: float, a_base: float, a: float,
                    grid=None) -> SweepResult:

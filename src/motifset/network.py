@@ -11,8 +11,7 @@ Two weight modes exist per network:
     by the tiled neuron-granularity matrix, but the matrix product shrinks
     by ``m`` in both dimensions.  Pooling sums ``m`` strided column slices
     (:func:`_pool_cols`); each layer pools its input once per step, in
-    :func:`forward`, which keeps it in the :class:`ForwardCache` for
-    :func:`backward`, and pools its delta once, in :func:`backward`.
+    :func:`_layer_forward`, and its delta once, in :func:`backward`.
 
 ``independent``
     Weights are stored at neuron granularity and only the *mask* lives on
@@ -29,10 +28,14 @@ and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
 each layer's gradients lazily, last layer first, and :func:`sgd_step`
 applies each as it comes, so a training step,
 ``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms
-every weight gradient in the one buffer and holds one at a time.  Pooling is
-the identity at tile 1, so forward and backward take one path for every
-layer.  Hidden activations are ReLU or sigmoid; the output is a
-row-stabilized softmax trained with cross-entropy.
+every weight gradient in the one buffer and holds one at a time.
+:func:`_layer_forward` is the one layer step of training and evaluation:
+:func:`forward` keeps every layer's pooled input and activation in the
+:class:`ForwardCache` for :func:`backward`, and :func:`predict_accuracy`
+keeps only the current activation.  Pooling is the identity at tile 1, so
+forward and backward take one path for every layer.  Hidden activations
+are ReLU or sigmoid; the output is a row-stabilized softmax trained with
+cross-entropy.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, StaleCacheError
-from .topology import MotifTopology, blocks, tile_cells
+from .topology import MotifTopology, blocks
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -53,6 +56,9 @@ HE_NORMAL = "he_normal"
 _INIT_SCHEMES = (HE_UNIFORM, HE_NORMAL)
 
 _PROB_FLOOR = 1e-12
+
+# predict_accuracy's chunk rows; fewer can change results in the last bit
+EVAL_ROWS = 8192
 
 # (layer index, weight gradient, bias gradient), the last layer first
 LayerGradients = Iterable[tuple[int, np.ndarray, np.ndarray]]
@@ -180,11 +186,6 @@ class ForwardCache:
     pooled: list[np.ndarray] = field(default_factory=list)
 
 
-def expand_weights(layer: SparseLayer) -> np.ndarray:
-    """Neuron-granularity weight matrix equivalent to this layer (a copy)."""
-    return tile_cells(layer.weights, layer.share_tile)
-
-
 def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
                  weight_mode: str) -> Network:
     """A network on ``topology`` with every weight and bias zero.
@@ -261,8 +262,7 @@ def _spread_cols(a: np.ndarray, m: int) -> np.ndarray:
     return np.repeat(a, m, axis=1)
 
 
-def forward(network: Network, batch: np.ndarray) -> ForwardCache:
-    """Run a batch through the network, keeping per-layer intermediates."""
+def _check_batch(network: Network, batch: np.ndarray) -> np.ndarray:
     a = np.asarray(batch, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {a.shape}")
@@ -273,15 +273,38 @@ def forward(network: Network, batch: np.ndarray) -> ForwardCache:
             f"batch has {a.shape[1]} features, network expects "
             f"{network.layer_sizes[0]}"
         )
-    act = _ACTIVATIONS[network.activation][0]
-    cache = ForwardCache()
-    cache.a_list.append(a)
-    last = len(network.layers) - 1
-    for i, layer in enumerate(network.layers):
-        m = layer.share_tile
-        cache.pooled.append(_pool_cols(a, m))
-        z = _spread_cols(cache.pooled[i] @ layer.weights, m) + layer.bias
-        a = softmax(z) if i == last else act(z)
+    return a
+
+
+def _check_targets(y_true: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    y = np.asarray(y_true, dtype=np.float64)
+    if y.shape != shape:
+        raise ShapeError(
+            f"targets shape {y.shape} does not match outputs {shape}"
+        )
+    return y
+
+
+def _layer_forward(network: Network, i: int,
+                   a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layer ``i``'s step on its input ``a``: ``(pooled input, activation)``,
+    the activation a softmax on the last layer."""
+    layer = network.layers[i]
+    m = layer.share_tile
+    pooled = _pool_cols(a, m)
+    z = _spread_cols(pooled @ layer.weights, m) + layer.bias
+    if i == len(network.layers) - 1:
+        return pooled, softmax(z)
+    return pooled, _ACTIVATIONS[network.activation][0](z)
+
+
+def forward(network: Network, batch: np.ndarray) -> ForwardCache:
+    """Run a batch through the network, keeping per-layer intermediates."""
+    a = _check_batch(network, batch)
+    cache = ForwardCache(a_list=[a])
+    for i in range(len(network.layers)):
+        pooled, a = _layer_forward(network, i, a)
+        cache.pooled.append(pooled)
         cache.a_list.append(a)
     return cache
 
@@ -291,11 +314,7 @@ def loss(cache: ForwardCache, y_true: np.ndarray) -> float:
     if not cache.a_list:
         raise StaleCacheError("empty forward cache")
     probs = cache.a_list[-1]
-    y = np.asarray(y_true, dtype=np.float64)
-    if y.shape != probs.shape:
-        raise ShapeError(
-            f"targets shape {y.shape} does not match outputs {probs.shape}"
-        )
+    y = _check_targets(y_true, probs.shape)
     logp = np.log(np.maximum(probs, _PROB_FLOOR))
     return float(-(y * logp).sum(axis=1).mean())
 
@@ -372,12 +391,7 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     loss is NaN before this runs.
     """
     _check_cache(network, cache)
-    probs = cache.a_list[-1]
-    y = np.asarray(y_true, dtype=np.float64)
-    if y.shape != probs.shape:
-        raise ShapeError(
-            f"targets shape {y.shape} does not match outputs {probs.shape}"
-        )
+    y = _check_targets(y_true, cache.a_list[-1].shape)
     return _layer_gradients(network, cache, y, out)
 
 
@@ -405,31 +419,23 @@ def sgd_step(network: Network, grads: LayerGradients,
     return network
 
 
-def predict_accuracy(network: Network, x: np.ndarray, y_true: np.ndarray,
-                     chunk_size: int = 8192) -> float:
+def predict_accuracy(network: Network, x: np.ndarray,
+                     y_true: np.ndarray) -> float:
     """Fraction of samples whose argmax output matches the one-hot target.
 
     Ties in the output probabilities resolve to the lowest class index on
-    both sides of the comparison.  Large inputs are processed in chunks.
+    both sides of the comparison.  Each chunk of ``EVAL_ROWS`` samples goes
+    layer by layer through :func:`_layer_forward`, keeping only the current
+    activation: no :class:`ForwardCache` is built.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y_true)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"need a non-empty 2-D sample array, got {x.shape}")
-    if y.ndim != 2 or y.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"targets shape {y.shape} does not match {x.shape[0]} samples"
-        )
-    if y.shape[1] != network.n_classes:
-        raise ShapeError(
-            f"targets have {y.shape[1]} classes, network has "
-            f"{network.n_classes}"
-        )
+    x = _check_batch(network, x)
+    y = _check_targets(y_true, (x.shape[0], network.n_classes))
     true_idx = np.argmax(y, axis=1)
     hits = 0
-    for start in range(0, x.shape[0], chunk_size):
-        stop = min(start + chunk_size, x.shape[0])
-        cache = forward(network, x[start:stop])
-        pred = np.argmax(cache.a_list[-1], axis=1)
-        hits += int((pred == true_idx[start:stop]).sum())
+    for start in range(0, x.shape[0], EVAL_ROWS):
+        stop = start + EVAL_ROWS
+        a = x[start:stop]
+        for i in range(len(network.layers)):
+            a = _layer_forward(network, i, a)[1]
+        hits += int((np.argmax(a, axis=1) == true_idx[start:stop]).sum())
     return hits / x.shape[0]

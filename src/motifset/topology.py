@@ -70,13 +70,6 @@ def blocks(a: np.ndarray, t: int) -> np.ndarray:
     return a.reshape(rows // t, t, cols // t, t)
 
 
-def tile_cells(cells: np.ndarray, t: int) -> np.ndarray:
-    """A new array with each cell of 2-D ``cells`` expanded to a t x t patch."""
-    out = np.empty((cells.shape[0] * t, cells.shape[1] * t), cells.dtype)
-    blocks(out, t)[...] = cells[:, None, :, None]
-    return out
-
-
 @dataclass(frozen=True)
 class BlockDensitySpec:
     """How many blocks of a layer's block grid should be active.
@@ -207,23 +200,6 @@ def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
 
     return MotifTopology(layer_sizes, motif_size, tuple(masks),
                          epsilon=density.value, density_mode=density.mode)
-
-
-def active_block_count(topology: MotifTopology) -> list[int]:
-    """Number of active blocks per weight layer."""
-    return [int(mask.sum()) for mask in topology.block_masks]
-
-
-def expand_mask(topology: MotifTopology, layer_index: int) -> np.ndarray:
-    """Neuron-granularity boolean mask of one weight layer.
-
-    Each active block expands to a ``tile x tile`` patch of ones, so the
-    result has shape ``(layer_sizes[i], layer_sizes[i + 1])``.  Raises
-    IndexError for an invalid layer index.
-    """
-    topology._check_index(layer_index)
-    mask = topology.block_masks[layer_index]
-    return tile_cells(mask, topology.tile(layer_index))
 
 
 def export_topology(topology: MotifTopology) -> str:

@@ -6,8 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from motifset.network import init_network
+from motifset.network import backward, forward, init_network, loss
 from motifset.topology import BlockDensitySpec, build_topology
+
+from oracles import weight_mask
 
 
 @pytest.fixture
@@ -47,3 +49,50 @@ def small_network(sizes=(8, 8, 4), motif_size=2, density=0.5, seed=0,
 @pytest.fixture
 def make_network():
     return small_network
+
+
+def finite_diff_grads(network, x, y, step=1e-5):
+    """Central-difference loss gradients of a package network.
+
+    Perturbs every active stored weight cell and every bias entry in
+    place, evaluating the package's own forward/loss.  Inactive cells are
+    reported as zero, matching the analytic gradients.
+    """
+    def loss_now():
+        return loss(forward(network, x), y)
+
+    weight_grads = []
+    bias_grads = []
+    for layer in network.layers:
+        gw = np.zeros_like(layer.weights)
+        active = np.nonzero(weight_mask(layer))
+        for idx in zip(*active):
+            orig = layer.weights[idx]
+            layer.weights[idx] = orig + step
+            up = loss_now()
+            layer.weights[idx] = orig - step
+            down = loss_now()
+            layer.weights[idx] = orig
+            gw[idx] = (up - down) / (2.0 * step)
+        weight_grads.append(gw)
+        gb = np.zeros_like(layer.bias)
+        for j in range(layer.bias.shape[0]):
+            orig = layer.bias[j]
+            layer.bias[j] = orig + step
+            up = loss_now()
+            layer.bias[j] = orig - step
+            down = loss_now()
+            layer.bias[j] = orig
+            gb[j] = (up - down) / (2.0 * step)
+        bias_grads.append(gb)
+    return weight_grads, bias_grads
+
+
+def collect_gradients(network, cache, y):
+    """``(weight_grads, bias_grads)``: the per-layer gradients that the
+    package's ``backward`` yields without a buffer, in layer order."""
+    n_layers = len(network.layers)
+    weight_grads, bias_grads = [None] * n_layers, [None] * n_layers
+    for i, gw, gb in backward(network, cache, y):
+        weight_grads[i], bias_grads[i] = gw, gb
+    return weight_grads, bias_grads

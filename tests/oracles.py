@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately written with scalar Python loops and
-``math`` functions, no vectorized numpy, so agreement with the package is
-evidence rather than tautology.
+``math`` functions, no vectorized numpy, and imports nothing from the
+package, so agreement with the package is evidence rather than tautology.
 """
 from __future__ import annotations
 
@@ -19,6 +19,38 @@ def weight_mask(layer):
     rows, cols = layer.weights.shape
     return np.array([[bool(layer.block_mask[i // e][j // e])
                       for j in range(cols)] for i in range(rows)])
+
+
+def expand_weights(layer):
+    """Neuron-granularity weight matrix equivalent to ``layer``: each stored
+    cell repeated over a ``t x t`` patch, ``t`` the layer's share tile."""
+    t = layer.share_tile
+    rows, cols = layer.weights.shape
+    return np.array([[float(layer.weights[i // t][j // t])
+                      for j in range(cols * t)] for i in range(rows * t)])
+
+
+def expand_mask(topology, layer_index):
+    """Neuron-granularity boolean mask of one weight layer: each active
+    block of its mask repeated over a ``t x t`` patch, ``t`` the input
+    width divided by the mask's row count."""
+    mask = topology.block_masks[layer_index]
+    t = topology.layer_sizes[layer_index] // len(mask)
+    rows, cols = mask.shape
+    return np.array([[bool(mask[i // t][j // t]) for j in range(cols * t)]
+                     for i in range(rows * t)], dtype=bool)
+
+
+def active_block_count(topology):
+    """Number of active blocks per weight layer, counted cell by cell."""
+    counts = []
+    for mask in topology.block_masks:
+        count = 0
+        for row in mask.tolist():
+            for v in row:
+                count += int(v)
+        counts.append(count)
+    return counts
 
 
 def pool_cols_reference(a, m):
@@ -154,57 +186,6 @@ class DenseMLP:
 
     def bias_arrays(self):
         return [np.array(B) for B in self.b]
-
-
-def finite_diff_grads(network, x, y, step=1e-5):
-    """Central-difference loss gradients of a package network.
-
-    Perturbs every active stored weight cell and every bias entry in
-    place, evaluating the package's own forward/loss.  Inactive cells are
-    reported as zero, matching the analytic gradients.
-    """
-    from motifset.network import forward, loss
-
-    def loss_now():
-        return loss(forward(network, x), y)
-
-    weight_grads = []
-    bias_grads = []
-    for layer in network.layers:
-        gw = np.zeros_like(layer.weights)
-        active = np.nonzero(weight_mask(layer))
-        for idx in zip(*active):
-            orig = layer.weights[idx]
-            layer.weights[idx] = orig + step
-            up = loss_now()
-            layer.weights[idx] = orig - step
-            down = loss_now()
-            layer.weights[idx] = orig
-            gw[idx] = (up - down) / (2.0 * step)
-        weight_grads.append(gw)
-        gb = np.zeros_like(layer.bias)
-        for j in range(layer.bias.shape[0]):
-            orig = layer.bias[j]
-            layer.bias[j] = orig + step
-            up = loss_now()
-            layer.bias[j] = orig - step
-            down = loss_now()
-            layer.bias[j] = orig
-            gb[j] = (up - down) / (2.0 * step)
-        bias_grads.append(gb)
-    return weight_grads, bias_grads
-
-
-def collect_gradients(network, cache, y):
-    """``(weight_grads, bias_grads)``: the per-layer gradients that the
-    package's ``backward`` yields without a buffer, in layer order."""
-    from motifset.network import backward
-
-    n_layers = len(network.layers)
-    weight_grads, bias_grads = [None] * n_layers, [None] * n_layers
-    for i, gw, gb in backward(network, cache, y):
-        weight_grads[i], bias_grads[i] = gw, gb
-    return weight_grads, bias_grads
 
 
 def max_rel_error(analytic, numeric, floor=1e-6):

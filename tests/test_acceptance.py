@@ -29,22 +29,17 @@ from motifset.evolution import EvolutionPolicy, evolve, evolve_listing4
 from motifset.metrics import comprehensive_score, flop_counter, tradeoff_sweep
 from motifset.network import (
     backward,
-    expand_weights,
     forward,
     init_network,
     loss,
     sgd_step,
 )
-from motifset.topology import (
-    BlockDensitySpec,
-    active_block_count,
-    build_topology,
-    expand_mask,
-)
+from motifset.topology import BlockDensitySpec, build_topology
 from motifset.train import run_train
 
-from oracles import (DenseMLP, collect_gradients, finite_diff_grads,
-                     max_rel_error)
+from conftest import collect_gradients, finite_diff_grads
+from oracles import (DenseMLP, active_block_count, expand_mask,
+                     expand_weights, max_rel_error)
 
 
 def _criterion(number, ok, detail):
@@ -347,7 +342,7 @@ def test_criterion_07_desk_scale_training(tmp_path):
 def test_criterion_08_sweep_crossover():
     sweep = tradeoff_sweep(FMNIST["t_base"], 14307.5, FMNIST["a_base"],
                            0.733)
-    diffs = [p.s - b for p, b in zip(sweep.points, sweep.baseline_scores)]
+    diffs = [p.s - p.w_acc for p in sweep.points]
     weights = [p.w_eff for p in sweep.points]
     beyond = all(d > 0 for w, d in zip(weights, diffs) if w >= 0.11)
     signs = [np.sign(d) for d in diffs if d != 0.0]

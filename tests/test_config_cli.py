@@ -74,7 +74,8 @@ class TestConfigFiles:
         ("epochs", 0), ("learning_rate", -0.1), ("motif_size", 0),
         ("zeta", 1.0), ("weight_mode", "psychic"), ("batch_size", -1),
         ("evolution_period", 0), ("w_eff", 0.5),  # w_eff+w_acc != 1
-        ("density_value", float("inf")),
+        ("density_value", float("inf")), ("learning_rate", float("inf")),
+        ("noise_scale", float("nan")), ("noise_scale", float("inf")),
     ])
     def test_validation_failures(self, field, value):
         config = ExperimentConfig(csv_path="x.csv")

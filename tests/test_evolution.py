@@ -40,6 +40,11 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             EvolutionPolicy(mode="listing4", epsilon_prune=eps)
 
+    @pytest.mark.parametrize("noise", [-0.01, float("nan"), float("inf")])
+    def test_noise_scale_finite_non_negative(self, noise):
+        with pytest.raises(ValueError):
+            EvolutionPolicy(mode="listing4", noise_scale=noise)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             EvolutionPolicy(mode="simulated_annealing")

@@ -140,8 +140,7 @@ class TestSweep:
         """S_variant - S_baseline = w (R_r + A_r) - A_r rises with w when
         R_r + A_r > 0, so the sign changes at most once on the grid."""
         result = tradeoff_sweep(FM_T[1], FM_T[2], FM_A[1], FM_A[2])
-        margins = [p.s - b for p, b in zip(result.points,
-                                           result.baseline_scores)]
+        margins = [p.s - p.w_acc for p in result.points]
         assert all(b > a for a, b in zip(margins, margins[1:]))
         signs = [m > 0 for m in margins]
         assert signs == sorted(signs)  # False... then True...

