@@ -20,7 +20,7 @@ class ConfigError(MotifSetError):
 
 
 class WeightSumError(ConfigError):
-    """Score weights are negative or do not sum to one."""
+    """A score weight is outside [0, 1], or the weights do not sum to one."""
 
 
 class NonPositiveBaselineError(ConfigError):
@@ -110,14 +110,3 @@ class CheckpointFormatError(DataError):
 class NonFiniteError(MotifSetError):
     """A NaN or infinity appeared in network parameters during training."""
 
-
-# --------------------------------------------------------------------------
-# warnings
-
-
-class SaturationError(UserWarning):
-    """A layer is at full density, so prune-and-regrow has no room to act.
-
-    Emitted through :func:`warnings.warn`; the evolution step records the
-    event and leaves the layer unchanged instead of aborting the run.
-    """

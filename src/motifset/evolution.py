@@ -1,40 +1,36 @@
 """Between-epoch topology evolution: prune weak blocks, regrow at random.
 
-Two rewiring modes are provided:
+:func:`evolve` runs one event: per layer, it seeds a generator
+``(rng_seed, event_index, layer_index)``, so every event of every layer is
+independently reproducible, and applies the policy's rule to that layer.
 
 ``magnitude_set``
-    The classic prune-and-regrow cycle adapted to block granularity.  Per
-    layer, the fraction ``zeta`` of active blocks with the smallest
-    magnitude is deactivated (weights zeroed, mask cleared) and the same
-    number of blocks is regrown uniformly at random among the inactive
-    positions, with freshly initialized weights.  Block magnitude is the
-    mean absolute weight over the block's tile of stored weights (a single
-    weight for shared layers).
+    The classic prune-and-regrow cycle adapted to block granularity.  The
+    fraction ``zeta`` of active blocks with the smallest magnitude is
+    deactivated (weights zeroed, mask cleared) and the same number of
+    blocks is regrown uniformly at random among the inactive positions,
+    with freshly initialized weights.  Block magnitude is the mean absolute
+    weight over the block's tile of stored weights (a single weight for
+    shared layers).  A fully dense layer is left untouched and reported
+    once, as its ``saturated`` flag.
 
 ``listing4``
     A literal noise-driven variant: every stored active weight is zeroed
     independently with probability ``epsilon_prune``, then Gaussian noise
     scaled by ``noise_scale`` is added to every active position (which can
     resurrect just-zeroed weights).  The mask is never modified.
-
-Both modes draw from a generator seeded ``(rng_seed, event_index,
-layer_index)`` so every evolution event of every layer is independently
-reproducible.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SaturationError
 from .network import Network, he_sample
 from .topology import blocks
 
 MAGNITUDE_SET = "magnitude_set"
 LISTING4 = "listing4"
-_MODES = (MAGNITUDE_SET, LISTING4)
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class EvolutionPolicy:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in _RULES:
             raise ValueError(f"unknown evolution mode {self.mode!r}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must be in (0, 1), got {self.zeta}")
@@ -103,97 +99,85 @@ class EvolutionStats:
 EVOLUTION_CSV_HEADER = "epoch,layer,pruned,regrown,active_blocks,saturated"
 
 
-def evolve_magnitude(network: Network, policy: EvolutionPolicy,
-                     event_index: int = 0) -> tuple[Network, EvolutionStats]:
-    """One magnitude-based prune-and-regrow event, in place.
+def _prune_regrow(network: Network, i: int, policy: EvolutionPolicy,
+                  rng: np.random.Generator) -> LayerEvolutionStats:
+    layer = network.layers[i]
+    mask = layer.block_mask
+    rows, cols = np.nonzero(mask)
+    active = rows.size
+    if active == mask.size:
+        return LayerEvolutionStats(i, 0, 0, active, saturated=True)
+    k = int(np.floor(policy.zeta * active))
+    if k == 0:
+        return LayerEvolutionStats(i, 0, 0, active)
 
-    Pruning order sorts active blocks by magnitude ascending with a stable
-    sort, so equal magnitudes break ties by (row, col) position; a tile's
-    magnitude sums each tile row, then the row sums top to bottom, over the
-    cell count.  Regrowth samples uniformly without replacement from the
-    blocks inactive *after* pruning, so a just-pruned block can be
-    immediately regrown with a fresh weight.  A layer already at full
-    density is left untouched and flagged (a :class:`SaturationError`
-    warning is emitted).
-    """
-    if policy.mode != MAGNITUDE_SET:
-        raise ValueError(f"policy mode is {policy.mode!r}, not {MAGNITUDE_SET!r}")
-    stats = EvolutionStats()
-    sizes = network.topology.layer_sizes
-    for i, layer in enumerate(network.layers):
-        rng = np.random.default_rng((policy.rng_seed, event_index, i))
-        mask = layer.block_mask
-        rows, cols = np.nonzero(mask)
-        active = rows.size
-        inactive_before = mask.size - active
-        if inactive_before == 0:
-            warnings.warn(SaturationError(
-                f"layer {i} is fully dense; evolution event {event_index} "
-                f"skipped"))
-            stats.layers.append(LayerEvolutionStats(i, 0, 0, active, True))
-            continue
-        k = int(np.floor(policy.zeta * active))
-        if k == 0:
-            stats.layers.append(LayerEvolutionStats(i, 0, 0, active))
-            continue
+    e = layer.expand_factor
+    w = blocks(layer.weights, e)  # w[r, :, c, :] is block (r, c)
+    tiles = np.abs(w[rows, :, cols, :])
+    mags = np.add.accumulate(tiles.sum(axis=2), axis=1)[:, -1] / (e * e)
+    prune_sel = np.argsort(mags, kind="stable")[:k]
+    pr, pc = rows[prune_sel], cols[prune_sel]
+    mask[pr, pc] = False
+    w[pr, :, pc, :] = 0.0
 
-        e = layer.expand_factor
-        w = blocks(layer.weights, e)  # w[r, :, c, :] is block (r, c)
-        tiles = np.abs(w[rows, :, cols, :])
-        mags = np.add.accumulate(tiles.sum(axis=2), axis=1)[:, -1] / (e * e)
-        prune_sel = np.argsort(mags, kind="stable")[:k]
-        pr, pc = rows[prune_sel], cols[prune_sel]
-        mask[pr, pc] = False
-        w[pr, :, pc, :] = 0.0
-
-        # draw before listing the free blocks, so that choice's internal
-        # arange over them is gone before the list is built
-        pick = rng.choice(mask.size - active + k, size=k, replace=False)
-        gr, gc = np.divmod(np.flatnonzero(~mask)[pick], mask.shape[1])
-        mask[gr, gc] = True
-        w[gr, :, gc, :] = he_sample(rng, network.init_scheme, sizes[i],
-                                    (k, e, e))
-
-        stats.layers.append(
-            LayerEvolutionStats(i, k, k, int(mask.sum())))
-    return network, stats
+    # draw before listing the free blocks, so that choice's internal
+    # arange over them is gone before the list is built
+    pick = rng.choice(mask.size - active + k, size=k, replace=False)
+    gr, gc = np.divmod(np.flatnonzero(~mask)[pick], mask.shape[1])
+    mask[gr, gc] = True
+    w[gr, :, gc, :] = he_sample(rng, network.init_scheme,
+                                network.layer_sizes[i], (k, e, e))
+    # k pruned and k regrown: the active count is where it started
+    return LayerEvolutionStats(i, k, k, active)
 
 
-def evolve_listing4(network: Network, policy: EvolutionPolicy,
-                    event_index: int = 0) -> tuple[Network, EvolutionStats]:
-    """One noise-driven evolution event, in place.
+def _zap_and_noise(network: Network, i: int, policy: EvolutionPolicy,
+                   rng: np.random.Generator) -> LayerEvolutionStats:
+    layer = network.layers[i]
+    e = layer.expand_factor
+    w = blocks(layer.weights, e)
+    active = np.broadcast_to(layer.block_mask[:, None, :, None], w.shape)
+    zap = (blocks(rng.random(layer.weights.shape), e)
+           < policy.epsilon_prune) & active
+    w[zap] = 0.0
+    if policy.noise_scale > 0.0:
+        noise = blocks(rng.standard_normal(layer.weights.shape), e)
+        w[active] += noise[active] * policy.noise_scale
+    return LayerEvolutionStats(i, int(zap.sum()), 0,
+                               int(layer.block_mask.sum()))
 
-    Per layer: draw one uniform variate per stored weight cell; active
-    cells with a variate below ``epsilon_prune`` are zeroed.  Then Gaussian
-    noise times ``noise_scale`` is added to every active cell, including
-    just-zeroed ones.  Masks are untouched, so ``pruned`` counts zeroed
-    cells and ``regrown`` stays 0 in the returned stats.
-    """
-    if policy.mode != LISTING4:
-        raise ValueError(f"policy mode is {policy.mode!r}, not {LISTING4!r}")
-    stats = EvolutionStats()
-    for i, layer in enumerate(network.layers):
-        rng = np.random.default_rng((policy.rng_seed, event_index, i))
-        e = layer.expand_factor
-        w = blocks(layer.weights, e)
-        active = np.broadcast_to(layer.block_mask[:, None, :, None], w.shape)
-        zap = (blocks(rng.random(layer.weights.shape), e)
-               < policy.epsilon_prune) & active
-        w[zap] = 0.0
-        if policy.noise_scale > 0.0:
-            noise = blocks(rng.standard_normal(layer.weights.shape), e)
-            w[active] += noise[active] * policy.noise_scale
-        stats.layers.append(LayerEvolutionStats(
-            i, int(zap.sum()), 0, int(layer.block_mask.sum())))
-    return network, stats
+
+_RULES = {MAGNITUDE_SET: _prune_regrow, LISTING4: _zap_and_noise}
 
 
 def evolve(network: Network, policy: EvolutionPolicy,
            event_index: int = 0) -> tuple[Network, EvolutionStats]:
-    """Dispatch to the policy's evolution mode."""
-    if policy.mode == MAGNITUDE_SET:
-        return evolve_magnitude(network, policy, event_index)
-    return evolve_listing4(network, policy, event_index)
+    """One evolution event of the policy's mode, in place, layer by layer.
+
+    ``magnitude_set``: ``k = floor(zeta * active)`` blocks are pruned.
+    Pruning order sorts active blocks by magnitude ascending with a stable
+    sort, so equal magnitudes break ties by (row, col) position; a tile's
+    magnitude sums each tile row, then the row sums top to bottom, over the
+    cell count.  Regrowth draws one ``choice`` of ``k`` without replacement
+    from the blocks inactive *after* pruning, in row-major order (so a
+    just-pruned block can be immediately regrown with a fresh weight), then
+    one He sample of shape ``(k, e, e)``.  A fully dense layer is skipped,
+    draws nothing and is flagged ``saturated``; a layer with ``k == 0`` is
+    skipped too.
+
+    ``listing4``: one uniform variate per stored weight cell is drawn;
+    active cells with a variate below ``epsilon_prune`` are zeroed.  Then,
+    when ``noise_scale > 0``, one standard normal per stored cell is drawn,
+    and its product with ``noise_scale`` is added to every active cell,
+    including just-zeroed ones.  Masks are untouched, so ``pruned`` counts
+    zeroed cells and ``regrown`` stays 0.
+    """
+    rule = _RULES[policy.mode]
+    stats = EvolutionStats()
+    for i in range(len(network.layers)):
+        rng = np.random.default_rng((policy.rng_seed, event_index, i))
+        stats.layers.append(rule(network, i, policy, rng))
+    return network, stats
 
 
 def evolution_schedule(epoch: int, total_epochs: int, period: int = 1) -> bool:

@@ -28,8 +28,6 @@ from .errors import NonPositiveBaselineError, WeightSumError
 from .network import SHARED
 from .topology import MotifTopology
 
-_WEIGHT_TOL = 1e-12
-
 METRICS_CSV_HEADER = "epoch,train_loss,test_accuracy,epoch_time_s,flops"
 SCORE_CSV_HEADER = "w_eff,w_acc,r_r,a_r,s_variant,s_baseline"
 
@@ -88,14 +86,12 @@ class ScoreReport:
 
 
 def comprehensive_score(t_base: float, t: float, a_base: float, a: float,
-                        w_eff: float = 0.1,
-                        w_acc: float | None = None) -> ScoreReport:
+                        w_eff: float = 0.1) -> ScoreReport:
     """Score a variant (time ``t``, accuracy ``a``) against a baseline.
 
-    ``w_acc`` defaults to ``1 - w_eff``.  Raises
-    :class:`NonPositiveBaselineError` when a baseline quantity is not
-    positive (NaN included) and :class:`WeightSumError` when the weights
-    are negative, NaN or do not sum to one.
+    ``w_acc`` is ``1 - w_eff``.  Raises :class:`NonPositiveBaselineError`
+    when a baseline quantity is not positive (NaN included) and
+    :class:`WeightSumError` when ``w_eff`` is outside ``[0, 1]`` or NaN.
     """
     if not t_base > 0:  # NaN fails too
         raise NonPositiveBaselineError(f"baseline time {t_base} must be > 0")
@@ -103,16 +99,9 @@ def comprehensive_score(t_base: float, t: float, a_base: float, a: float,
         raise NonPositiveBaselineError(
             f"baseline accuracy {a_base} must be > 0"
         )
-    if w_acc is None:
-        w_acc = 1.0 - w_eff
-    if not (w_eff >= 0 and w_acc >= 0):  # NaN fails too
-        raise WeightSumError(
-            f"weights must be non-negative, got w_eff={w_eff}, w_acc={w_acc}"
-        )
-    if not abs(w_eff + w_acc - 1.0) <= _WEIGHT_TOL:
-        raise WeightSumError(
-            f"weights must sum to 1, got {w_eff} + {w_acc} = {w_eff + w_acc}"
-        )
+    if not 0 <= w_eff <= 1:  # NaN fails too
+        raise WeightSumError(f"w_eff must be in [0, 1], got {w_eff}")
+    w_acc = 1.0 - w_eff
     r_r = (t_base - t) / t_base
     a_r = (a_base - a) / a_base
     s = w_eff * r_r + w_acc * (1.0 - a_r)

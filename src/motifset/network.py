@@ -65,20 +65,20 @@ LayerGradients = Iterable[tuple[int, np.ndarray, np.ndarray]]
 
 
 def _relu(z):
-    return np.maximum(z, 0.0)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    z[~pos] = ez / (1.0 + ez)
+    return z
 
 
-# name: (activation, its derivative computed from the activation's output);
-# the first entry is init_network's default
+# name: (activation, applied in place and returning its argument, and its
+# derivative computed from the activation's output); the first entry is
+# init_network's default
 _ACTIVATIONS = {
     "relu": (_relu, lambda a: (a > 0).astype(np.float64)),
     "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
@@ -288,11 +288,13 @@ def _check_targets(y_true: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def _layer_forward(network: Network, i: int,
                    a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Layer ``i``'s step on its input ``a``: ``(pooled input, activation)``,
-    the activation a softmax on the last layer."""
+    the activation a softmax on the last layer.  A hidden activation is
+    applied in place over the pre-activation, so no layer holds both."""
     layer = network.layers[i]
     m = layer.share_tile
     pooled = _pool_cols(a, m)
-    z = _spread_cols(pooled @ layer.weights, m) + layer.bias
+    z = _spread_cols(pooled @ layer.weights, m)
+    z += layer.bias
     if i == len(network.layers) - 1:
         return pooled, softmax(z)
     return pooled, _ACTIVATIONS[network.activation][0](z)

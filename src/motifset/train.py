@@ -18,7 +18,6 @@ import math
 import platform
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +34,7 @@ from .data import (
     load_dataset_cache,
     save_dataset_cache,
 )
-from .errors import (
-    ConfigError,
-    MissingFieldError,
-    NonFiniteError,
-    SaturationError,
-)
+from .errors import ConfigError, MissingFieldError, NonFiniteError
 from .evolution import EVOLUTION_CSV_HEADER, evolution_schedule, evolve
 from .metrics import (
     METRICS_CSV_HEADER,
@@ -178,11 +172,7 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
             if policy is not None and evolution_schedule(
                     epoch, config.epochs, config.evolution_period):
                 t_evolve = time.perf_counter()
-                with warnings.catch_warnings():
-                    # saturated layers are recorded per event in
-                    # evolution.csv; no need to warn once per epoch
-                    warnings.simplefilter("ignore", SaturationError)
-                    _, stats = evolve(network, policy, event_index=epoch)
+                _, stats = evolve(network, policy, event_index=epoch)
                 evolve_time += time.perf_counter() - t_evolve
                 for row in stats.csv_rows(epoch):
                     ef.write(row + "\n")

@@ -203,7 +203,7 @@ def max_rel_error(analytic, numeric, floor=1e-6):
 
 def reference_evolve_magnitude(network, policy, event_index=0):
     """Scalar-loop prune-and-regrow event, in place, for comparison with
-    :func:`motifset.evolution.evolve_magnitude`.
+    a ``magnitude_set`` :func:`motifset.evolution.evolve`.
 
     Blocks are visited in row-major order and every tile is read and
     written through explicit slices.  A tile's magnitude adds the absolute
@@ -249,3 +249,36 @@ def reference_evolve_magnitude(network, policy, event_index=0):
             r, c = free[p]
             mask[r, c] = True
             w[r * e:(r + 1) * e, c * e:(c + 1) * e] = values[j]
+
+
+def reference_evolve_listing4(network, policy, event_index=0):
+    """Scalar-loop zap-and-noise event, in place, for comparison with a
+    ``listing4`` :func:`motifset.evolution.evolve`; returns the zeroed cell
+    count of each layer.
+
+    Per layer, the generator gives one uniform variate per stored weight
+    cell, then, when ``noise_scale > 0``, one standard normal per cell, both
+    in row-major order.  Every active cell whose variate is below
+    ``epsilon_prune`` is zeroed; then every active cell gains its normal
+    times ``noise_scale``.
+    """
+    zapped = []
+    for i, layer in enumerate(network.layers):
+        rng = np.random.default_rng((policy.rng_seed, event_index, i))
+        mask, w, e = layer.block_mask, layer.weights, layer.expand_factor
+        rows, cols = w.shape
+        u = rng.random((rows, cols))
+        count = 0
+        for a in range(rows):
+            for b in range(cols):
+                if mask[a // e, b // e] and u[a, b] < policy.epsilon_prune:
+                    w[a, b] = 0.0
+                    count += 1
+        if policy.noise_scale > 0.0:
+            noise = rng.standard_normal((rows, cols))
+            for a in range(rows):
+                for b in range(cols):
+                    if mask[a // e, b // e]:
+                        w[a, b] += float(noise[a, b]) * policy.noise_scale
+        zapped.append(count)
+    return zapped

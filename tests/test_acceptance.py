@@ -25,7 +25,7 @@ from motifset.config import (
     preset_path,
 )
 from motifset.data import find_idx_files
-from motifset.evolution import EvolutionPolicy, evolve, evolve_listing4
+from motifset.evolution import EvolutionPolicy, evolve
 from motifset.metrics import comprehensive_score, flop_counter, tradeoff_sweep
 from motifset.network import (
     backward,
@@ -257,7 +257,7 @@ def test_criterion_05_evolution_invariants():
     zapped = 0
     for event in range(1000):
         net.layers[0].weights[:] = 1.0
-        evolve_listing4(net, policy, event_index=event)
+        evolve(net, policy, event_index=event)
         zapped += int((net.layers[0].weights == 0.0).sum())
     freq = zapped / 100_000.0
     _criterion(5, abs(freq - 0.3) <= 0.01,

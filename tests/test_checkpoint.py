@@ -66,13 +66,13 @@ def test_density_metadata_survives(tmp_path):
 
 
 def test_restored_network_is_trainable_and_evolvable(tmp_path):
-    from motifset.evolution import EvolutionPolicy, evolve_magnitude
+    from motifset.evolution import EvolutionPolicy, evolve
 
     net = _trained(seed=9, density=0.5)
     path = tmp_path / "ck.bin"
     save_checkpoint(net, path)
     back = load_checkpoint(path)
-    evolve_magnitude(back, EvolutionPolicy(zeta=0.3, rng_seed=1), 0)
+    evolve(back, EvolutionPolicy(zeta=0.3, rng_seed=1), 0)
     for layer, mask in zip(back.layers, back.topology.block_masks):
         assert layer.block_mask is mask  # still shared after reload
 

@@ -1,22 +1,16 @@
 """Prune-and-regrow behavior: selection rules, conservation, determinism."""
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from motifset.errors import SaturationError
-from motifset.evolution import (
-    EvolutionPolicy,
-    evolution_schedule,
-    evolve_listing4,
-    evolve_magnitude,
-)
+from motifset.evolution import EvolutionPolicy, evolution_schedule, evolve
 from motifset.network import init_network
-from motifset.topology import BlockDensitySpec, build_topology
+from motifset.topology import BlockDensitySpec, MotifTopology, build_topology
 
 from conftest import small_network
-from oracles import reference_evolve_magnitude, weight_mask
+from oracles import (reference_evolve_listing4, reference_evolve_magnitude,
+                     weight_mask)
 
 
 def _policy(**kw):
@@ -59,7 +53,7 @@ class TestMagnitudePrune:
         layer.weights[:] = 0.0
         layer.block_mask[0, 0] = True
         layer.weights[0, 0] = 0.4
-        _, stats = evolve_magnitude(net, _policy(), 0)
+        _, stats = evolve(net, _policy(), 0)
         assert stats.layers[0].pruned == 0
         assert not stats.layers[0].saturated
         assert layer.block_mask[0, 0] and layer.weights[0, 0] == 0.4
@@ -74,7 +68,7 @@ class TestMagnitudePrune:
         for (r, c), v in planted.items():
             layer.block_mask[r, c] = True
             layer.weights[r, c] = v
-        _, stats = evolve_magnitude(net, _policy(zeta=0.5, rng_seed=3), 0)
+        _, stats = evolve(net, _policy(zeta=0.5, rng_seed=3), 0)
         # brute force: the two smallest |w| are 0.01 and 0.02
         assert stats.layers[0].pruned == 2
         assert layer.block_mask[0, 0] and layer.weights[0, 0] == 0.5
@@ -91,7 +85,7 @@ class TestMagnitudePrune:
         for r, c in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             layer.block_mask[r, c] = True
             layer.weights[r, c] = 0.25  # all equal: ties everywhere
-        _, _ = evolve_magnitude(net, _policy(zeta=0.5, rng_seed=1), 0)
+        _, _ = evolve(net, _policy(zeta=0.5, rng_seed=1), 0)
         # ties break in row-major order, so (0,0) and (0,1) are pruned
         # and the survivors keep exactly 0.25
         assert layer.weights[1, 0] == 0.25 and layer.weights[1, 1] == 0.25
@@ -102,7 +96,7 @@ class TestMagnitudePrune:
                             seed=5)
         counts = [int(l.block_mask.sum()) for l in net.layers]
         for event in range(100):
-            _, stats = evolve_magnitude(net, _policy(rng_seed=9), event)
+            _, stats = evolve(net, _policy(rng_seed=9), event)
             for s, layer, c0 in zip(stats.layers, net.layers, counts):
                 assert s.pruned == s.regrown
                 assert int(layer.block_mask.sum()) == c0
@@ -112,19 +106,21 @@ class TestMagnitudePrune:
         net = small_network(sizes=(8, 8, 4), motif_size=2, density=0.5,
                             seed=6)
         for event in range(20):
-            evolve_magnitude(net, _policy(rng_seed=7), event)
+            evolve(net, _policy(rng_seed=7), event)
         for i, layer in enumerate(net.layers):
             bound = np.sqrt(6.0 / net.layer_sizes[i])
             assert np.abs(layer.weights).max() <= bound * 1.0000001
 
     def test_saturated_layer_warns_and_skips(self):
+        # saturation is reported once, as the layer's saturated flag
         net = small_network(sizes=(4, 4, 3), motif_size=2, density=1.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _, stats = evolve_magnitude(net, _policy(), 0)
-        assert any(isinstance(w.message, SaturationError) for w in caught)
+        before = [l.weights.copy() for l in net.layers]
+        _, stats = evolve(net, _policy(), 0)
         assert all(s.saturated for s in stats.layers)
-        assert all(s.pruned == 0 for s in stats.layers)
+        assert all(s.pruned == s.regrown == 0 for s in stats.layers)
+        for b, layer in zip(before, net.layers):
+            assert layer.block_mask.all()
+            np.testing.assert_array_equal(b, layer.weights)
 
     def test_independent_mode_uses_mean_tile_magnitude(self):
         net = small_network(sizes=(8, 4, 2), motif_size=2, density=0.5,
@@ -136,7 +132,7 @@ class TestMagnitudePrune:
         for (r, c), v in tiles.items():
             layer.block_mask[r, c] = True
             layer.weights[2 * r:2 * r + 2, 2 * c:2 * c + 2] = v
-        _, stats = evolve_magnitude(net, _policy(zeta=0.26, rng_seed=2), 0)
+        _, stats = evolve(net, _policy(zeta=0.26, rng_seed=2), 0)
         # zeta 0.26 of 4 blocks floors to 1 prune: the smallest-mean block
         assert stats.layers[0].pruned == 1
         for (r, c), v in tiles.items():
@@ -153,7 +149,7 @@ class TestMagnitudePrune:
                 for _ in range(2)]
         for event in range(5):
             for net in nets:
-                evolve_magnitude(net, _policy(rng_seed=13), event)
+                evolve(net, _policy(rng_seed=13), event)
         for la, lb in zip(nets[0].layers, nets[1].layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.block_mask, lb.block_mask)
@@ -163,18 +159,27 @@ class TestMagnitudePrune:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_matches_scalar_reference(self, m, weight_mode, init_scheme):
         # every pruned tile, regrown position and regrown value must land
-        # exactly where the scalar-loop reference puts it
+        # exactly where the scalar-loop reference puts it; the second
+        # topology makes the middle layer fully dense, and skipping it must
+        # not shift the draws of the layer after it
         topo = build_topology((16, 24, 16, 5), m,
                               BlockDensitySpec.fixed(0.5), seed=30 + m)
-        nets = [init_network(topo, seed=31, weight_mode=weight_mode,
-                             init_scheme=init_scheme) for _ in range(2)]
+        masks = list(topo.block_masks)
+        masks[1] = np.ones_like(masks[1])
+        dense_middle = MotifTopology(topo.layer_sizes, m, tuple(masks))
         policy = _policy(rng_seed=17)
-        for event in range(6):
-            evolve_magnitude(nets[0], policy, event)
-            reference_evolve_magnitude(nets[1], policy, event)
-            for la, lb in zip(nets[0].layers, nets[1].layers):
-                np.testing.assert_array_equal(la.block_mask, lb.block_mask)
-                np.testing.assert_array_equal(la.weights, lb.weights)
+        for t in (topo, dense_middle):
+            nets = [init_network(t, seed=31, weight_mode=weight_mode,
+                                 init_scheme=init_scheme) for _ in range(2)]
+            for event in range(6):
+                _, stats = evolve(nets[0], policy, event)
+                reference_evolve_magnitude(nets[1], policy, event)
+                assert ([s.saturated for s in stats.layers]
+                        == [t is dense_middle and i == 1 for i in range(3)])
+                for la, lb in zip(nets[0].layers, nets[1].layers):
+                    np.testing.assert_array_equal(la.block_mask,
+                                                  lb.block_mask)
+                    np.testing.assert_array_equal(la.weights, lb.weights)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_matches_scalar_reference_on_near_tie(self, m):
@@ -199,7 +204,7 @@ class TestMagnitudePrune:
             a[0, 0], a[0, 1], a[1, 1] = 1.0, u, u
             b[0, 0] = 1.0
         policy = _policy(zeta=1.5 / rows.size, rng_seed=71)  # one prune
-        evolve_magnitude(nets[0], policy, 0)
+        evolve(nets[0], policy, 0)
         reference_evolve_magnitude(nets[1], policy, 0)
         for la, lb in zip(nets[0].layers, nets[1].layers):
             np.testing.assert_array_equal(la.block_mask, lb.block_mask)
@@ -210,7 +215,7 @@ class TestMagnitudePrune:
 
     def test_topology_masks_track_layer_masks(self):
         net = small_network(sizes=(8, 8, 4), density=0.5, seed=14)
-        evolve_magnitude(net, _policy(rng_seed=15), 0)
+        evolve(net, _policy(rng_seed=15), 0)
         for layer, mask in zip(net.layers, net.topology.block_masks):
             assert layer.block_mask is mask
 
@@ -225,7 +230,7 @@ class TestMagnitudePrune:
         free = mask.size - int(mask.sum()) + int(0.3 * mask.sum())
         tracemalloc.start()
         try:
-            evolve_magnitude(net, _policy(), 0)
+            evolve(net, _policy(), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,7 +243,7 @@ class TestListing4:
         before = [l.weights.copy() for l in net.layers]
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.0,
                                  noise_scale=0.0)
-        evolve_listing4(net, policy, 0)
+        evolve(net, policy, 0)
         for b, layer in zip(before, net.layers):
             np.testing.assert_array_equal(b, layer.weights)
 
@@ -246,7 +251,7 @@ class TestListing4:
         net = small_network(seed=22)
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=1.0,
                                  noise_scale=0.0)
-        _, stats = evolve_listing4(net, policy, 0)
+        _, stats = evolve(net, policy, 0)
         for layer in net.layers:
             assert (layer.weights == 0.0).all()
         assert stats.total_pruned == sum(
@@ -258,7 +263,7 @@ class TestListing4:
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.7,
                                  noise_scale=0.05)
         for event in range(10):
-            evolve_listing4(net, policy, event)
+            evolve(net, policy, event)
         for b, layer in zip(before, net.layers):
             np.testing.assert_array_equal(b, layer.block_mask)
 
@@ -267,7 +272,7 @@ class TestListing4:
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
                                  noise_scale=0.1)
         for event in range(10):
-            evolve_listing4(net, policy, event)
+            evolve(net, policy, event)
         for layer in net.layers:
             assert (layer.weights[~weight_mask(layer)] == 0.0).all()
 
@@ -275,7 +280,7 @@ class TestListing4:
         net = small_network(seed=25)
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=1.0,
                                  noise_scale=0.1)
-        evolve_listing4(net, policy, 0)
+        evolve(net, policy, 0)
         nonzero = sum(int((l.weights != 0.0).sum()) for l in net.layers)
         assert nonzero > 0  # everything was zeroed, then noise revived it
 
@@ -289,9 +294,29 @@ class TestListing4:
         zeroed = 0
         for event in range(trials):
             net.layers[0].weights[0, 0] = 1.0
-            _, stats = evolve_listing4(net, policy, event)
+            _, stats = evolve(net, policy, event)
             zeroed += stats.layers[0].pruned
         assert abs(zeroed / trials - 0.3) <= 0.01
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05])
+    @pytest.mark.parametrize("weight_mode", ["shared", "independent"])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_scalar_reference(self, m, weight_mode, noise_scale):
+        # every zeroed cell and every noise value must land exactly where
+        # the scalar-loop reference puts it, event after event
+        topo = build_topology((16, 24, 16, 5), m,
+                              BlockDensitySpec.fixed(0.5), seed=40 + m)
+        nets = [init_network(topo, seed=41, weight_mode=weight_mode)
+                for _ in range(2)]
+        policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
+                                 noise_scale=noise_scale, rng_seed=19)
+        for event in range(4):
+            _, stats = evolve(nets[0], policy, event)
+            zapped = reference_evolve_listing4(nets[1], policy, event)
+            assert [s.pruned for s in stats.layers] == zapped
+            for la, lb in zip(nets[0].layers, nets[1].layers):
+                np.testing.assert_array_equal(la.block_mask, lb.block_mask)
+                np.testing.assert_array_equal(la.weights, lb.weights)
 
 
 class TestSchedule:
@@ -313,10 +338,3 @@ class TestSchedule:
         with pytest.raises(ValueError):
             evolution_schedule(epoch, total, period)
 
-
-def test_mode_dispatch_guards():
-    net = small_network()
-    with pytest.raises(ValueError):
-        evolve_magnitude(net, EvolutionPolicy(mode="listing4"), 0)
-    with pytest.raises(ValueError):
-        evolve_listing4(net, EvolutionPolicy(mode="magnitude_set"), 0)

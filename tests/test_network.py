@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import motifset.network
 from motifset.checkpoint import load_checkpoint, save_checkpoint
 from motifset.errors import ShapeError, StaleCacheError
-from motifset.evolution import (EvolutionPolicy, evolve_listing4,
-                                evolve_magnitude)
+from motifset.evolution import EvolutionPolicy, evolve
 from motifset.network import (
     ForwardCache,
     _pool_cols,
@@ -381,15 +380,16 @@ class TestPredictAccuracy:
             predict_accuracy(net, np.zeros(8), y[:1])  # not 2-D
 
     def test_holds_one_layer_at_a_time(self):
-        """Evaluation keeps the current layer's input, pre-activation and
-        activation, not every layer's: with three equal-width hidden layers
-        at m=1 its peak stays under four activation-sized arrays."""
+        """Evaluation keeps the current layer's input and its activation,
+        applied in place over the pre-activation, not every layer's: with
+        three equal-width hidden layers at m=1 its peak stays under three
+        activation-sized arrays."""
         net = small_network(sizes=(8, 512, 512, 512, 4), motif_size=1,
                             density=0.1)
         x = _batch(256, 8)
         y = _onehot_targets(256, 4)
         peak, _ = _peak_bytes(predict_accuracy, net, x, y)
-        assert peak < 4 * 256 * 512 * 8
+        assert peak < 3 * 256 * 512 * 8
 
 
 @given(st.integers(min_value=0, max_value=2**31),
@@ -431,11 +431,11 @@ def test_inactive_weights_are_plus_zero(tmp_path, m, mode):
         y = np.eye(4)[rng.integers(0, 4, 6)]
         sgd_step(net, backward(net, forward(net, x), y), 0.1)
     _assert_inactive_plus_zero(net, "after 10 SGD steps")
-    evolve_magnitude(net, EvolutionPolicy(zeta=0.3, rng_seed=m), 0)
-    _assert_inactive_plus_zero(net, "after evolve_magnitude")
-    evolve_listing4(net, EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
-                                         noise_scale=0.01, rng_seed=m), 1)
-    _assert_inactive_plus_zero(net, "after evolve_listing4")
+    evolve(net, EvolutionPolicy(zeta=0.3, rng_seed=m), 0)
+    _assert_inactive_plus_zero(net, "after a magnitude_set event")
+    evolve(net, EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
+                                noise_scale=0.01, rng_seed=m), 1)
+    _assert_inactive_plus_zero(net, "after a listing4 event")
     save_checkpoint(net, tmp_path / "ck.bin")
     _assert_inactive_plus_zero(load_checkpoint(tmp_path / "ck.bin"),
                                "after a checkpoint round trip")
