@@ -19,7 +19,8 @@ from pathlib import Path
 from motifset.config import (SEED_FIELDS, apply_overrides, load_config,
                              preset_path)
 from motifset.data import find_idx_files
-from motifset.train import run_score, run_sweep, run_train
+from motifset.metrics import W_EFF
+from motifset.train import run_sweep, run_train
 
 
 def main():
@@ -73,13 +74,14 @@ def main():
           f" {sum(r2.per_epoch_time_s):.2f} s ({speedup:+.1%})")
     print(f"analytic MACs: {r1.flop_count} -> {r2.flop_count}"
           f" ({1 - r2.flop_count / r1.flop_count:+.1%})")
-    report = run_score(manifests[1], manifests[2], w_eff=config.w_eff)
+    report = run_sweep(manifests[1], manifests[2], [W_EFF]).points[0]
     print(f"comprehensive score S(m=2) = {report.s:.4f}"
           f"  (baseline fixed point {report.w_acc})")
 
-    sweep = run_sweep(manifests[1], manifests[2], out_dir=args.out)
+    sweep_csv = args.out / "sweep.csv"
+    sweep = run_sweep(manifests[1], manifests[2], out_csv=sweep_csv)
     cross = sweep.crossover_w_eff
-    print(f"sweep written to {args.out / 'sweep.csv'}; crossover at"
+    print(f"sweep written to {sweep_csv}; crossover at"
           f" w_eff={'-' if cross is None else f'{cross:.2f}'}")
     return 0
 

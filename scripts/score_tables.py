@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Recompute the benchmark score tables from their raw time/accuracy columns.
 
-Prints the comprehensive score S (w_eff=0.1) for every motif size on both
-benchmark tables, plus the sweep crossover weight for each variant
-against its baseline.  Useful as a quick sanity check that the score
-arithmetic in motifset.metrics matches the numbers quoted in README.md.
+Prints the comprehensive score S (at metrics.W_EFF unless --w-eff is
+given) for every motif size on both benchmark tables, plus the sweep
+crossover weight for each variant against its baseline.  Useful as a
+quick sanity check that the score arithmetic in motifset.metrics matches
+the numbers quoted in README.md.
 """
 import argparse
 
-from motifset.metrics import comprehensive_score, tradeoff_sweep
+from motifset.metrics import W_EFF, comprehensive_score, tradeoff_sweep
 
 TABLES = {
     "fmnist": [
@@ -41,8 +42,8 @@ def print_table(name, rows, w_eff):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--w-eff", type=float, default=0.1,
-                        help="efficiency weight (default 0.1)")
+    parser.add_argument("--w-eff", type=float, default=W_EFF,
+                        help=f"efficiency weight (default {W_EFF})")
     args = parser.parse_args()
     for name, rows in TABLES.items():
         print_table(name, rows, args.w_eff)

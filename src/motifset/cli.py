@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +30,9 @@ from .config import (
 )
 from .container import atomic_open
 from .errors import ConfigError, DataError, MotifSetError, NonFiniteError
+from .metrics import W_EFF
 from .topology import build_topology, export_topology
-from .train import run_prepare, run_score, run_sweep, run_train
+from .train import run_prepare, run_sweep, run_train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,11 +64,8 @@ def _add_config_args(parser: argparse.ArgumentParser, run_dir: bool = True):
 def _resolve_config(args) -> ExperimentConfig:
     if args.config and args.preset:
         raise ConfigError("pass either --config or --preset, not both")
-    config = ExperimentConfig()
-    if args.preset:
-        config = load_config(preset_path(args.preset), config)
-    elif args.config:
-        config = load_config(args.config, config)
+    path = preset_path(args.preset) if args.preset else args.config
+    config = load_config(path) if path else ExperimentConfig()
     apply_overrides(config, dict.fromkeys(SEED_FIELDS, args.seed))
     return apply_overrides(config, {name: getattr(args, name, None)
                                     for _, _, name in SCHEMA})
@@ -92,8 +91,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    report = run_score(args.baseline, args.variant, w_eff=args.w_eff,
-                       use_flops=args.use_flops, out_dir=args.out)
+    out_csv = Path(args.out) / "score.csv" if args.out else None
+    report = run_sweep(args.baseline, args.variant, [args.w_eff],
+                       args.use_flops, out_csv).points[0]
     print(f"R_r={report.r_r:.6f} A_r={report.a_r:.6f} "
           f"S={report.s:.6f} (w_eff={report.w_eff:g}, w_acc={report.w_acc:g})")
     return EXIT_OK
@@ -116,13 +116,9 @@ def _sweep_grid(args):
 
 
 def _cmd_sweep(args) -> int:
-    grid = _sweep_grid(args)
-    try:
-        result = run_sweep(args.baseline, args.variant, grid=grid,
-                           use_flops=args.use_flops, out_dir=args.out)
-    except ValueError as exc:
-        # tradeoff_sweep rejects grid values outside [0, 1]
-        raise ConfigError(str(exc)) from exc
+    out_csv = Path(args.out) / "sweep.csv" if args.out else None
+    result = run_sweep(args.baseline, args.variant, _sweep_grid(args),
+                       args.use_flops, out_csv)
     if result.crossover_w_eff is None:
         print("variant never beats the baseline on this grid")
     else:
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score a variant against a baseline")
     p.add_argument("--baseline", required=True, help="baseline manifest.txt")
     p.add_argument("--variant", required=True, help="variant manifest.txt")
-    p.add_argument("--w-eff", type=float, default=0.1, dest="w_eff")
+    p.add_argument("--w-eff", type=float, default=W_EFF, dest="w_eff")
     p.add_argument("--use-flops", action="store_true",
                    help="use analytic MACs instead of wall time")
     p.add_argument("--out", help="directory for score.csv")

@@ -1,12 +1,13 @@
 """Experiment configuration: dataclass, INI-style files, CLI overrides.
 
 Config files use ``key = value`` lines under the sections ``[dataset]``,
-``[model]``, ``[topology]``, ``[train]``, ``[evolution]``, ``[score]``,
-``[seeds]``, and ``[output]``.  Every knob has a default, every seed is
-explicit after resolution, and the resolved config echoes back to the same
-format, so a run's ``manifest.txt`` reproduces the run when fed back in.
-Unknown sections (such as the ``[result]`` block a manifest carries) are
-ignored on load.
+``[model]``, ``[topology]``, ``[train]``, ``[evolution]``, ``[seeds]``,
+and ``[output]``.  Every knob has a default, every seed is explicit after
+resolution, and the resolved config echoes back to the same format, so a
+run's ``manifest.txt`` reproduces the run when fed back in.  Two sections
+are skipped on load: the ``[result]`` block a manifest carries, and the
+``[score]`` weights that older configs and manifests carry (scoring takes
+its weight on the command line).
 
 :class:`ExperimentConfig` is the only list of knobs: each field names its
 section and key, and its default's type fixes how its text is parsed.
@@ -74,8 +75,6 @@ class ExperimentConfig:
     epsilon_prune: float = _knob("evolution", 0.1)
     noise_scale: float = _knob("evolution", 0.01)
     evolution_period: int = _knob("evolution", 1, "period")
-    w_eff: float = _knob("score", 0.1)
-    w_acc: float = _knob("score", 0.9)
     # seeds (all explicit so a manifest fully pins the run)
     topology_seed: int = _knob("seeds", 42, "topology")
     init_seed: int = _knob("seeds", 42, "init")
@@ -136,10 +135,6 @@ class ExperimentConfig:
              f"test_fraction must be in (0, 1), got {self.test_fraction}"),
             (self.train_limit >= 0 and self.test_limit >= 0,
              "train/test limits must be >= 0"),
-            (self.w_eff >= 0 and self.w_acc >= 0
-             and abs(self.w_eff + self.w_acc - 1.0) <= 1e-12,
-             f"score weights must be non-negative and sum to 1, got "
-             f"w_eff={self.w_eff}, w_acc={self.w_acc}"),
         ]
         if self.dataset_kind == "labeled_csv" and not self.cache_path:
             checks.append((bool(self.csv_path),
@@ -215,19 +210,18 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def load_config(path, base: ExperimentConfig | None = None
-                ) -> ExperimentConfig:
-    """Read a config (or manifest) file on top of defaults or ``base``;
-    an unreadable file raises ConfigError too."""
+def load_config(path) -> ExperimentConfig:
+    """Read a config (or manifest) file on top of the defaults; an
+    unreadable file raises ConfigError too."""
     try:
         parser = _read_ini(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    config = base if base is not None else ExperimentConfig()
+    config = ExperimentConfig()
     known = {(section, key): name for section, key, name in SCHEMA}
     for section in parser.sections():
-        if section == "result":
-            continue  # manifests carry results; harmless on re-load
+        if section in ("result", "score"):
+            continue  # a manifest's results; score weights of older files
         for key, value in parser.items(section):
             name = known.get((section, key))
             if name is None:

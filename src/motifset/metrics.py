@@ -29,6 +29,7 @@ from .network import SHARED
 from .topology import MotifTopology
 
 METRICS_CSV_HEADER = "epoch,train_loss,test_accuracy,epoch_time_s,flops"
+W_EFF = 0.1  # the default efficiency weight; w_acc = 1 - w_eff
 SCORE_CSV_HEADER = "w_eff,w_acc,r_r,a_r,s_variant,s_baseline"
 
 
@@ -74,10 +75,6 @@ def metrics_csv_row(epoch: int, train_loss: float, test_accuracy: float,
 class ScoreReport:
     """One evaluation of the comprehensive score."""
 
-    t_base: float
-    t: float
-    a_base: float
-    a: float
     w_eff: float
     w_acc: float
     r_r: float
@@ -86,7 +83,7 @@ class ScoreReport:
 
 
 def comprehensive_score(t_base: float, t: float, a_base: float, a: float,
-                        w_eff: float = 0.1) -> ScoreReport:
+                        w_eff: float = W_EFF) -> ScoreReport:
     """Score a variant (time ``t``, accuracy ``a``) against a baseline.
 
     ``w_acc`` is ``1 - w_eff``.  Raises :class:`NonPositiveBaselineError`
@@ -105,7 +102,7 @@ def comprehensive_score(t_base: float, t: float, a_base: float, a: float,
     r_r = (t_base - t) / t_base
     a_r = (a_base - a) / a_base
     s = w_eff * r_r + w_acc * (1.0 - a_r)
-    return ScoreReport(t_base, t, a_base, a, w_eff, w_acc, r_r, a_r, s)
+    return ScoreReport(w_eff, w_acc, r_r, a_r, s)
 
 
 @dataclass
@@ -123,18 +120,18 @@ class SweepResult:
 
 def tradeoff_sweep(t_base: float, t: float, a_base: float, a: float,
                    grid=None) -> SweepResult:
-    """Evaluate the score along a grid of ``w_eff`` values in [0, 1].
+    """Evaluate the score along a grid of ``w_eff`` values.
 
     The default grid is 0 to 1 in steps of 0.01.  Each point uses
-    ``w_acc = 1 - w_eff``; the paired baseline score is ``w_acc``.
+    ``w_acc = 1 - w_eff``; the paired baseline score is ``w_acc``.  An
+    empty grid raises ValueError; :func:`comprehensive_score` checks each
+    weight.
     """
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
-    if not ((grid >= 0.0) & (grid <= 1.0)).all():  # NaN fails too
-        raise ValueError("sweep grid values must lie in [0, 1]")
     points = []
     crossover = None
     for w in grid.tolist():

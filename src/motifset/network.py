@@ -69,10 +69,16 @@ def _relu(z):
 
 
 def _sigmoid(z):
-    pos = z >= 0
-    ez = np.exp(z[~pos])
-    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    z[~pos] = ez / (1.0 + ez)
+    # t = exp(-|z|); 1 / (1 + t) where z >= 0 and t / (1 + t) where z < 0
+    neg = z < 0
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.copyto(z, t, where=neg)
+    t += 1.0
+    np.divide(z, t, out=z, where=neg)
+    np.logical_not(neg, out=neg)
+    np.divide(1.0, t, out=z, where=neg)
     return z
 
 

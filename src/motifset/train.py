@@ -1,4 +1,4 @@
-"""Run orchestration: train, prepare, score, and sweep entry points.
+"""Run orchestration: train, prepare, and sweep entry points.
 
 ``run_train`` owns the training loop: minibatch SGD with a seeded shuffle
 per epoch, evolution events on the configured schedule between epochs, and
@@ -9,7 +9,7 @@ streaming output files in the run directory:
 * ``evolution.csv``: one row per evolution event and layer.
 * ``checkpoint.bin``: final network, bit-exact restorable.
 * ``manifest.txt``: resolved config echo plus a ``[result]`` section;
-  feeding it back in reproduces the run, and ``run_score`` reads its
+  feeding it back in reproduces the run, and ``run_sweep`` reads its
   result block.
 """
 from __future__ import annotations
@@ -40,9 +40,7 @@ from .metrics import (
     METRICS_CSV_HEADER,
     SCORE_CSV_HEADER,
     RunMeasurement,
-    ScoreReport,
     SweepResult,
-    comprehensive_score,
     flop_counter,
     metrics_csv_row,
     record_epoch,
@@ -219,36 +217,22 @@ def _manifest_measurements(path, use_flops: bool) -> tuple[float, float]:
     return tuple(values)
 
 
-def _write_scores(out_dir, name: str, result: SweepResult):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / name) as f:
-        f.write(SCORE_CSV_HEADER + "\n"
-                + "\n".join(score_csv_rows(result)) + "\n")
-
-
-def run_score(baseline_manifest, variant_manifest, w_eff: float = 0.1,
-              use_flops: bool = False, out_dir=None) -> ScoreReport:
-    """Score a variant manifest against a baseline manifest.
+def run_sweep(baseline_manifest, variant_manifest, grid=None,
+              use_flops: bool = False, out_csv=None) -> SweepResult:
+    """Score a variant manifest against a baseline manifest at each
+    ``w_eff`` of ``grid`` (default 0 to 1 in steps of 0.01).
 
     The efficiency channel is wall-clock training time by default, or the
     analytic MAC count with ``use_flops``; ``w_acc`` is ``1 - w_eff``.
-    Writes ``score.csv`` when ``out_dir`` is given.
+    Writes the scores to ``out_csv`` when it is given.
     """
     t_base, a_base = _manifest_measurements(baseline_manifest, use_flops)
     t_var, a_var = _manifest_measurements(variant_manifest, use_flops)
-    report = comprehensive_score(t_base, t_var, a_base, a_var, w_eff)
-    if out_dir is not None:
-        _write_scores(out_dir, "score.csv", SweepResult([report], None))
-    return report
-
-
-def run_sweep(baseline_manifest, variant_manifest, grid=None,
-              use_flops: bool = False, out_dir=None) -> SweepResult:
-    """Sweep the efficiency weight across a grid; optionally write sweep.csv."""
-    t_base, a_base = _manifest_measurements(baseline_manifest, use_flops)
-    t_var, a_var = _manifest_measurements(variant_manifest, use_flops)
     result = tradeoff_sweep(t_base, t_var, a_base, a_var, grid)
-    if out_dir is not None:
-        _write_scores(out_dir, "sweep.csv", result)
+    if out_csv is not None:
+        out_csv = Path(out_csv)
+        out_csv.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_open(out_csv) as f:
+            f.write(SCORE_CSV_HEADER + "\n"
+                    + "\n".join(score_csv_rows(result)) + "\n")
     return result

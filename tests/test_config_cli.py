@@ -1,5 +1,6 @@
 """Config parsing/echo, preset resolution, CLI subcommands and exit codes."""
 import configparser
+import hashlib
 import re
 from dataclasses import fields
 
@@ -66,6 +67,17 @@ class TestConfigFiles:
         p.write_text("[train]\nepochs = 3\n[result]\nfinal_accuracy = 0.5\n")
         assert load_config(p).epochs == 3
 
+    def test_old_score_section_ignored(self, tmp_path):
+        """Configs and manifests once carried ``[score] w_eff``/``w_acc``;
+        they still load, whatever the weights, into the config without
+        that section."""
+        text = "[dataset]\ncsv_path = x.csv\n\n[train]\nepochs = 3\n"
+        old, new = tmp_path / "old.cfg", tmp_path / "new.cfg"
+        old.write_text(text + "\n[score]\nw_eff = 0.3\nw_acc = 0.9\n")
+        new.write_text(text)
+        assert load_config(old) == load_config(new)
+        load_config(old).validate()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
@@ -73,7 +85,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("learning_rate", -0.1), ("motif_size", 0),
         ("zeta", 1.0), ("weight_mode", "psychic"), ("batch_size", -1),
-        ("evolution_period", 0), ("w_eff", 0.5),  # w_eff+w_acc != 1
+        ("evolution_period", 0),
         ("density_value", float("inf")), ("learning_rate", float("inf")),
         ("noise_scale", float("nan")), ("noise_scale", float("inf")),
     ])
@@ -105,7 +117,7 @@ class TestConfigFiles:
             density_mode="fixed_density", density_value=0.5, epochs=3,
             learning_rate=0.125, batch_size=0, evolution_mode="listing4",
             zeta=0.45, epsilon_prune=0.2, noise_scale=0.5,
-            evolution_period=2, w_eff=0.25, w_acc=0.75, topology_seed=1,
+            evolution_period=2, topology_seed=1,
             init_seed=2, evolution_seed=3, split_seed=4, shuffle_seed=5,
             out_dir="runs/z")
         assert all(getattr(config, f.name) != f.default
@@ -320,9 +332,9 @@ class TestCliScoreSweep:
         printed = capsys.readouterr().out
         assert "S=0.910191" in printed
         assert [p.name for p in out.iterdir()] == ["score.csv"]
-        row = (out / "score.csv").read_text().strip().splitlines()[1]
-        assert float(row.split(",")[4]) == pytest.approx(
-            0.9101913249766013, abs=1e-15)
+        assert (out / "score.csv").read_text().splitlines()[1] == (
+            "0.1,0.9,0.43305648235471267,0.03679369250985549,"
+            "0.9101913249766013,0.9")
 
     def test_sweep_finds_crossover(self, tmp_path, capsys):
         base = _manifest(tmp_path, "base.txt", 25236.2, 0.761)
@@ -334,6 +346,10 @@ class TestCliScoreSweep:
         assert [p.name for p in out.iterdir()] == ["sweep.csv"]
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 102  # header + 101 grid points
+        # the bytes of the default 101-point sweep, frozen
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == ("8e95a9419b651004c6f2187283284b47"
+                          "a95793ea9f83d428dbf1cfc1c84d45b9")
 
     def test_sweep_explicit_grid_fixed_point(self, tmp_path, capsys):
         base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
@@ -378,9 +394,10 @@ class TestCliScoreSweep:
 
     def test_nan_w_eff_exit_code(self, tmp_path, capsys):
         base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
-        assert main(["score", "--baseline", str(base), "--variant",
-                     str(base), "--w-eff", "nan"]) == 2
-        assert "config error:" in capsys.readouterr().err
+        for w_eff in ("nan", "-0.1", "1.5"):
+            assert main(["score", "--baseline", str(base), "--variant",
+                         str(base), "--w-eff", w_eff]) == 2
+            assert "config error:" in capsys.readouterr().err
 
     def test_use_flops_channel(self, tmp_path, capsys):
         base = _manifest(tmp_path, "base.txt", 10.0, 0.8)

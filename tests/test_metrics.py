@@ -149,7 +149,7 @@ class TestSweep:
         assert result.crossover_w_eff is None
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WeightSumError):
             tradeoff_sweep(10.0, 5.0, 0.9, 0.8, grid=[0.5, 1.2])
         with pytest.raises(ValueError):
             tradeoff_sweep(10.0, 5.0, 0.9, 0.8, grid=[])

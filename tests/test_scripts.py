@@ -7,7 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from motifset.train import run_score
+from motifset.metrics import W_EFF
+from motifset.train import run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_FILES = ["checkpoint.bin", "evolution.csv", "manifest.txt", "metrics.csv"]
@@ -27,8 +28,8 @@ def test_desk_run_synthetic(tmp_path):
     for m in ("m1", "m2"):
         assert sorted(p.name for p in (tmp_path / m).iterdir()) == RUN_FILES
     assert (tmp_path / "sweep.csv").is_file()
-    report = run_score(tmp_path / "m1" / "manifest.txt",
-                       tmp_path / "m2" / "manifest.txt")
+    report = run_sweep(tmp_path / "m1" / "manifest.txt",
+                       tmp_path / "m2" / "manifest.txt", [W_EFF]).points[0]
     assert f"comprehensive score S(m=2) = {report.s:.4f}" in done.stdout
 
 
