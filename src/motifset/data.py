@@ -13,7 +13,9 @@ Supported sources:
 
 Every source ends in a :class:`Dataset`, which rejects an empty split or
 zero feature columns.  Standardization is always fit on the training split
-only.
+only.  The pipelines materialize each split once as float64 and scale it in
+place, so ingestion holds no second copy of a split; a row limit that drops
+rows copies the rows it keeps, so the full split can be freed.
 """
 from __future__ import annotations
 
@@ -55,6 +57,9 @@ CACHE_MAGIC = b"MSETDATA"
 CACHE_VERSION = 2
 
 _STD_FLOOR = 1e-8
+# columns squared per block when summing the variance: a temporary of at
+# most 2x this many columns, not the whole training matrix
+_STD_BLOCK_COLS = 32
 
 
 @dataclass
@@ -260,8 +265,38 @@ def load_labeled_csv(path, label_column: int = -1
 
 
 def normalize_01(x: np.ndarray) -> np.ndarray:
-    """Map byte-range pixel values into [0, 1] as float64."""
-    return np.asarray(x, dtype=np.float64) / 255.0
+    """Map byte-range pixel values into [0, 1] as one new float64 array."""
+    return np.divide(x, 255.0, dtype=np.float64)
+
+
+def _standardize_in_place(train: np.ndarray, test: np.ndarray | None = None
+                          ) -> dict:
+    """Scale float64 ``train`` (and ``test``) in place; return the params.
+
+    The arithmetic is numpy's ``std`` step by step, so the results are bit
+    for bit those of ``(x - mean) / np.maximum(train.std(0), 1e-8)``:
+    ``train -= mean`` is the centred array ``std`` forms, and its squares
+    are summed down the rows a block of columns at a time, so no
+    train-sized temporary is made.  Every block is at least two columns
+    wide unless the matrix has one column: numpy sums a single column
+    pairwise, not row by row as it does a wider block.
+    """
+    n, d = train.shape
+    mean = train.mean(axis=0)
+    train -= mean
+    blocks = max(1, d // _STD_BLOCK_COLS)
+    edges = [d * k // blocks for k in range(blocks + 1)]
+    std = np.empty(d)
+    for lo, hi in zip(edges, edges[1:]):
+        std[lo:hi] = np.square(train[:, lo:hi]).sum(axis=0)
+    std /= n
+    np.sqrt(std, out=std)
+    np.maximum(std, _STD_FLOOR, out=std)
+    train /= std
+    if test is not None:
+        test -= mean
+        test /= std
+    return {"mean": mean, "std": std}
 
 
 def standardize(train: np.ndarray, test: np.ndarray | None = None):
@@ -269,18 +304,14 @@ def standardize(train: np.ndarray, test: np.ndarray | None = None):
 
     Per-feature mean and population standard deviation (floored at 1e-8 so
     constant features map to zero instead of dividing by zero) come from
-    ``train``; the same affine map is applied to ``test``.  Returns
-    ``(train_out, test_out, params)`` with ``params`` holding the applied
-    ``mean`` and ``std``.
+    ``train``; the same affine map is applied to ``test``.  The inputs are
+    left untouched: each is copied once as float64 and the copy is scaled
+    in place.  Returns ``(train_out, test_out, params)`` with ``params``
+    holding the applied ``mean`` and ``std``.
     """
-    train = np.asarray(train, dtype=np.float64)
-    mean = train.mean(axis=0)
-    std = np.maximum(train.std(axis=0), _STD_FLOOR)
-    train_out = (train - mean) / std
-    test_out = None
-    if test is not None:
-        test_out = (np.asarray(test, dtype=np.float64) - mean) / std
-    return train_out, test_out, {"mean": mean, "std": std}
+    train_out = np.array(train, dtype=np.float64)
+    test_out = None if test is None else np.array(test, dtype=np.float64)
+    return train_out, test_out, _standardize_in_place(train_out, test_out)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -341,8 +372,7 @@ def build_idx_dataset(train_images, train_labels, test_images, test_labels,
     dataset = Dataset(x_tr, one_hot(lab_tr, n_classes), x_te,
                       one_hot(lab_te, n_classes), x_tr.shape[1], n_classes)
     if apply_standardize:
-        dataset.x_train, dataset.x_test, _ = standardize(dataset.x_train,
-                                                         dataset.x_test)
+        _standardize_in_place(dataset.x_train, dataset.x_test)
     return dataset
 
 
@@ -352,20 +382,31 @@ def build_csv_dataset(path, label_column: int = -1,
     """Labeled-CSV pipeline: load, split, standardize on train, one-hot."""
     features, labels = load_labeled_csv(path, label_column)
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    y = one_hot(labels, n_classes)
-    x_tr, y_tr, x_te, y_te = split(features, y, test_fraction, seed)
+    n_features = features.shape[1]
+    # split's fancy indexing copies the rows, so the loaded matrix can go
+    x_tr, y_tr, x_te, y_te = split(features, one_hot(labels, n_classes),
+                                   test_fraction, seed)
+    del features
     if apply_standardize:
-        x_tr, x_te, _ = standardize(x_tr, x_te)
-    return Dataset(x_tr, y_tr, x_te, y_te, features.shape[1], n_classes)
+        _standardize_in_place(x_tr, x_te)
+    return Dataset(x_tr, y_tr, x_te, y_te, n_features, n_classes)
 
 
 def limit_dataset(dataset: Dataset, train_limit: int = 0,
                   test_limit: int = 0) -> Dataset:
-    """Keep only the first N train/test rows (0 means keep all)."""
-    tr = slice(train_limit if train_limit > 0 else None)
-    te = slice(test_limit if test_limit > 0 else None)
-    return Dataset(dataset.x_train[tr], dataset.y_train[tr],
-                   dataset.x_test[te], dataset.y_test[te],
+    """Keep only the first N train/test rows (0 means keep all).
+
+    A limit that drops rows copies the rows it keeps, so the caller can
+    free the full split; one that keeps every row copies nothing.
+    """
+    def head(a: np.ndarray, limit: int) -> np.ndarray:
+        rows = a[:limit if limit > 0 else None]
+        return rows.copy() if len(rows) < len(a) else rows
+
+    return Dataset(head(dataset.x_train, train_limit),
+                   head(dataset.y_train, train_limit),
+                   head(dataset.x_test, test_limit),
+                   head(dataset.y_test, test_limit),
                    dataset.n_features, dataset.n_classes)
 
 

@@ -1,12 +1,17 @@
 """Dataset ingestion: IDX parsing, CSV parsing, transforms, split, cache."""
 import gzip
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifset.data
+from motifset._synthetic import write_synthetic_idx_dataset
+from motifset.config import ExperimentConfig
 from motifset.container import write_container
 from motifset.data import (
     CACHE_MAGIC,
@@ -14,7 +19,9 @@ from motifset.data import (
     IDX_FILES,
     Dataset,
     build_csv_dataset,
+    build_idx_dataset,
     find_idx_files,
+    limit_dataset,
     load_dataset_cache,
     load_idx,
     load_labeled_csv,
@@ -36,6 +43,7 @@ from motifset.errors import (
     TooFewSamplesError,
     TruncatedFileError,
 )
+from motifset.train import run_prepare
 
 from conftest import Unwritable
 
@@ -280,6 +288,16 @@ class TestTransforms:
                 expected = (float(test[i, j]) - mean) / std
                 assert te_out[i, j] == pytest.approx(expected, abs=1e-12)
 
+    def test_standardize_leaves_inputs_unmodified(self):
+        rng = np.random.default_rng(6)
+        train = rng.normal(3.0, 2.0, size=(30, 5))
+        test = rng.normal(size=(10, 5))
+        before = train.tobytes(), test.tobytes()
+        tr_out, te_out, _ = standardize(train, test)
+        assert (train.tobytes(), test.tobytes()) == before
+        assert not np.shares_memory(tr_out, train)
+        assert not np.shares_memory(te_out, test)
+
     def test_test_set_never_leaks_into_params(self):
         rng = np.random.default_rng(9)
         train = rng.normal(size=(50, 4))
@@ -308,6 +326,154 @@ class TestTransforms:
         encoded = one_hot(labels, 10)
         assert (encoded.sum(axis=1) == 1.0).all()
         np.testing.assert_array_equal(encoded.argmax(axis=1), labels)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _numpy_standardize(train, test):
+    """Out-of-place numpy standardization, the in-place core's reference:
+    ``(train_out, test_out, std)``."""
+    mean = train.mean(axis=0)
+    std = np.maximum(train.std(axis=0), 1e-8)
+    return (train - mean) / std, (test - mean) / std, std
+
+
+class TestStandardizeInPlace:
+    """The in-place core matches numpy's out-of-place formula bit for bit."""
+
+    @pytest.mark.parametrize("block", [2, 3, 32])
+    @pytest.mark.parametrize("n, d", [
+        (1, 1), (1, 7), (40, 1), (40, 2), (3001, 5), (33, 64), (1000, 65),
+        (20, 97), (8200, 9), (30, 784)])
+    def test_bit_identical_to_numpy(self, monkeypatch, block, n, d):
+        # a width that does not divide d puts a remainder into the blocks
+        monkeypatch.setattr(motifset.data, "_STD_BLOCK_COLS", block)
+        rng = np.random.default_rng(n * 1000 + d)
+        train = rng.normal(0.0, rng.uniform(0.1, 50.0, d), size=(n, d))
+        test = rng.normal(0.0, 10.0, size=(7, d))
+        want = _numpy_standardize(train, test)
+        params = motifset.data._standardize_in_place(train, test)
+        assert np.array_equal(_bits(train), _bits(want[0]))
+        assert np.array_equal(_bits(test), _bits(want[1]))
+        assert np.array_equal(_bits(params["std"]), _bits(want[2]))
+
+    @pytest.mark.parametrize("offset", [1e6, -3e9, 1e12])
+    def test_large_offsets_and_constant_columns(self, monkeypatch, offset):
+        monkeypatch.setattr(motifset.data, "_STD_BLOCK_COLS", 2)
+        rng = np.random.default_rng(11)
+        train = offset + rng.normal(size=(300, 9))
+        train[:, [0, 4, 8]] = offset  # constant columns, one at each end
+        test = offset + rng.normal(size=(50, 9))
+        want = _numpy_standardize(train, test)
+        motifset.data._standardize_in_place(train, test)
+        assert np.array_equal(_bits(train), _bits(want[0]))
+        assert np.array_equal(_bits(test), _bits(want[1]))
+        assert (train[:, [0, 4, 8]] == 0.0).all()
+
+    def test_public_standardize_runs_the_core(self):
+        rng = np.random.default_rng(12)
+        train = rng.normal(5.0, 3.0, size=(64, 70))
+        test = rng.normal(5.0, 3.0, size=(9, 70))
+        tr_out, te_out, params = standardize(train, test)
+        want = _numpy_standardize(train, test)
+        assert np.array_equal(_bits(tr_out), _bits(want[0]))
+        assert np.array_equal(_bits(te_out), _bits(want[1]))
+        assert np.array_equal(_bits(params["std"]), _bits(want[2]))
+
+
+class TestLimitDataset:
+    def _dataset(self):
+        rng = np.random.default_rng(13)
+        return Dataset(rng.normal(size=(20, 4)),
+                       one_hot(rng.integers(0, 3, 20), 3),
+                       rng.normal(size=(8, 4)),
+                       one_hot(rng.integers(0, 3, 8), 3), 4, 3)
+
+    def test_dropping_rows_copies_the_kept_rows(self):
+        ds = self._dataset()
+        out = limit_dataset(ds, train_limit=5, test_limit=3)
+        for got, full, n in ((out.x_train, ds.x_train, 5),
+                             (out.y_train, ds.y_train, 5),
+                             (out.x_test, ds.x_test, 3),
+                             (out.y_test, ds.y_test, 3)):
+            assert got.tobytes() == full[:n].tobytes()
+            assert got.flags.owndata
+            assert not np.shares_memory(got, full)
+
+    @pytest.mark.parametrize("limit", [0, 20, 50])
+    def test_keeping_every_row_copies_nothing(self, limit):
+        ds = self._dataset()
+        out = limit_dataset(ds, train_limit=limit)
+        assert out.x_train.tobytes() == ds.x_train.tobytes()
+        assert not out.x_train.flags.owndata
+        assert out.x_train.base is ds.x_train
+        assert out.y_train.base is ds.y_train
+        assert out.x_test.base is ds.x_test
+
+
+class TestIdxPipeline:
+    def _write(self, directory, n_train, n_test, gz):
+        rng = np.random.default_rng(14)
+        paths = []
+        for split_name, n in (("train", n_train), ("test", n_test)):
+            images = directory / f"{split_name}-images{'.gz' * gz}"
+            labels = directory / f"{split_name}-labels{'.gz' * gz}"
+            write_idx(images, labels, rng.integers(0, 256, (n, 28, 28)),
+                      rng.integers(0, 10, n))
+            paths += [images, labels]
+        return paths
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_matches_standardize_of_normalize(self, tmp_path, gz):
+        paths = self._write(tmp_path, 120, 40, gz)
+        ds = build_idx_dataset(*paths)
+        x_tr, lab_tr = load_idx(paths[0], paths[1])
+        x_te, lab_te = load_idx(paths[2], paths[3])
+        want_tr, want_te, _ = standardize(normalize_01(x_tr),
+                                          normalize_01(x_te))
+        assert ds.x_train.tobytes() == want_tr.tobytes()
+        assert ds.x_test.tobytes() == want_te.tobytes()
+        assert ds.y_train.tobytes() == one_hot(lab_tr, 10).tobytes()
+        assert ds.y_test.tobytes() == one_hot(lab_te, 10).tobytes()
+
+    def test_unstandardized_is_normalize(self, tmp_path):
+        paths = self._write(tmp_path, 30, 10, False)
+        ds = build_idx_dataset(*paths, apply_standardize=False)
+        x_tr, _ = load_idx(paths[0], paths[1])
+        assert ds.x_train.tobytes() == (x_tr / 255.0).tobytes()
+
+    def test_ingestion_holds_each_split_once(self, tmp_path):
+        """The peak stays within 1.25x of what the result itself holds."""
+        n_train, n_test = 2000, 500
+        paths = self._write(tmp_path, n_train, n_test, False)
+        tracemalloc.start()
+        try:
+            ds = build_idx_dataset(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (ds.x_train, ds.y_train, ds.x_test,
+                                         ds.y_test))
+        payloads = (n_train + n_test) * (28 * 28 + 1)
+        assert peak <= 1.25 * (outputs + payloads)
+
+    def test_prepare_cache_bytes_pinned(self, tmp_path):
+        """The cache bytes of an IDX prepare, with and without a row limit,
+        as written before ingestion scaled the splits in place."""
+        paths = write_synthetic_idx_dataset(tmp_path / "idx", n_train=300,
+                                            n_test=100, seed=1)
+        want = {0: "0eb730a3ca927d22834ec536438b0c7b"
+                   "67502e2cc1a45fd25661eef90221afcf",
+                200: "b24b2def295a35eae1132cf15fc4f152"
+                     "9f6e7053616559f24d8cbd864cc79695"}
+        for limit, sha in want.items():
+            cache = tmp_path / f"cache{limit}.bin"
+            run_prepare(ExperimentConfig(
+                dataset_kind="idx", **{k: str(p) for k, p in paths.items()},
+                standardize=True, train_limit=limit), cache)
+            assert hashlib.sha256(cache.read_bytes()).hexdigest() == sha
 
 
 class TestSplit:
@@ -461,6 +627,17 @@ class TestCsvPipeline:
         assert ds.x_test.shape[0] == 40 and ds.x_train.shape[0] == 80
         # standardized on train only
         np.testing.assert_allclose(ds.x_train.mean(axis=0), 0.0, atol=1e-10)
+
+    def test_matches_standardize_of_split(self, toy_csv):
+        ds = build_csv_dataset(toy_csv, seed=2)
+        features, labels = load_labeled_csv(toy_csv)
+        x_tr, y_tr, x_te, y_te = split(features, one_hot(labels, 3), 1 / 3,
+                                       seed=2)
+        want_tr, want_te, _ = standardize(x_tr, x_te)
+        assert ds.x_train.tobytes() == want_tr.tobytes()
+        assert ds.x_test.tobytes() == want_te.tobytes()
+        assert ds.y_train.tobytes() == y_tr.tobytes()
+        assert ds.y_test.tobytes() == y_te.tobytes()
 
     def test_pipeline_then_cache_round_trip(self, toy_csv, tmp_path):
         ds = build_csv_dataset(toy_csv, seed=2)
