@@ -78,17 +78,13 @@ def load_checkpoint(path) -> Network:
             motif_size=meta["motif_size"],
             epsilon=meta["epsilon"],
             density_mode=meta["density_mode"],
+            expected_sizes=meta["layer_sizes"],
         ).copy_mutable()
         network = zero_network(topology, meta["activation"],
                                meta["init_scheme"], meta["weight_mode"])
     except (ValueError, DivisibilityError, EmptyNetworkError) as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
 
-    if meta["layer_sizes"] != list(topology.layer_sizes):
-        raise CheckpointFormatError(
-            f"{path}: metadata layer sizes {meta['layer_sizes']} disagree "
-            f"with topology {list(topology.layer_sizes)}"
-        )
     targets = [a for layer in network.layers
                for a in (layer.weights, layer.bias)]
     if [s.nbytes for s in sections[1:]] != [a.nbytes for a in targets]:

@@ -20,7 +20,7 @@ class ConfigError(MotifSetError):
 
 
 class WeightSumError(ConfigError):
-    """A score weight is outside [0, 1], or the weights do not sum to one."""
+    """The efficiency weight ``w_eff`` is outside [0, 1] (NaN included)."""
 
 
 class NonPositiveBaselineError(ConfigError):

@@ -45,30 +45,28 @@ class RunMeasurement:
     per_epoch_time_s: list[float] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)
     test_accuracies: list[float] = field(default_factory=list)
-    total_time_s: float = 0.0
-    final_accuracy: float = 0.0
     flop_count: int = 0
+    evolve_time_s: float = 0.0
+    total_time_s: float = 0.0
 
     @property
     def n_epochs(self) -> int:
         return len(self.train_losses)
 
+    @property
+    def final_accuracy(self) -> float:
+        return self.test_accuracies[-1]
 
-def record_epoch(run: RunMeasurement, epoch_time_s: float, train_loss: float,
-                 test_accuracy: float, flops: int = 0) -> RunMeasurement:
-    """Append one epoch's measurements and roll up the totals."""
-    run.per_epoch_time_s.append(float(epoch_time_s))
-    run.train_losses.append(float(train_loss))
-    run.test_accuracies.append(float(test_accuracy))
-    run.final_accuracy = float(test_accuracy)
-    run.flop_count += int(flops)
-    return run
-
-
-def metrics_csv_row(epoch: int, train_loss: float, test_accuracy: float,
-                    epoch_time_s: float, flops: int) -> str:
-    return (f"{epoch},{fmt(train_loss)},{fmt(test_accuracy)},"
-            f"{fmt(epoch_time_s)},{flops}")
+    def record_epoch(self, epoch_time_s: float, train_loss: float,
+                     test_accuracy: float, flops: int) -> str:
+        """Append the next epoch's measurements, add its MACs to the total
+        and return its ``METRICS_CSV_HEADER`` row."""
+        self.per_epoch_time_s.append(float(epoch_time_s))
+        self.train_losses.append(float(train_loss))
+        self.test_accuracies.append(float(test_accuracy))
+        self.flop_count += int(flops)
+        return (f"{self.n_epochs - 1},{fmt(train_loss)},{fmt(test_accuracy)},"
+                f"{fmt(epoch_time_s)},{flops}")
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,8 @@ def _ints(parts: list[str], count: int, line: str) -> list[int]:
 
 def parse_topology(text: str, motif_size: int | None = None,
                    epsilon: float | None = None,
-                   density_mode: str | None = None) -> MotifTopology:
+                   density_mode: str | None = None,
+                   expected_sizes: list | None = None) -> MotifTopology:
     """Parse the ``motif-topology v1`` text format back into a topology.
 
     Layer sizes are reconstructed from the grid shapes and tile sizes.
@@ -238,7 +239,8 @@ def parse_topology(text: str, motif_size: int | None = None,
     with a single weight layer (stored at tile 1) pass ``motif_size``
     explicitly if it matters.  ``epsilon``/``density_mode`` are not stored
     in the text format; pass them to re-attach them (checkpoints do).
-    Raises ValueError for a malformed line or a block outside its grid.
+    Raises ValueError for a malformed line, a block outside its grid, or a
+    grid other than ``expected_sizes`` imply (checked before it is built).
     """
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines or lines[0] != TOPOLOGY_HEADER:
@@ -255,6 +257,10 @@ def parse_topology(text: str, motif_size: int | None = None,
             idx, rows, cols, tile = _ints(parts[1:], 4, ln)
             if idx != len(shapes):
                 raise ValueError(f"layer lines out of order at index {idx}")
+            if expected_sizes is not None and list(
+                    expected_sizes[idx:idx + 2]) != [rows * tile, cols * tile]:
+                raise ValueError(f"layer {idx} grid {rows} x {cols} at tile "
+                                 f"{tile} disagrees with {expected_sizes}")
             shapes.append((rows, cols, tile))
             current = np.zeros((rows, cols), dtype=bool)
             masks.append(current)
@@ -271,6 +277,9 @@ def parse_topology(text: str, motif_size: int | None = None,
 
     if not shapes:
         raise ValueError("no layer lines found")
+    if (expected_sizes is not None
+            and len(shapes) + 1 != len(expected_sizes)):
+        raise ValueError(f"{len(shapes)} layers for sizes {expected_sizes}")
 
     layer_sizes = [shapes[0][0] * shapes[0][2]]
     for rows, cols, tile in shapes:

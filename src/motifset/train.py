@@ -1,8 +1,9 @@
 """Run orchestration: train, prepare, and sweep entry points.
 
-``run_train`` owns the training loop: minibatch SGD with a seeded shuffle
-per epoch, evolution events on the configured schedule between epochs, and
-streaming output files in the run directory:
+``run_train`` is set-up, then per epoch ``_train_epoch`` (minibatch SGD
+over a seeded shuffle), eval and any scheduled evolution event, then the
+final writes.  Both look their package callees up as module globals at
+call time, so a caller can wrap those there.  Files in the run directory:
 
 * ``metrics.csv``: one row per epoch (loss, test accuracy, wall time,
   analytic MACs), flushed as it goes.
@@ -42,8 +43,6 @@ from .metrics import (
     RunMeasurement,
     SweepResult,
     flop_counter,
-    metrics_csv_row,
-    record_epoch,
     score_csv_rows,
     tradeoff_sweep,
 )
@@ -80,15 +79,6 @@ def run_prepare(config: ExperimentConfig, cache_out) -> Dataset:
     return dataset
 
 
-def _environment_lines() -> dict:
-    return {
-        "package_version": __version__,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
-
-
 def _check_finite(network, where: str):
     """Raise NonFiniteError naming the first layer with a NaN or infinite
     weight or bias; ``where`` says when in the run it was found."""
@@ -96,6 +86,34 @@ def _check_finite(network, where: str):
         if not (np.isfinite(layer.weights).all()
                 and np.isfinite(layer.bias).all()):
             raise NonFiniteError(f"non-finite parameters in layer {i} {where}")
+
+
+def _train_epoch(network, dataset: Dataset, order: np.ndarray,
+                 config: ExperimentConfig, epoch: int) -> float:
+    """Minibatch SGD over the training rows in ``order``; returns the mean
+    loss.  Raises NonFiniteError at the first batch whose loss is not finite.
+
+    Every step forms each layer's weight gradient in one buffer that lives
+    only for this call, so none survives into eval, evolution or saving.
+    """
+    x_tr, y_tr = dataset.x_train, dataset.y_train
+    n = order.size
+    batch_size = config.batch_size if config.batch_size > 0 else n
+    grad_buffer = np.empty(max(layer.weights.size for layer in network.layers))
+    loss_sum = 0.0
+    for start in range(0, n, batch_size):
+        idx = order[start:start + batch_size]
+        cache = forward(network, x_tr[idx])
+        batch_loss = loss(cache, y_tr[idx])
+        if not np.isfinite(batch_loss):
+            where = f"at epoch {epoch}, batch {start // batch_size}"
+            _check_finite(network, where)
+            raise NonFiniteError(f"non-finite loss {batch_loss} "
+                                 f"{where}, from finite parameters")
+        loss_sum += batch_loss * idx.size
+        sgd_step(network, backward(network, cache, y_tr[idx], grad_buffer),
+                 config.learning_rate)
+    return loss_sum / n
 
 
 def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
@@ -119,61 +137,36 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     network = init_network(topology, config.activation, config.init_scheme,
                            config.init_seed, config.weight_mode)
     policy = config.evolution_policy()
-
-    x_tr, y_tr = dataset.x_train, dataset.y_train
-    n = x_tr.shape[0]
-    batch_size = config.batch_size if config.batch_size > 0 else n
+    n = dataset.x_train.shape[0]
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
     run = RunMeasurement()
-    evolve_time = 0.0
 
-    metrics_path = out_dir / "metrics.csv"
-    evolution_path = out_dir / "evolution.csv"
-    with open(metrics_path, "w") as mf, open(evolution_path, "w") as ef:
+    with (open(out_dir / "metrics.csv", "w") as mf,
+          open(out_dir / "evolution.csv", "w") as ef):
         mf.write(METRICS_CSV_HEADER + "\n")
         ef.write(EVOLUTION_CSV_HEADER + "\n")
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
-            perm = shuffle_rng.permutation(n)
-            loss_sum = 0.0
-            # every step forms each layer's weight gradient in this one
-            # buffer; it is dropped before eval, evolution and checkpointing
-            grad_buffer = np.empty(max(layer.weights.size
-                                       for layer in network.layers))
-            for start in range(0, n, batch_size):
-                idx = perm[start:start + batch_size]
-                cache = forward(network, x_tr[idx])
-                batch_loss = loss(cache, y_tr[idx])
-                if not np.isfinite(batch_loss):
-                    where = f"at epoch {epoch}, batch {start // batch_size}"
-                    _check_finite(network, where)
-                    raise NonFiniteError(f"non-finite loss {batch_loss} "
-                                         f"{where}, from finite parameters")
-                loss_sum += batch_loss * idx.size
-                sgd_step(network, backward(network, cache, y_tr[idx],
-                                           grad_buffer),
-                         config.learning_rate)
+            train_loss = _train_epoch(network, dataset,
+                                      shuffle_rng.permutation(n), config,
+                                      epoch)
             epoch_time = time.perf_counter() - t0
-            del grad_buffer
             _check_finite(network, f"after epoch {epoch}")
 
-            train_loss = loss_sum / n
             accuracy = predict_accuracy(network, dataset.x_test,
                                         dataset.y_test)
             flops = flop_counter(network.topology, config.weight_mode,
                                  n_samples=n).total
-            record_epoch(run, epoch_time, train_loss, accuracy, flops)
-            mf.write(metrics_csv_row(epoch, train_loss, accuracy, epoch_time,
-                                     flops) + "\n")
+            mf.write(run.record_epoch(epoch_time, train_loss, accuracy, flops)
+                     + "\n")
             mf.flush()
 
             if policy is not None and evolution_schedule(
                     epoch, config.epochs, config.evolution_period):
                 t_evolve = time.perf_counter()
                 _, stats = evolve(network, policy, event_index=epoch)
-                evolve_time += time.perf_counter() - t_evolve
-                for row in stats.csv_rows(epoch):
-                    ef.write(row + "\n")
+                run.evolve_time_s += time.perf_counter() - t_evolve
+                ef.writelines(row + "\n" for row in stats.csv_rows(epoch))
                 ef.flush()
 
             echo(f"epoch {epoch}: loss={train_loss:.6f} "
@@ -185,11 +178,14 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
         "final_accuracy": run.final_accuracy,
         "total_time_s": run.total_time_s,
         "train_time_s": float(sum(run.per_epoch_time_s)),
-        "evolve_time_s": evolve_time,
+        "evolve_time_s": run.evolve_time_s,
         "total_flops": run.flop_count,
         "epochs": run.n_epochs,
         "final_train_loss": run.train_losses[-1],
-        **_environment_lines(),
+        "package_version": __version__,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "platform": platform.platform(),
     }
     with atomic_open(out_dir / "manifest.txt") as f:
         f.write(config_to_text(config, result))

@@ -392,6 +392,9 @@ def test_criterion_09_determinism(tmp_path):
 
     metrics_same = (rows_sans_time(outs[0] / "metrics.csv")
                     == rows_sans_time(outs[1] / "metrics.csv"))
-    _criterion(9, ckpt_same and metrics_same,
+    evolution_same = ((outs[0] / "evolution.csv").read_bytes()
+                      == (outs[1] / "evolution.csv").read_bytes())
+    _criterion(9, ckpt_same and metrics_same and evolution_same,
                f"two identical train runs: checkpoint bit-identical="
-               f"{ckpt_same}, metrics identical sans time={metrics_same}")
+               f"{ckpt_same}, metrics identical sans time={metrics_same}, "
+               f"evolution.csv byte-identical={evolution_same}")

@@ -1,4 +1,5 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
+import re
 import struct
 
 import numpy as np
@@ -163,9 +164,16 @@ def _edit_checkpoint(path, edit):
     lambda meta, topo: ({**meta, "weight_mode": "dense"}, topo),
     lambda meta, topo: ({**meta, "motif_size": "2"}, topo),
     lambda meta, topo: ({**meta, "epsilon": "20"}, topo),
+    # a grid the metadata does not imply is refused before it is allocated
+    lambda meta, topo: (meta, re.sub(r"^layer 0 .*$",
+                                     "layer 0 1000000000 1000000000 1", topo,
+                                     flags=re.M)),
+    lambda meta, topo: ({**meta, "layer_sizes": [8, 8, 5]}, topo),
+    lambda meta, topo: ({**meta, "layer_sizes": [8, 8, 4, 4]}, topo),
 ], ids=["missing-key", "block-out-of-range", "negative-block",
         "short-block-line", "tanh", "init-scheme", "weight-mode",
-        "motif-size-str", "epsilon-str"])
+        "motif-size-str", "epsilon-str", "oversized-grid",
+        "layer-sizes-disagree", "layer-sizes-extra"])
 def test_damaged_checkpoint_rejected(tmp_path, edit):
     path = tmp_path / "ck.bin"
     save_checkpoint(_trained(), path)

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from motifset.errors import NonPositiveBaselineError, WeightSumError
 from motifset.metrics import (
+    METRICS_CSV_HEADER,
     FlopCount,
     RunMeasurement,
     comprehensive_score,
     flop_counter,
     fmt,
-    metrics_csv_row,
-    record_epoch,
     score_csv_rows,
     tradeoff_sweep,
 )
@@ -217,18 +216,23 @@ class TestFlopCounter:
 class TestRecording:
     def test_record_epoch_accumulates(self):
         run = RunMeasurement()
-        record_epoch(run, 1.5, 0.9, 0.5, flops=100)
-        record_epoch(run, 2.0, 0.7, 0.6, flops=100)
+        run.record_epoch(1.5, 0.9, 0.5, flops=100)
+        run.record_epoch(2.0, 0.7, 0.6, flops=100)
         assert run.n_epochs == 2
         assert run.final_accuracy == 0.6
         assert run.flop_count == 200
         assert run.train_losses == [0.9, 0.7]
+        assert run.test_accuracies == [0.5, 0.6]
+        assert run.per_epoch_time_s == [1.5, 2.0]
 
     def test_csv_row_round_trips_exactly(self):
         awkward = [0.1, 1 / 3, 2.0 ** -40, 1234.5678901234567]
-        row = metrics_csv_row(3, awkward[0], awkward[1], awkward[2],
-                              10 ** 15)
-        fields = row.split(",")
+        run = RunMeasurement()
+        rows = [run.record_epoch(awkward[2], awkward[0], awkward[1], 10 ** 15)
+                for _ in range(4)]
+        assert [int(row.split(",")[0]) for row in rows] == [0, 1, 2, 3]
+        fields = rows[3].split(",")
+        assert len(fields) == len(METRICS_CSV_HEADER.split(","))
         assert int(fields[0]) == 3
         assert float(fields[1]) == awkward[0]
         assert float(fields[2]) == awkward[1]

@@ -1,6 +1,6 @@
 """Smoke tests of the command line scripts under ``scripts/`` and of the
-benchmark's own self-test, and a check that the test oracles stay apart from
-the package."""
+benchmark's own self-test, a check that the test oracles stay apart from
+the package, and a check for unused imports."""
 import ast
 import os
 import subprocess
@@ -70,3 +70,28 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
     assert [m for m in imported if m.split(".")[0] == "motifset"] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module's top-level imports bind that its code never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_top_level_imports():
+    # the project runs no linter, so a refactor that stops using an import
+    # would otherwise leave it behind
+    paths = sorted([*(ROOT / "src" / "motifset").glob("*.py"),
+                    *(ROOT / "scripts").glob("*.py")])
+    assert len(paths) > 10
+    assert [u for p in paths for u in _unused_imports(p)] == []

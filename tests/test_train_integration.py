@@ -1,7 +1,12 @@
 """End-to-end training runs: learning dynamics, file outputs, evolution
 bookkeeping, and a real-data check when scikit-learn's digits are around."""
 import csv
+import importlib.util
+import math
+import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import motifset.train
 from motifset._synthetic import write_synthetic_idx_dataset
 from motifset.config import ExperimentConfig, read_manifest_result
 from motifset.errors import NonFiniteError
+from motifset.evolution import evolution_schedule
 from motifset.metrics import METRICS_CSV_HEADER
 from motifset.train import run_train
 
@@ -236,6 +242,54 @@ def test_no_weight_sized_gradient_alive_during_evolve(toy_csv, tmp_path,
     finally:
         tracemalloc.stop()
     assert sizes == [[96 * 96 * 8]]
+
+
+def _traced_names():
+    """The ``motifset.train`` globals the benchmark's tracer swaps, read
+    from its ``LAYER_OF`` so that this list and that one cannot drift."""
+    path = (Path(__file__).resolve().parent.parent / "perfbench"
+            / "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return list(tracing.LAYER_OF)
+
+
+def test_run_train_calls_each_traced_global_directly(toy_csv, tmp_path,
+                                                     monkeypatch):
+    # the benchmark times run_train's phases by swapping these globals, so
+    # each must be looked up on the module at call time and called from
+    # run_train or _train_epoch themselves, as often as listed here
+    config = ExperimentConfig(
+        csv_path=str(toy_csv), hidden_sizes=(8, 8), motif_size=2,
+        density_mode="fixed_density", density_value=0.5, epochs=3,
+        batch_size=24, out_dir=str(tmp_path / "run"))
+    n = motifset.train.load_dataset(config).x_train.shape[0]
+    batches = config.epochs * math.ceil(n / config.batch_size)
+    events = sum(evolution_schedule(e, config.epochs, config.evolution_period)
+                 for e in range(config.epochs))
+    assert events > 0 and n % config.batch_size  # a short last batch too
+
+    calls = Counter()
+    callers = set()
+    for name in _traced_names():
+        def counted(*args, _name=name,
+                    _real=getattr(motifset.train, name), **kwargs):
+            calls[_name] += 1
+            callers.add(sys._getframe(1).f_code.co_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(motifset.train, name, counted)
+    run_train(config, echo=lambda *_: None)
+
+    assert callers <= {"run_train", "_train_epoch"}
+    assert calls == {
+        "forward": batches, "loss": batches, "backward": batches,
+        "sgd_step": batches,
+        "predict_accuracy": config.epochs, "flop_counter": config.epochs,
+        "evolve": events,
+        "load_dataset": 1, "build_topology": 1, "init_network": 1,
+        "save_checkpoint": 1,
+    }
 
 
 def test_digits_real_data_end_to_end(tmp_path):
