@@ -15,7 +15,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .errors import CheckpointFormatError, DivisibilityError, EmptyNetworkError
-from .network import Network, SparseLayer, zero_network
+from .network import Network, SparseLayer, weight_grid, zero_network
 from .topology import blocks, export_topology, parse_topology
 
 CHECKPOINT_MAGIC = b"MSETCKPT"
@@ -73,24 +73,30 @@ def load_checkpoint(path) -> Network:
             f"{path}: metadata keys {wrong} are missing or of the wrong type"
         )
     try:
+        # the file's own size bounds every grid: check it before one is built
+        sizes, implied = meta["layer_sizes"], []
+        for i in range(len(sizes) - 1):
+            rows, cols, _ = weight_grid(sizes, meta["motif_size"],
+                                        meta["weight_mode"], i)
+            implied += [8 * rows * cols, 8 * sizes[i + 1]]
+        if [s.nbytes for s in sections[1:]] != implied:
+            raise ValueError("weight and bias sections do not match the "
+                             "metadata")
         topology = parse_topology(
             str(sections[0], "utf-8") if sections else "",
             motif_size=meta["motif_size"],
             epsilon=meta["epsilon"],
             density_mode=meta["density_mode"],
-            expected_sizes=meta["layer_sizes"],
+            expected_sizes=sizes,
         ).copy_mutable()
         network = zero_network(topology, meta["activation"],
                                meta["init_scheme"], meta["weight_mode"])
-    except (ValueError, DivisibilityError, EmptyNetworkError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, DivisibilityError,
+            EmptyNetworkError) as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
 
     targets = [a for layer in network.layers
                for a in (layer.weights, layer.bias)]
-    if [s.nbytes for s in sections[1:]] != [a.nbytes for a in targets]:
-        raise CheckpointFormatError(
-            f"{path}: weight and bias sections do not match the topology"
-        )
     for target, section in zip(targets, sections[1:]):
         target[...] = np.frombuffer(section, dtype="<f8").reshape(
             target.shape)

@@ -114,6 +114,9 @@ class ExperimentConfig:
                                   self.weight_mode)
         self.density_spec()
         self.evolution_policy()
+        negative = {name: getattr(self, name) for name in
+                    ("train_limit", "test_limit", *SEED_FIELDS)
+                    if getattr(self, name) < 0}
         checks = [
             (self.dataset_kind in ("labeled_csv", "idx"),
              f"dataset kind must be labeled_csv or idx, got "
@@ -133,8 +136,7 @@ class ExperimentConfig:
              f"evolution period must be >= 1, got {self.evolution_period}"),
             (self.test_fraction > 0 and self.test_fraction < 1,
              f"test_fraction must be in (0, 1), got {self.test_fraction}"),
-            (self.train_limit >= 0 and self.test_limit >= 0,
-             "train/test limits must be >= 0"),
+            (not negative, f"limits and seeds must be >= 0, got {negative}"),
         ]
         if self.dataset_kind == "labeled_csv" and not self.cache_path:
             checks.append((bool(self.csv_path),

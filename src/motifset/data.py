@@ -4,18 +4,19 @@ Supported sources:
 
 * IDX image/label file pairs (the MNIST-family container: big-endian
   header, raw byte payload), transparently gunzipped when the path ends in
-  ``.gz``.  :func:`write_idx` writes the format and :func:`find_idx_files`
-  finds the four standard files in a directory.
+  ``.gz``.  One reader and one writer serve both files of a pair;
+  :func:`find_idx_files` finds the four standard files in a directory.
 * Labeled CSV with one sample per row, numeric features, and a label
   column that may hold numbers or strings (mapped to class ids in sorted
   order).  A first row none of whose feature cells is a number is treated
   as a header and skipped.
 
-Every source ends in a :class:`Dataset`, which rejects an empty split or
-zero feature columns.  Standardization is always fit on the training split
-only.  The pipelines materialize each split once as float64 and scale it in
-place, so ingestion holds no second copy of a split; a row limit that drops
-rows copies the rows it keeps, so the full split can be freed.
+Every source ends in a :class:`Dataset` of four arrays, whose shapes give
+the feature and class counts; it rejects an empty split, zero feature
+columns, or splits that disagree on a count.  Standardization is fit on the
+training split only and scales both splits in place, so ingestion holds no
+second copy of a split; a row limit that drops rows copies the rows it
+keeps, so the full split can be freed.
 """
 from __future__ import annotations
 
@@ -66,17 +67,24 @@ _STD_BLOCK_COLS = 32
 class Dataset:
     """A ready-to-train dataset with one-hot targets.
 
-    ``x_*`` are float64 matrices, ``y_*`` one-hot float64 matrices with
-    ``n_classes`` columns.  Raises :class:`EmptyFileError` for zero
-    feature columns and :class:`TooFewSamplesError` for an empty split.
+    ``x_*`` are float64 matrices, ``y_*`` one-hot float64 matrices.  Raises
+    :class:`EmptyFileError` for zero feature columns,
+    :class:`TooFewSamplesError` for an empty split, and
+    :class:`CountMismatchError` when the splits disagree on a count.
     """
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    n_features: int
-    n_classes: int
+
+    @property
+    def n_features(self) -> int:
+        return self.x_train.shape[1]
+
+    @property
+    def n_classes(self) -> int:
+        return self.y_train.shape[1]
 
     def __post_init__(self):
         if self.n_features == 0:
@@ -86,16 +94,13 @@ class Dataset:
             if x.shape[0] == 0:
                 raise TooFewSamplesError(f"{name}: no samples")
             if x.shape[0] != y.shape[0]:
-                raise ValueError(
+                raise CountMismatchError(
                     f"{name}: {x.shape[0]} samples but {y.shape[0]} targets"
                 )
-            if x.shape[1] != self.n_features:
-                raise ValueError(
-                    f"{name}: {x.shape[1]} features, expected {self.n_features}"
-                )
-            if y.shape[1] != self.n_classes:
-                raise ValueError(
-                    f"{name}: {y.shape[1]} classes, expected {self.n_classes}"
+            if (x.shape[1], y.shape[1]) != (self.n_features, self.n_classes):
+                raise CountMismatchError(
+                    f"{name}: {x.shape[1]} features and {y.shape[1]} classes,"
+                    f" train has {self.n_features} and {self.n_classes}"
                 )
 
 
@@ -124,6 +129,22 @@ def _read_exact(f, count: int, path, what: str) -> bytes:
     return data
 
 
+def _read_idx(path, header_struct: struct.Struct, magic: int, what: str
+              ) -> tuple[int, list[int], bytes]:
+    """``(count, dims, payload)`` of one IDX file, whose ``header_struct``
+    unpacks to the magic, the item count and each item's dimensions."""
+    with _open_maybe_gzip(path, "rb") as f:
+        found, count, *dims = header_struct.unpack(
+            _read_exact(f, header_struct.size, path, f"{what} header"))
+        if found != magic:
+            raise MagicNumberError(
+                f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}"
+            )
+        payload = _read_exact(f, count * math.prod(dims), path,
+                              f"{what} data")
+    return count, dims, payload
+
+
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label pair as ``(images, labels)``.
 
@@ -132,49 +153,30 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     :class:`TruncatedFileError`, or :class:`CountMismatchError` on the
     corresponding defects.
     """
-    with _open_maybe_gzip(images_path, "rb") as f:
-        header = _read_exact(f, _IMAGE_HEAD.size, images_path, "image header")
-        magic, n, rows, cols = _IMAGE_HEAD.unpack(header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise MagicNumberError(
-                f"{images_path}: magic 0x{magic:08x}, expected "
-                f"0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        payload = _read_exact(f, n * rows * cols, images_path, "pixel data")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
-
-    with _open_maybe_gzip(labels_path, "rb") as f:
-        header = _read_exact(f, _LABEL_HEAD.size, labels_path, "label header")
-        magic, n_labels = _LABEL_HEAD.unpack(header)
-        if magic != IDX_LABEL_MAGIC:
-            raise MagicNumberError(
-                f"{labels_path}: magic 0x{magic:08x}, expected "
-                f"0x{IDX_LABEL_MAGIC:08x}"
-            )
-        label_bytes = _read_exact(f, n_labels, labels_path, "label data")
-    labels = np.frombuffer(label_bytes, dtype=np.uint8)
-
+    n, (rows, cols), pixels = _read_idx(images_path, _IMAGE_HEAD,
+                                        IDX_IMAGE_MAGIC, "image")
+    n_labels, _, labels = _read_idx(labels_path, _LABEL_HEAD,
+                                    IDX_LABEL_MAGIC, "label")
     if n != n_labels:
         raise CountMismatchError(
             f"{images_path} holds {n} images but {labels_path} holds "
             f"{n_labels} labels"
         )
-    return images, labels
+    return (np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols),
+            np.frombuffer(labels, dtype=np.uint8))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray,
               labels: np.ndarray):
     """Write ``(n, rows, cols)`` images and ``(n,)`` labels as uint8 IDX
     files, gzipped when a path ends in ``.gz``; inverts :func:`load_idx`."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with _open_maybe_gzip(images_path, "wb") as f:
-        f.write(_IMAGE_HEAD.pack(IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with _open_maybe_gzip(labels_path, "wb") as f:
-        f.write(_LABEL_HEAD.pack(IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
+    for path, head, magic, array in (
+            (images_path, _IMAGE_HEAD, IDX_IMAGE_MAGIC, images),
+            (labels_path, _LABEL_HEAD, IDX_LABEL_MAGIC, labels)):
+        array = np.asarray(array, dtype=np.uint8)
+        with _open_maybe_gzip(path, "wb") as f:
+            f.write(head.pack(magic, *array.shape))
+            f.write(array.tobytes())
 
 
 def find_idx_files(directory) -> dict[str, Path] | None:
@@ -269,12 +271,13 @@ def normalize_01(x: np.ndarray) -> np.ndarray:
     return np.divide(x, 255.0, dtype=np.float64)
 
 
-def _standardize_in_place(train: np.ndarray, test: np.ndarray | None = None
-                          ) -> dict:
-    """Scale float64 ``train`` (and ``test``) in place; return the params.
+def _standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
+    """Scale float64 ``train`` and ``test`` in place to zero mean and unit
+    variance fit on ``train`` only; return the applied ``mean`` and ``std``.
 
     The arithmetic is numpy's ``std`` step by step, so the results are bit
-    for bit those of ``(x - mean) / np.maximum(train.std(0), 1e-8)``:
+    for bit those of ``(x - mean) / np.maximum(train.std(0), 1e-8)``, and a
+    constant feature maps to zero:
     ``train -= mean`` is the centred array ``std`` forms, and its squares
     are summed down the rows a block of columns at a time, so no
     train-sized temporary is made.  Every block is at least two columns
@@ -293,25 +296,9 @@ def _standardize_in_place(train: np.ndarray, test: np.ndarray | None = None
     np.sqrt(std, out=std)
     np.maximum(std, _STD_FLOOR, out=std)
     train /= std
-    if test is not None:
-        test -= mean
-        test /= std
+    test -= mean
+    test /= std
     return {"mean": mean, "std": std}
-
-
-def standardize(train: np.ndarray, test: np.ndarray | None = None):
-    """Zero-mean unit-variance scaling fit on the training matrix only.
-
-    Per-feature mean and population standard deviation (floored at 1e-8 so
-    constant features map to zero instead of dividing by zero) come from
-    ``train``; the same affine map is applied to ``test``.  The inputs are
-    left untouched: each is copied once as float64 and the copy is scaled
-    in place.  Returns ``(train_out, test_out, params)`` with ``params``
-    holding the applied ``mean`` and ``std``.
-    """
-    train_out = np.array(train, dtype=np.float64)
-    test_out = None if test is None else np.array(test, dtype=np.float64)
-    return train_out, test_out, _standardize_in_place(train_out, test_out)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -339,8 +326,6 @@ def split(x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int = 0):
             f"test_fraction must be in (0, 1), got {test_fraction}"
         )
     n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"{n} samples but {y.shape[0]} labels")
     k = int(np.floor(n * test_fraction))
     if k < 1 or n - k < 1:
         raise TooFewSamplesError(
@@ -362,15 +347,10 @@ def build_idx_dataset(train_images, train_labels, test_images, test_labels,
     """IDX pair pipeline: load, scale to [0, 1], optionally standardize."""
     x_tr, lab_tr = load_idx(train_images, train_labels)
     x_te, lab_te = load_idx(test_images, test_labels)
-    if x_tr.shape[1] != x_te.shape[1]:
-        raise CountMismatchError(
-            f"train images have {x_tr.shape[1]} pixels, test images "
-            f"{x_te.shape[1]}"
-        )
     x_tr, x_te = normalize_01(x_tr), normalize_01(x_te)
     # validated before standardize, which cannot fit an empty train split
     dataset = Dataset(x_tr, one_hot(lab_tr, n_classes), x_te,
-                      one_hot(lab_te, n_classes), x_tr.shape[1], n_classes)
+                      one_hot(lab_te, n_classes))
     if apply_standardize:
         _standardize_in_place(dataset.x_train, dataset.x_test)
     return dataset
@@ -381,15 +361,14 @@ def build_csv_dataset(path, label_column: int = -1,
                       apply_standardize: bool = True) -> Dataset:
     """Labeled-CSV pipeline: load, split, standardize on train, one-hot."""
     features, labels = load_labeled_csv(path, label_column)
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    n_features = features.shape[1]
     # split's fancy indexing copies the rows, so the loaded matrix can go
-    x_tr, y_tr, x_te, y_te = split(features, one_hot(labels, n_classes),
+    x_tr, y_tr, x_te, y_te = split(features,
+                                   one_hot(labels, int(labels.max()) + 1),
                                    test_fraction, seed)
     del features
     if apply_standardize:
         _standardize_in_place(x_tr, x_te)
-    return Dataset(x_tr, y_tr, x_te, y_te, n_features, n_classes)
+    return Dataset(x_tr, y_tr, x_te, y_te)
 
 
 def limit_dataset(dataset: Dataset, train_limit: int = 0,
@@ -406,8 +385,7 @@ def limit_dataset(dataset: Dataset, train_limit: int = 0,
     return Dataset(head(dataset.x_train, train_limit),
                    head(dataset.y_train, train_limit),
                    head(dataset.x_test, test_limit),
-                   head(dataset.y_test, test_limit),
-                   dataset.n_features, dataset.n_classes)
+                   head(dataset.y_test, test_limit))
 
 
 # --------------------------------------------------------------------------
@@ -433,17 +411,22 @@ def save_dataset_cache(dataset: Dataset, path):
 
 
 def load_dataset_cache(path) -> Dataset:
-    """Read a cache container back; any damage raises CorruptCacheError.
+    """Read a cache container back; any damage raises CorruptCacheError,
+    stored feature and class counts that disagree with the shapes included.
 
     Other metadata keys, such as older caches' ``preprocessing``, are ignored.
     """
     meta, sections = read_container(path, CACHE_MAGIC, CACHE_VERSION,
                                     CorruptCacheError)
     try:
-        x_tr, y_tr, x_te, y_te = (
+        dataset = Dataset(*(
             np.frombuffer(section, dtype="<f8").reshape(shape).copy()
-            for section, shape in zip(sections, meta["shapes"], strict=True))
-        return Dataset(x_tr, y_tr, x_te, y_te, int(meta["n_features"]),
-                       int(meta["n_classes"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            for section, shape in zip(sections, meta["shapes"], strict=True)))
+        if [meta["n_features"], meta["n_classes"]] != [dataset.n_features,
+                                                       dataset.n_classes]:
+            raise ValueError("stored feature and class counts disagree with "
+                             "the array shapes")
+    except (KeyError, TypeError, ValueError, IndexError,
+            CountMismatchError) as exc:
         raise CorruptCacheError(f"{path}: malformed cache: {exc}") from exc
+    return dataset

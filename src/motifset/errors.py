@@ -68,7 +68,7 @@ class MagicNumberError(DataError):
 
 
 class CountMismatchError(DataError):
-    """Image and label files disagree about the number of samples."""
+    """Parts of a dataset disagree on a count: samples, features or classes."""
 
 
 class TruncatedFileError(DataError):

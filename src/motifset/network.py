@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, StaleCacheError
-from .topology import MotifTopology, blocks
+from .topology import MotifTopology, _block_grid, blocks
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -192,12 +192,21 @@ class ForwardCache:
     pooled: list[np.ndarray] = field(default_factory=list)
 
 
+def weight_grid(layer_sizes, motif_size: int, weight_mode: str, i: int
+                ) -> tuple[int, int, int]:
+    """``(rows, cols, share_tile)`` of weight layer ``i``'s stored grid: one
+    weight per block on a shared layer, else one per neuron pair."""
+    rows, cols, tile = _block_grid(layer_sizes, motif_size, i)
+    if weight_mode == SHARED:
+        return rows, cols, tile
+    return layer_sizes[i], layer_sizes[i + 1], 1
+
+
 def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
                  weight_mode: str) -> Network:
     """A network on ``topology`` with every weight and bias zero.
 
-    Lays out each weight layer's grid: shared hidden layers store one weight
-    per block, every other layer one per neuron pair.  The network takes
+    Lays out each weight layer's :func:`weight_grid`.  The network takes
     ``topology`` itself, so its masks are the layers' ``block_mask``.
     Raises ValueError for an unknown activation, init scheme or weight mode.
     """
@@ -205,14 +214,13 @@ def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
     sizes = topology.layer_sizes
     layers = []
     for i, mask in enumerate(topology.block_masks):
-        block_tile = topology.tile(i)
-        share_tile = block_tile if weight_mode == SHARED else 1
+        rows, cols, share_tile = weight_grid(sizes, topology.motif_size,
+                                             weight_mode, i)
         layers.append(SparseLayer(
-            weights=np.zeros((sizes[i] // share_tile,
-                              sizes[i + 1] // share_tile)),
+            weights=np.zeros((rows, cols)),
             bias=np.zeros(sizes[i + 1], dtype=np.float64),
             block_mask=mask,
-            block_tile=block_tile,
+            block_tile=topology.tile(i),
             share_tile=share_tile,
         ))
     return Network(topology, layers, activation, weight_mode, init_scheme)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motifset.checkpoint import load_checkpoint
 from motifset.cli import main as cli_main
 from motifset.config import (
     ExperimentConfig,
@@ -31,7 +30,6 @@ from motifset.network import (
     backward,
     forward,
     init_network,
-    loss,
     sgd_step,
 )
 from motifset.topology import BlockDensitySpec, build_topology

@@ -168,12 +168,18 @@ def _edit_checkpoint(path, edit):
     lambda meta, topo: (meta, re.sub(r"^layer 0 .*$",
                                      "layer 0 1000000000 1000000000 1", topo,
                                      flags=re.M)),
+    # one the metadata implies too is refused by the section lengths
+    lambda meta, topo: ({**meta, "layer_sizes": [10**9, 10**9]},
+                        topo.splitlines()[0]
+                        + "\nlayer 0 1000000000 1000000000 1\n"),
     lambda meta, topo: ({**meta, "layer_sizes": [8, 8, 5]}, topo),
     lambda meta, topo: ({**meta, "layer_sizes": [8, 8, 4, 4]}, topo),
+    lambda meta, topo: ({**meta, "motif_size": 0}, topo),
 ], ids=["missing-key", "block-out-of-range", "negative-block",
         "short-block-line", "tanh", "init-scheme", "weight-mode",
         "motif-size-str", "epsilon-str", "oversized-grid",
-        "layer-sizes-disagree", "layer-sizes-extra"])
+        "oversized-grid-in-metadata", "layer-sizes-disagree",
+        "layer-sizes-extra", "motif-size-zero"])
 def test_damaged_checkpoint_rejected(tmp_path, edit):
     path = tmp_path / "ck.bin"
     save_checkpoint(_trained(), path)

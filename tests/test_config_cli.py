@@ -95,6 +95,15 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             config.validate()
 
+    @pytest.mark.parametrize("key", ["topology", "init", "evolution",
+                                     "split", "shuffle"])
+    def test_negative_seed_in_file_rejected(self, tmp_path, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[dataset]\ncsv_path = x.csv\n[seeds]\n{key} = -1\n")
+        with pytest.raises(ConfigError, match=f"seeds must be >= 0, got "
+                                              f"{{'{key}_seed': -1}}"):
+            load_config(p).validate()
+
     def test_overrides_skip_none(self):
         config = ExperimentConfig()
         apply_overrides(config, {"epochs": None, "motif_size": "2",
@@ -185,6 +194,15 @@ class TestCliTrain:
         code = main(["train", "--csv-path", "x.csv", "--epochs", "0",
                      "--out", str(tmp_path / "r")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"),
+                                            ("--init-seed", "-3")])
+    def test_negative_seed_exit_code(self, toy_csv, tmp_path, capsys, flag,
+                                     value):
+        code = main(["train", "--csv-path", str(toy_csv), flag, value,
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "seeds must be >= 0" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.csv"

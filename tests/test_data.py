@@ -18,6 +18,7 @@ from motifset.data import (
     CACHE_VERSION,
     IDX_FILES,
     Dataset,
+    _standardize_in_place,
     build_csv_dataset,
     build_idx_dataset,
     find_idx_files,
@@ -29,7 +30,6 @@ from motifset.data import (
     one_hot,
     save_dataset_cache,
     split,
-    standardize,
     write_idx,
 )
 from motifset.errors import (
@@ -50,12 +50,10 @@ from conftest import Unwritable
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, gz=False,
                     image_magic=0x00000803, label_magic=0x00000801,
-                    truncate_images=0, label_count=None):
+                    label_count=None):
     """Hand-assemble IDX bytes so the loader is tested against raw files."""
     n = len(pixels) // (rows * cols)
     img = struct.pack(">IIII", image_magic, n, rows, cols) + bytes(pixels)
-    if truncate_images:
-        img = img[:-truncate_images]
     lab = struct.pack(">II", label_magic,
                       n if label_count is None else label_count)
     lab += bytes(labels)
@@ -98,10 +96,12 @@ class TestIdx:
         with pytest.raises(MagicNumberError):
             load_idx(ip, lp)
 
-    def test_truncated_pixels(self, tmp_path):
-        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0],
-                                 truncate_images=3)
-        with pytest.raises(TruncatedFileError):
+    @pytest.mark.parametrize("cut", ["image", "label"])
+    def test_truncated_payload(self, tmp_path, cut):
+        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0])
+        path = ip if cut == "image" else lp
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFileError, match=f"bytes of {cut} data"):
             load_idx(ip, lp)
 
     @pytest.mark.parametrize("cut", ["images", "labels"])
@@ -261,22 +261,24 @@ class TestTransforms:
     def test_standardize_train_moments(self):
         rng = np.random.default_rng(5)
         train = rng.normal(3.0, 2.0, size=(200, 6))
-        out, _, params = standardize(train)
+        out = train.copy()
+        params = _standardize_in_place(out, train[:1].copy())
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(params["mean"], train.mean(axis=0))
 
     def test_standardize_constant_feature_maps_to_zero(self):
         train = np.full((10, 3), 7.0)
-        out, _, _ = standardize(train)
-        np.testing.assert_array_equal(out, 0.0)
+        _standardize_in_place(train, train[:1].copy())
+        np.testing.assert_array_equal(train, 0.0)
 
     def test_standardize_matches_two_pass_scalar(self):
         """Scalar two-pass mean/std oracle, population variance."""
         rng = np.random.default_rng(8)
         train = rng.normal(size=(37, 3))
         test = rng.normal(size=(11, 3))
-        tr_out, te_out, _ = standardize(train, test)
+        tr_out, te_out = train.copy(), test.copy()
+        _standardize_in_place(tr_out, te_out)
         for j in range(3):
             mean = sum(float(v) for v in train[:, j]) / 37
             var = sum((float(v) - mean) ** 2 for v in train[:, j]) / 37
@@ -288,23 +290,13 @@ class TestTransforms:
                 expected = (float(test[i, j]) - mean) / std
                 assert te_out[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_standardize_leaves_inputs_unmodified(self):
-        rng = np.random.default_rng(6)
-        train = rng.normal(3.0, 2.0, size=(30, 5))
-        test = rng.normal(size=(10, 5))
-        before = train.tobytes(), test.tobytes()
-        tr_out, te_out, _ = standardize(train, test)
-        assert (train.tobytes(), test.tobytes()) == before
-        assert not np.shares_memory(tr_out, train)
-        assert not np.shares_memory(te_out, test)
-
     def test_test_set_never_leaks_into_params(self):
         rng = np.random.default_rng(9)
         train = rng.normal(size=(50, 4))
         test_a = rng.normal(size=(20, 4))
         test_b = rng.normal(100.0, 50.0, size=(20, 4))
-        _, _, pa = standardize(train, test_a)
-        _, _, pb = standardize(train, test_b)
+        pa = _standardize_in_place(train.copy(), test_a)
+        pb = _standardize_in_place(train.copy(), test_b)
         np.testing.assert_array_equal(pa["mean"], pb["mean"])
         np.testing.assert_array_equal(pa["std"], pb["std"])
 
@@ -354,7 +346,7 @@ class TestStandardizeInPlace:
         train = rng.normal(0.0, rng.uniform(0.1, 50.0, d), size=(n, d))
         test = rng.normal(0.0, 10.0, size=(7, d))
         want = _numpy_standardize(train, test)
-        params = motifset.data._standardize_in_place(train, test)
+        params = _standardize_in_place(train, test)
         assert np.array_equal(_bits(train), _bits(want[0]))
         assert np.array_equal(_bits(test), _bits(want[1]))
         assert np.array_equal(_bits(params["std"]), _bits(want[2]))
@@ -367,20 +359,36 @@ class TestStandardizeInPlace:
         train[:, [0, 4, 8]] = offset  # constant columns, one at each end
         test = offset + rng.normal(size=(50, 9))
         want = _numpy_standardize(train, test)
-        motifset.data._standardize_in_place(train, test)
+        _standardize_in_place(train, test)
         assert np.array_equal(_bits(train), _bits(want[0]))
         assert np.array_equal(_bits(test), _bits(want[1]))
         assert (train[:, [0, 4, 8]] == 0.0).all()
 
-    def test_public_standardize_runs_the_core(self):
+    def test_default_block_width(self):
         rng = np.random.default_rng(12)
         train = rng.normal(5.0, 3.0, size=(64, 70))
         test = rng.normal(5.0, 3.0, size=(9, 70))
-        tr_out, te_out, params = standardize(train, test)
         want = _numpy_standardize(train, test)
-        assert np.array_equal(_bits(tr_out), _bits(want[0]))
-        assert np.array_equal(_bits(te_out), _bits(want[1]))
+        params = _standardize_in_place(train, test)
+        assert np.array_equal(_bits(train), _bits(want[0]))
+        assert np.array_equal(_bits(test), _bits(want[1]))
         assert np.array_equal(_bits(params["std"]), _bits(want[2]))
+
+
+class TestDataset:
+    def test_counts_read_from_shapes(self):
+        ds = Dataset(np.zeros((4, 6)), np.eye(3)[[0, 1, 2, 0]],
+                     np.zeros((2, 6)), np.eye(3)[[2, 1]])
+        assert (ds.n_features, ds.n_classes) == (6, 3)
+
+    @pytest.mark.parametrize("width,classes", [(5, 3), (6, 4)],
+                             ids=["width", "classes"])
+    def test_test_split_must_match_train(self, width, classes):
+        with pytest.raises(CountMismatchError,
+                           match=f"test: {width} features and {classes} "
+                                 f"classes, train has 6 and 3"):
+            Dataset(np.zeros((4, 6)), np.eye(3)[[0, 1, 2, 0]],
+                    np.zeros((2, width)), np.zeros((2, classes)))
 
 
 class TestLimitDataset:
@@ -389,7 +397,7 @@ class TestLimitDataset:
         return Dataset(rng.normal(size=(20, 4)),
                        one_hot(rng.integers(0, 3, 20), 3),
                        rng.normal(size=(8, 4)),
-                       one_hot(rng.integers(0, 3, 8), 3), 4, 3)
+                       one_hot(rng.integers(0, 3, 8), 3))
 
     def test_dropping_rows_copies_the_kept_rows(self):
         ds = self._dataset()
@@ -431,12 +439,18 @@ class TestIdxPipeline:
         ds = build_idx_dataset(*paths)
         x_tr, lab_tr = load_idx(paths[0], paths[1])
         x_te, lab_te = load_idx(paths[2], paths[3])
-        want_tr, want_te, _ = standardize(normalize_01(x_tr),
-                                          normalize_01(x_te))
+        want_tr, want_te = normalize_01(x_tr), normalize_01(x_te)
+        _standardize_in_place(want_tr, want_te)
         assert ds.x_train.tobytes() == want_tr.tobytes()
         assert ds.x_test.tobytes() == want_te.tobytes()
         assert ds.y_train.tobytes() == one_hot(lab_tr, 10).tobytes()
         assert ds.y_test.tobytes() == one_hot(lab_te, 10).tobytes()
+
+    def test_image_sizes_must_agree(self, tmp_path):
+        paths = self._write(tmp_path, 30, 10, False)
+        write_idx(paths[2], paths[3], np.zeros((10, 27, 27)), np.zeros(10))
+        with pytest.raises(CountMismatchError, match="test: 729 features"):
+            build_idx_dataset(*paths)
 
     def test_unstandardized_is_normalize(self, tmp_path):
         paths = self._write(tmp_path, 30, 10, False)
@@ -529,8 +543,6 @@ class TestCache:
             y_train=one_hot(rng.integers(0, 3, 20), 3),
             x_test=rng.normal(size=(8, 5)),
             y_test=one_hot(rng.integers(0, 3, 8), 3),
-            n_features=5,
-            n_classes=3,
         )
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -542,30 +554,47 @@ class TestCache:
         np.testing.assert_array_equal(back.y_test, ds.y_test)
         assert back.n_features == 5 and back.n_classes == 3
 
+    def _write_sealed(self, path, matrices, **meta):
+        """A checksum-valid cache of ``matrices`` with metadata ``meta``."""
+        meta = {"n_features": 5, "n_classes": 3,
+                "shapes": [list(a.shape) for a in matrices], **meta}
+        write_container(path, CACHE_MAGIC, CACHE_VERSION, meta,
+                        (np.ascontiguousarray(a, dtype="<f8")
+                         for a in matrices))
+
     def test_cache_with_preprocessing_record_loads(self, tmp_path):
         """Older writers stored a ``preprocessing`` list in the metadata."""
         ds = self._dataset()
         matrices = (ds.x_train, ds.y_train, ds.x_test, ds.y_test)
-        meta = {
-            "n_features": 5,
-            "n_classes": 3,
-            "preprocessing": [
-                {"name": "split", "params": {"test_fraction": 0.25,
-                                             "seed": 2}},
-                {"name": "standardize", "params": {"mean": np.zeros(5),
-                                                   "std": np.ones(5)}},
-            ],
-            "shapes": [list(a.shape) for a in matrices],
-        }
         path = tmp_path / "old.bin"
-        write_container(path, CACHE_MAGIC, CACHE_VERSION, meta,
-                        (np.ascontiguousarray(a, dtype="<f8")
-                         for a in matrices))
+        self._write_sealed(path, matrices, preprocessing=[
+            {"name": "split", "params": {"test_fraction": 0.25, "seed": 2}},
+            {"name": "standardize", "params": {"mean": np.zeros(5),
+                                               "std": np.ones(5)}},
+        ])
         back = load_dataset_cache(path)
         for got, want in zip((back.x_train, back.y_train, back.x_test,
                               back.y_test), matrices):
             assert got.tobytes() == want.tobytes()
         assert back.n_features == 5 and back.n_classes == 3
+
+    @pytest.mark.parametrize("key", ["n_features", "n_classes"])
+    def test_stored_counts_must_match_shapes(self, tmp_path, key):
+        ds = self._dataset()
+        path = tmp_path / "cache.bin"
+        self._write_sealed(path, (ds.x_train, ds.y_train, ds.x_test,
+                                  ds.y_test), **{key: 4})
+        with pytest.raises(CorruptCacheError,
+                           match="stored feature and class counts"):
+            load_dataset_cache(path)
+
+    def test_one_dimensional_matrix_rejected(self, tmp_path):
+        ds = self._dataset()
+        path = tmp_path / "cache.bin"
+        self._write_sealed(path, (ds.x_train[:, 0], ds.y_train, ds.x_test,
+                                  ds.y_test))
+        with pytest.raises(CorruptCacheError, match="malformed cache"):
+            load_dataset_cache(path)
 
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "cache.bin"
@@ -633,9 +662,9 @@ class TestCsvPipeline:
         features, labels = load_labeled_csv(toy_csv)
         x_tr, y_tr, x_te, y_te = split(features, one_hot(labels, 3), 1 / 3,
                                        seed=2)
-        want_tr, want_te, _ = standardize(x_tr, x_te)
-        assert ds.x_train.tobytes() == want_tr.tobytes()
-        assert ds.x_test.tobytes() == want_te.tobytes()
+        _standardize_in_place(x_tr, x_te)
+        assert ds.x_train.tobytes() == x_tr.tobytes()
+        assert ds.x_test.tobytes() == x_te.tobytes()
         assert ds.y_train.tobytes() == y_tr.tobytes()
         assert ds.y_test.tobytes() == y_te.tobytes()
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from motifset.errors import NonPositiveBaselineError, WeightSumError
 from motifset.metrics import (
     METRICS_CSV_HEADER,
-    FlopCount,
     RunMeasurement,
     comprehensive_score,
     flop_counter,
