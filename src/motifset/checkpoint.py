@@ -5,7 +5,8 @@ metadata holds the activation, weight mode, init scheme, motif size,
 density record and layer sizes; the first section is the ``motif-topology
 v1`` text, then per layer the raw float64 little-endian weight matrix and
 bias vector.  All shapes are implied by the metadata and topology, so the
-sections carry only data.
+sections carry only data, and the loader reads them straight into the
+network's arrays.
 """
 from __future__ import annotations
 
@@ -64,42 +65,41 @@ def load_checkpoint(path) -> Network:
     (``-0.0`` included): the forward pass multiplies by those weights, and
     the in-place update keeps them ``+0.0`` only if they start that way.
     """
-    meta, sections = read_container(path, CHECKPOINT_MAGIC,
-                                    CHECKPOINT_VERSION, CheckpointFormatError)
-    wrong = sorted(key for key, kind in _META_TYPES.items()
-                   if not isinstance(meta.get(key), kind))
-    if wrong:
-        raise CheckpointFormatError(
-            f"{path}: metadata keys {wrong} are missing or of the wrong type"
-        )
-    try:
-        # the file's own size bounds every grid: check it before one is built
-        sizes, implied = meta["layer_sizes"], []
-        for i in range(len(sizes) - 1):
-            rows, cols, _ = weight_grid(sizes, meta["motif_size"],
-                                        meta["weight_mode"], i)
-            implied += [8 * rows * cols, 8 * sizes[i + 1]]
-        if [s.nbytes for s in sections[1:]] != implied:
-            raise ValueError("weight and bias sections do not match the "
-                             "metadata")
-        topology = parse_topology(
-            str(sections[0], "utf-8") if sections else "",
-            motif_size=meta["motif_size"],
-            epsilon=meta["epsilon"],
-            density_mode=meta["density_mode"],
-            expected_sizes=sizes,
-        ).copy_mutable()
-        network = zero_network(topology, meta["activation"],
-                               meta["init_scheme"], meta["weight_mode"])
-    except (ValueError, TypeError, ZeroDivisionError, DivisibilityError,
-            EmptyNetworkError) as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
-
-    targets = [a for layer in network.layers
-               for a in (layer.weights, layer.bias)]
-    for target, section in zip(targets, sections[1:]):
-        target[...] = np.frombuffer(section, dtype="<f8").reshape(
-            target.shape)
+    with read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                        CheckpointFormatError) as (meta, sizes, read):
+        wrong = sorted(key for key, kind in _META_TYPES.items()
+                       if key not in meta or not isinstance(meta[key], kind))
+        if wrong:
+            raise CheckpointFormatError(
+                f"{path}: metadata keys {wrong} are missing or of the wrong "
+                f"type"
+            )
+        try:
+            # the file's own size bounds every grid: check it before one
+            # is built
+            layer_sizes, implied = meta["layer_sizes"], []
+            for i in range(len(layer_sizes) - 1):
+                rows, cols, _ = weight_grid(layer_sizes, meta["motif_size"],
+                                            meta["weight_mode"], i)
+                implied += [8 * rows * cols, 8 * layer_sizes[i + 1]]
+            if sizes[1:] != implied:
+                raise ValueError("weight and bias sections do not match the "
+                                 "metadata")
+            topology = parse_topology(
+                read(),
+                motif_size=meta["motif_size"],
+                epsilon=meta["epsilon"],
+                density_mode=meta["density_mode"],
+                expected_sizes=layer_sizes,
+            ).copy_mutable()
+            network = zero_network(topology, meta["activation"],
+                                   meta["init_scheme"], meta["weight_mode"])
+        except (ValueError, TypeError, ZeroDivisionError, DivisibilityError,
+                EmptyNetworkError) as exc:
+            raise CheckpointFormatError(f"{path}: {exc}") from exc
+        for layer in network.layers:
+            read(layer.weights)
+            read(layer.bias)
     for i, layer in enumerate(network.layers):
         stray = _inactive_nonzero(layer)
         if stray:

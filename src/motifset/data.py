@@ -416,12 +416,16 @@ def load_dataset_cache(path) -> Dataset:
 
     Other metadata keys, such as older caches' ``preprocessing``, are ignored.
     """
-    meta, sections = read_container(path, CACHE_MAGIC, CACHE_VERSION,
-                                    CorruptCacheError)
     try:
-        dataset = Dataset(*(
-            np.frombuffer(section, dtype="<f8").reshape(shape).copy()
-            for section, shape in zip(sections, meta["shapes"], strict=True)))
+        with read_container(path, CACHE_MAGIC, CACHE_VERSION,
+                            CorruptCacheError) as (meta, sizes, read):
+            # the file's own size bounds every matrix: check it before one
+            # is allocated
+            shapes = [tuple(shape) for shape in meta["shapes"]]
+            if sizes != [8 * math.prod(shape) for shape in shapes]:
+                raise ValueError("sections do not match the stored shapes")
+            matrices = [read(np.empty(shape)) for shape in shapes]
+        dataset = Dataset(*matrices)
         if [meta["n_features"], meta["n_classes"]] != [dataset.n_features,
                                                        dataset.n_classes]:
             raise ValueError("stored feature and class counts disagree with "

@@ -103,6 +103,10 @@ class CheckpointFormatError(DataError):
     """A checkpoint file is malformed or from an unknown version."""
 
 
+class TopologyFormatError(DataError, ValueError):
+    """A ``motif-topology v1`` text is malformed or does not fit its sizes."""
+
+
 # --------------------------------------------------------------------------
 # numerical failure (exit code 4)
 

@@ -103,7 +103,7 @@ def _prune_regrow(network: Network, i: int, policy: EvolutionPolicy,
                   rng: np.random.Generator) -> LayerEvolutionStats:
     layer = network.layers[i]
     mask = layer.block_mask
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
     active = rows.size
     if active == mask.size:
         return LayerEvolutionStats(i, 0, 0, active, saturated=True)
@@ -115,7 +115,12 @@ def _prune_regrow(network: Network, i: int, policy: EvolutionPolicy,
     w = blocks(layer.weights, e)  # w[r, :, c, :] is block (r, c)
     tiles = np.abs(w[rows, :, cols, :])
     mags = np.add.accumulate(tiles.sum(axis=2), axis=1)[:, -1] / (e * e)
-    prune_sel = np.argsort(mags, kind="stable")[:k]
+    # the first k of a stable argsort, as a set: every magnitude below the
+    # k-th smallest, then the first of those equal to it in index order
+    kth = np.partition(mags, k - 1)[k - 1]
+    below = np.flatnonzero(mags < kth)
+    prune_sel = np.concatenate(
+        [below, np.flatnonzero(mags == kth)[:k - below.size]])
     pr, pc = rows[prune_sel], cols[prune_sel]
     mask[pr, pc] = False
     w[pr, :, pc, :] = 0.0
@@ -154,9 +159,11 @@ def evolve(network: Network, policy: EvolutionPolicy,
            event_index: int = 0) -> tuple[Network, EvolutionStats]:
     """One evolution event of the policy's mode, in place, layer by layer.
 
-    ``magnitude_set``: ``k = floor(zeta * active)`` blocks are pruned.
-    Pruning order sorts active blocks by magnitude ascending with a stable
-    sort, so equal magnitudes break ties by (row, col) position; a tile's
+    ``magnitude_set``: ``k = floor(zeta * active)`` blocks are pruned: the
+    first ``k`` of the active blocks stably sorted by magnitude ascending,
+    so equal magnitudes break ties by (row, col) position.  The set is
+    found by partition, not by a sort, which assumes finite magnitudes;
+    training stops at a non-finite weight before any event.  A tile's
     magnitude sums each tile row, then the row sums top to bottom, over the
     cell count.  Regrowth draws one ``choice`` of ``k`` without replacement
     from the blocks inactive *after* pruning, in row-major order (so a

@@ -14,11 +14,12 @@ density equals the target up to rounding on the block count.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisibilityError, EmptyNetworkError
+from .errors import DivisibilityError, EmptyNetworkError, TopologyFormatError
 
 ER_MODE = "erdos_renyi_set"
 FIXED_MODE = "fixed_density"
@@ -202,85 +203,118 @@ def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
                          epsilon=density.value, density_mode=density.mode)
 
 
+def _digits(n: int) -> np.ndarray:
+    """``(n, width)`` uint8 table: row ``v`` is ``v``'s decimal digits,
+    left-aligned and padded with zero bytes."""
+    table = np.array([b"%d" % v for v in range(n)])
+    return table.view(np.uint8).reshape(n, -1)
+
+
 def export_topology(topology: MotifTopology) -> str:
     """Serialize a topology to the ``motif-topology v1`` text format.
 
     One ``layer <index> <rows> <cols> <tile>`` line per weight layer,
     followed by one ``<row> <col>`` line per active block in row-major
     order.  The format is self-delimiting and round-trips exactly through
-    :func:`parse_topology`.  The text is assembled one block row at a time,
-    so no string per block outlives its row.
+    :func:`parse_topology`.  Each layer's block lines are laid out as
+    fixed-width records gathered from digit tables, and the padding bytes
+    are then dropped.
     """
-    parts = [TOPOLOGY_HEADER + "\n"]
+    parts = [TOPOLOGY_HEADER.encode() + b"\n"]
     for i, mask in enumerate(topology.block_masks):
         rows, cols = mask.shape
-        parts.append(f"layer {i} {rows} {cols} {topology.tile(i)}\n")
-        for r in np.flatnonzero(mask.any(axis=1)).tolist():
-            head = f"{r} "
-            c_idx = np.flatnonzero(mask[r]).tolist()
-            parts.append(head + f"\n{head}".join(map(str, c_idx)) + "\n")
-    return "".join(parts)
+        parts.append(b"layer %d %d %d %d\n"
+                     % (i, rows, cols, topology.tile(i)))
+        r, c = np.divmod(np.flatnonzero(mask), cols)
+        row_digits, col_digits = _digits(rows), _digits(cols)
+        lines = np.concatenate(
+            [row_digits[r], np.full((r.size, 1), ord(" "), np.uint8),
+             col_digits[c], np.full((r.size, 1), ord("\n"), np.uint8)],
+            axis=1)
+        parts.append(lines[lines != 0].tobytes())
+    return b"".join(parts).decode("ascii")
 
 
-def _ints(parts: list[str], count: int, line: str) -> list[int]:
-    if len(parts) != count:
-        raise ValueError(f"expected {count} numbers in line {line!r}")
-    return [int(p) for p in parts]
+# a layer line with the newline before it; the one after it is not taken
+_LAYER_LINE = re.compile(rb"\nlayer ([0-9]+) ([0-9]+) ([0-9]+) ([0-9]+)"
+                         rb"(?=\n)")
 
 
-def parse_topology(text: str, motif_size: int | None = None,
+def _block_lines(body: np.ndarray, rows: int, cols: int, i: int):
+    """Rows and columns of a layer's block lines, ``<row> <col>\\n`` each.
+
+    The bytes are checked before ``np.fromstring`` sees them, because it
+    stops early, with only a warning, at anything it cannot parse.
+    """
+    seps = np.flatnonzero(np.subtract(body, ord("0"), dtype=np.uint8) > 9)
+    if not (seps.size % 2 == 0 and (body[-1:] == ord("\n")).all()
+            and (body[seps[0::2]] == ord(" ")).all()
+            and (body[seps[1::2]] == ord("\n")).all()
+            and (np.diff(seps, prepend=-1) > 1).all()):
+        raise TopologyFormatError(
+            f"layer {i} has a block line other than '<row> <col>' in ASCII "
+            f"digits")
+    pairs = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= (rows, cols))).any(1))
+    if outside.size:
+        r, c = pairs[outside[0]]
+        raise TopologyFormatError(f"block {r} {c} lies outside the {rows} x "
+                                  f"{cols} grid of layer {i}")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def parse_topology(text: str | bytes, motif_size: int | None = None,
                    epsilon: float | None = None,
                    density_mode: str | None = None,
                    expected_sizes: list | None = None) -> MotifTopology:
     """Parse the ``motif-topology v1`` text format back into a topology.
 
-    Layer sizes are reconstructed from the grid shapes and tile sizes.
-    The motif size is inferred from the first layer's tile; for a network
-    with a single weight layer (stored at tile 1) pass ``motif_size``
-    explicitly if it matters.  ``epsilon``/``density_mode`` are not stored
-    in the text format; pass them to re-attach them (checkpoints do).
-    Raises ValueError for a malformed line, a block outside its grid, or a
-    grid other than ``expected_sizes`` imply (checked before it is built).
+    The text must be exactly what :func:`export_topology` writes: the
+    header line, then per layer its ``layer`` line and its block lines,
+    every line ending in ``\\n``, numbers in ASCII digits, one space
+    between them, and no blank line.  Layer sizes are reconstructed from
+    the grid shapes and tile sizes.  The motif size is inferred from the
+    first layer's tile; for a network with a single weight layer (stored at
+    tile 1) pass ``motif_size`` explicitly if it matters.
+    ``epsilon``/``density_mode`` are not stored in the text format; pass
+    them to re-attach them (checkpoints do).  Raises TopologyFormatError
+    for a malformed line, a block outside its grid, or a grid other than
+    ``expected_sizes`` imply (checked before it is built).
     """
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines or lines[0] != TOPOLOGY_HEADER:
-        raise ValueError(f"missing '{TOPOLOGY_HEADER}' header")
+    data = text.encode() if isinstance(text, str) else text
+    head = TOPOLOGY_HEADER.encode() + b"\n"
+    if not data.startswith(head):
+        raise TopologyFormatError(f"missing '{TOPOLOGY_HEADER}' header")
+    found = list(_LAYER_LINE.finditer(data, len(head) - 1))
+    if not found:
+        raise TopologyFormatError("no layer lines found")
+    if found[0].start() != len(head) - 1:
+        raise TopologyFormatError("block line before any layer line")
 
+    whole = np.frombuffer(data, dtype=np.uint8)
     shapes: list[tuple[int, int, int]] = []  # rows, cols, tile
     masks: list[np.ndarray] = []
-    current: np.ndarray | None = None
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split()
-        if parts[0] == "layer":
-            idx, rows, cols, tile = _ints(parts[1:], 4, ln)
-            if idx != len(shapes):
-                raise ValueError(f"layer lines out of order at index {idx}")
-            if expected_sizes is not None and list(
-                    expected_sizes[idx:idx + 2]) != [rows * tile, cols * tile]:
-                raise ValueError(f"layer {idx} grid {rows} x {cols} at tile "
-                                 f"{tile} disagrees with {expected_sizes}")
-            shapes.append((rows, cols, tile))
-            current = np.zeros((rows, cols), dtype=bool)
-            masks.append(current)
-        else:
-            if current is None:
-                raise ValueError("block line before any layer line")
-            r, c = _ints(parts, 2, ln)
-            if not (0 <= r < current.shape[0] and 0 <= c < current.shape[1]):
-                raise ValueError(
-                    f"block {r} {c} lies outside the {current.shape[0]} x "
-                    f"{current.shape[1]} grid of layer {len(shapes) - 1}"
-                )
-            current[r, c] = True
+    ends = [m.start() + 1 for m in found[1:]] + [len(data)]
+    for line, end in zip(found, ends):
+        idx, rows, cols, tile = map(int, line.groups())
+        if idx != len(shapes):
+            raise TopologyFormatError(f"layer lines out of order at index "
+                                      f"{idx}")
+        if expected_sizes is not None and list(
+                expected_sizes[idx:idx + 2]) != [rows * tile, cols * tile]:
+            raise TopologyFormatError(
+                f"layer {idx} grid {rows} x {cols} at tile {tile} disagrees "
+                f"with {expected_sizes}")
+        shapes.append((rows, cols, tile))
+        mask = np.zeros((rows, cols), dtype=bool)
+        mask[_block_lines(whole[line.end() + 1:end], rows, cols, idx)] = True
+        mask.flags.writeable = False
+        masks.append(mask)
 
-    if not shapes:
-        raise ValueError("no layer lines found")
     if (expected_sizes is not None
             and len(shapes) + 1 != len(expected_sizes)):
-        raise ValueError(f"{len(shapes)} layers for sizes {expected_sizes}")
-
+        raise TopologyFormatError(f"{len(shapes)} layers for sizes "
+                                  f"{expected_sizes}")
     layer_sizes = [shapes[0][0] * shapes[0][2]]
     for rows, cols, tile in shapes:
         layer_sizes.append(cols * tile)
@@ -288,7 +322,8 @@ def parse_topology(text: str, motif_size: int | None = None,
         # the last layer is stored at tile 1; every earlier layer's tile is
         # the motif size (all non-final tiles agree by construction)
         motif_size = shapes[0][2] if len(shapes) > 1 else 1
-    for mask in masks:
-        mask.flags.writeable = False
-    return MotifTopology(tuple(layer_sizes), motif_size, tuple(masks),
-                         epsilon=epsilon, density_mode=density_mode)
+    try:
+        return MotifTopology(tuple(layer_sizes), motif_size, tuple(masks),
+                             epsilon=epsilon, density_mode=density_mode)
+    except (ValueError, DivisibilityError, EmptyNetworkError) as exc:
+        raise TopologyFormatError(str(exc)) from exc

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -25,6 +26,23 @@ def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """``raw`` truncated, extended or with flipped bytes; never ``raw``."""
+    data = raw
+    while data == raw:
+        kind = draw(st.sampled_from(["truncate", "extend", "flip"]))
+        if kind == "truncate":
+            data = data[:draw(st.integers(0, len(data) - 1))]
+        elif kind == "extend":
+            data += draw(st.binary(min_size=1, max_size=64))
+        else:
+            at = draw(st.integers(0, len(data) - 1))
+            data = (data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))])
+                    + data[at + 1:])
+    return data
 
 
 class Unwritable:

@@ -282,3 +282,50 @@ def reference_evolve_listing4(network, policy, event_index=0):
                         w[a, b] += float(noise[a, b]) * policy.noise_scale
         zapped.append(count)
     return zapped
+
+
+def parse_topology_reference(text):
+    """Line-by-line ``motif-topology v1`` parser, for comparison with
+    :func:`motifset.topology.parse_topology`; returns ``(layer_sizes,
+    motif_size, masks)``.
+
+    It accepts more than the package parser: each line is stripped and
+    split on any whitespace, numbers go through ``int`` (so ``+3``, ``0_1``
+    and non-ASCII digits pass) and blank lines are skipped.  The caller
+    still has to check that the parts form a valid topology.  Raises
+    ValueError for a missing header, a malformed or misplaced line, or a
+    block outside its layer's grid.
+    """
+    def ints(parts, count, line):
+        if len(parts) != count:
+            raise ValueError(f"expected {count} numbers in line {line!r}")
+        return [int(p) for p in parts]
+
+    lines = [ln.strip() for ln in text.strip().splitlines()]
+    if not lines or lines[0] != "motif-topology v1":
+        raise ValueError("missing 'motif-topology v1' header")
+    shapes, masks, current = [], [], None
+    for ln in lines[1:]:
+        if not ln:
+            continue
+        parts = ln.split()
+        if parts[0] == "layer":
+            idx, rows, cols, tile = ints(parts[1:], 4, ln)
+            if idx != len(shapes):
+                raise ValueError(f"layer lines out of order at index {idx}")
+            shapes.append((rows, cols, tile))
+            current = np.zeros((rows, cols), dtype=bool)
+            masks.append(current)
+        else:
+            if current is None:
+                raise ValueError("block line before any layer line")
+            r, c = ints(parts, 2, ln)
+            if not (0 <= r < current.shape[0] and 0 <= c < current.shape[1]):
+                raise ValueError(f"block {r} {c} lies outside its grid")
+            current[r, c] = True
+    if not shapes:
+        raise ValueError("no layer lines found")
+    layer_sizes = [shapes[0][0] * shapes[0][2]]
+    layer_sizes += [cols * tile for _, cols, tile in shapes]
+    motif_size = shapes[0][2] if len(shapes) > 1 else 1
+    return tuple(layer_sizes), motif_size, masks

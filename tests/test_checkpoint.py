@@ -1,9 +1,12 @@
 """Checkpoint container: bit-exact round trips and corruption handling."""
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifset.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -14,9 +17,10 @@ from motifset.checkpoint import (
 from motifset.cli import main
 from motifset.container import read_container, write_container
 from motifset.errors import CheckpointFormatError
-from motifset.network import backward, forward, sgd_step
+from motifset.network import backward, forward, init_network, sgd_step
+from motifset.topology import BlockDensitySpec, build_topology
 
-from conftest import Unwritable, small_network
+from conftest import Unwritable, damaged, small_network
 
 
 def _trained(seed=0, **kw):
@@ -119,6 +123,44 @@ def test_every_flipped_byte_rejected(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sealed") / "ck.bin"
+    save_checkpoint(_trained(), path)
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_damaged_bytes_rejected(data, checkpoint_bytes, tmp_path_factory):
+    # only the typed error escapes, and the command line exits 3
+    path = tmp_path_factory.mktemp("fuzz") / "ck.bin"
+    path.write_bytes(data.draw(damaged(checkpoint_bytes)))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+    assert main(["export-topology", "--checkpoint", str(path)]) == 3
+
+
+def test_load_peaks_near_the_arrays_it_returns(tmp_path):
+    # sections are read straight into the network's arrays and the file is
+    # never held whole: on three 1000-wide hidden layers, 10% dense at
+    # m = 1, the peak stays within 15% of the weights, biases and masks
+    topo = build_topology((784, 1000, 1000, 1000, 10), 1,
+                          BlockDensitySpec.fixed(0.1), seed=1)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(init_network(topo, seed=2), path)
+    del topo
+    tracemalloc.start()
+    try:
+        network = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for layer in network.layers
+                   for a in (layer.weights, layer.bias, layer.block_mask))
+    assert peak <= 1.15 * returned
+
+
 def test_version_1_rejected(tmp_path):
     path = tmp_path / "ck.bin"
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2) + b"{}"
@@ -146,8 +188,9 @@ def _edit_checkpoint(path, edit):
     The result is sealed again, so the loader gets past the checksum and
     reaches its metadata and topology checks.
     """
-    meta, sections = read_container(path, CHECKPOINT_MAGIC,
-                                    CHECKPOINT_VERSION, CheckpointFormatError)
+    with read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                        CheckpointFormatError) as (meta, sizes, read):
+        sections = [read() for _ in sizes]
     meta, topo = edit(meta, str(sections[0], "utf-8"))
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta,
                     [topo.encode(), *sections[1:]])
@@ -188,6 +231,17 @@ def test_damaged_checkpoint_rejected(tmp_path, edit):
         load_checkpoint(path)
     assert "checksum" not in str(caught.value)
     assert main(["export-topology", "--checkpoint", str(path)]) == 3
+
+
+@pytest.mark.parametrize("key", ["epsilon", "density_mode"])
+def test_missing_nullable_metadata_key_rejected(tmp_path, key):
+    # these keys may hold null, but they may not be absent
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(), path)
+    _edit_checkpoint(path, lambda meta, topo: (
+        {k: v for k, v in meta.items() if k != key}, topo))
+    with pytest.raises(CheckpointFormatError, match=key):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("stray", [-0.0, 1e-300, np.nan])

@@ -45,7 +45,7 @@ from motifset.errors import (
 )
 from motifset.train import run_prepare
 
-from conftest import Unwritable
+from conftest import Unwritable, damaged
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, gz=False,
@@ -630,6 +630,53 @@ class TestCache:
             path.write_bytes(damaged)
             with pytest.raises(CorruptCacheError):
                 load_dataset_cache(path)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_bytes_rejected(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cache") / "cache.bin"
+        save_dataset_cache(self._dataset(), path)
+        path.write_bytes(data.draw(damaged(path.read_bytes())))
+        with pytest.raises(CorruptCacheError):
+            load_dataset_cache(path)
+
+    def test_empty_split_rejected(self, tmp_path):
+        ds = self._dataset()
+        path = tmp_path / "cache.bin"
+        self._write_sealed(path, (ds.x_train, ds.y_train, ds.x_test[:0],
+                                  ds.y_test[:0]))
+        with pytest.raises(TooFewSamplesError):
+            load_dataset_cache(path)
+
+    def test_oversized_shapes_rejected_before_allocation(self, tmp_path):
+        ds = self._dataset()
+        path = tmp_path / "cache.bin"
+        self._write_sealed(path, (ds.x_train, ds.y_train, ds.x_test,
+                                  ds.y_test),
+                           shapes=[[10**9, 10**9], [20, 3], [8, 5], [8, 3]])
+        with pytest.raises(CorruptCacheError, match="stored shapes"):
+            load_dataset_cache(path)
+
+    def test_load_peaks_near_the_arrays_it_returns(self, tmp_path):
+        # each section is read straight into its matrix: a 2000 + 1000
+        # sample, 784-feature cache peaks within 15% of the four arrays
+        rng = np.random.default_rng(4)
+        path = tmp_path / "cache.bin"
+        save_dataset_cache(Dataset(
+            rng.normal(size=(2000, 784)),
+            one_hot(rng.integers(0, 10, 2000), 10),
+            rng.normal(size=(1000, 784)),
+            one_hot(rng.integers(0, 10, 1000), 10),
+        ), path)
+        tracemalloc.start()
+        try:
+            back = load_dataset_cache(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (back.x_train, back.y_train,
+                                          back.x_test, back.y_test))
+        assert peak <= 1.15 * returned
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "cache.bin"

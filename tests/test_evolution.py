@@ -213,6 +213,28 @@ class TestMagnitudePrune:
         kept = tile(nets[0], rb, cb)
         assert kept[0, 0] == kept.sum() == 1.0
 
+    @pytest.mark.parametrize("weight_mode", ["shared", "independent"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_scalar_reference_on_heavy_ties(self, m, weight_mode):
+        # weights on a grid of four values put most block magnitudes in a
+        # few tie classes, one of them straddling the k-th smallest, so the
+        # pruned set must be the first k of the stable sort
+        topo = build_topology((24, 32, 24, 5), m,
+                              BlockDensitySpec.fixed(0.6), seed=40 + m)
+        nets = [init_network(topo, seed=41, weight_mode=weight_mode)
+                for _ in range(2)]
+        policy = _policy(zeta=0.4, rng_seed=43)
+        for event in range(4):
+            for net in nets:
+                for layer in net.layers:
+                    q = np.ceil(np.abs(layer.weights) * 8.0) / 4.0
+                    layer.weights[...] = np.where(weight_mask(layer), q, 0.0)
+            evolve(nets[0], policy, event)
+            reference_evolve_magnitude(nets[1], policy, event)
+            for la, lb in zip(nets[0].layers, nets[1].layers):
+                np.testing.assert_array_equal(la.block_mask, lb.block_mask)
+                np.testing.assert_array_equal(la.weights, lb.weights)
+
     def test_topology_masks_track_layer_masks(self):
         net = small_network(sizes=(8, 8, 4), density=0.5, seed=14)
         evolve(net, _policy(rng_seed=15), 0)

@@ -1,10 +1,13 @@
 """Topology construction: shapes, sampling, repair, export format."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifset.errors import DivisibilityError, EmptyNetworkError
+from motifset.errors import (DataError, DivisibilityError, EmptyNetworkError,
+                             TopologyFormatError)
 from motifset.topology import (
     BlockDensitySpec,
     MotifTopology,
@@ -14,7 +17,7 @@ from motifset.topology import (
     parse_topology,
 )
 
-from oracles import active_block_count, expand_mask
+from oracles import active_block_count, expand_mask, parse_topology_reference
 
 
 class TestDensitySpec:
@@ -230,6 +233,131 @@ class TestTextFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_topology("not a topology\n")
+
+    def test_parse_errors_are_typed(self):
+        with pytest.raises(TopologyFormatError) as caught:
+            parse_topology("not a topology\n")
+        assert isinstance(caught.value, DataError)
+
+    def test_parse_takes_bytes(self):
+        topo = build_topology([8, 8, 6], 2, BlockDensitySpec.fixed(0.5),
+                              seed=3)
+        text = export_topology(topo)
+        back = parse_topology(text.encode())
+        for ma, mb in zip(topo.block_masks, back.block_masks):
+            assert (ma == mb).all()
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\n\n", 2),       # blank line
+        lambda t: t.replace("\n0 ", "\n 0 ", 1),     # leading space
+        lambda t: t.replace("\n", " \n", 3),         # trailing space
+        lambda t: t.replace("\n0 ", "\n0  ", 2),     # repeated space
+        lambda t: t.replace("\n0 ", "\n0\t", 2),     # tab
+        lambda t: t.replace("\n", "\r\n"),           # CRLF line ends
+        lambda t: t.replace("\n0 ", "\n+0 ", 1),     # plus sign
+        lambda t: t.replace("\n10 ", "\n1_0 ", 1),   # digit separator
+        lambda t: t.replace("\n1 ", "\n\u0661 ", 1),  # Arabic-Indic one
+        lambda t: t[:-1],                            # no final newline
+        lambda t: "\n" + t,                          # leading blank line
+    ], ids=["blank-line", "leading-space", "trailing-space", "double-space",
+            "tab", "crlf", "plus", "underscore", "non-ascii-digit",
+            "no-final-newline", "leading-newline"])
+    def test_lenient_spellings_rejected(self, edit):
+        # the line-by-line reference reads these through str.split and
+        # int; the parser takes only the text export_topology writes
+        topo = build_topology([24, 24, 5], 2, BlockDensitySpec.fixed(0.5),
+                              seed=5)
+        text = export_topology(topo)
+        edited = edit(text)
+        assert edited != text
+        sizes, m, masks = parse_topology_reference(edited)
+        assert sizes == topo.layer_sizes
+        for ma, mb in zip(topo.block_masks, masks):
+            assert (ma == mb).all()
+        with pytest.raises(TopologyFormatError):
+            parse_topology(edited)
+
+    @pytest.mark.parametrize("body", ["0 1\n2", "0 1\n2\n", " 1\n",
+                                      "1 \n", "0 1\n 1\n", "1 2 3\n",
+                                      "1\n2 3\n", "-1 0\n"])
+    def test_malformed_block_lines_rejected(self, body):
+        text = "motif-topology v1\nlayer 0 4 4 1\n" + body
+        with pytest.raises(ValueError):
+            parse_topology_reference(text)
+        with pytest.raises(TopologyFormatError, match="block line"):
+            parse_topology(text)
+
+    @pytest.mark.parametrize("line", ["99999999999999999999 0",
+                                      "0 99999999999999999999", "12 0",
+                                      "0 12"])
+    def test_block_beyond_grid_rejected(self, line):
+        # numbers too large for int64 saturate, so they are out of range too
+        text = "motif-topology v1\nlayer 0 12 12 1\n" + line + "\n"
+        with pytest.raises(TopologyFormatError, match="outside the 12 x 12"):
+            parse_topology(text)
+
+
+CANONICAL = re.compile(rb"motif-topology v1\n(?:layer [0-9]+ [0-9]+ [0-9]+ "
+                       rb"[0-9]+\n|[0-9]+ [0-9]+\n)*")
+
+
+def _reference_parse(data: bytes):
+    """``(layer_sizes, motif_size, masks)`` per the scalar reference, or
+    None when it, or the topology its parts describe, is rejected."""
+    try:
+        sizes, m, masks = parse_topology_reference(data.decode())
+        MotifTopology(sizes, m, tuple(masks))
+    except (ValueError, DivisibilityError, EmptyNetworkError):
+        return None
+    return sizes, m, masks
+
+
+@st.composite
+def mutated_texts(draw):
+    """An exported topology with a few flipped, replaced or deleted bytes,
+    dropped or duplicated lines and inserted whitespace."""
+    sizes, m, density, seed = draw(topology_cases())
+    data = export_topology(build_topology(
+        sizes, m, BlockDensitySpec.fixed(density), seed=seed)).encode()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["flip", "byte", "delete", "drop",
+                                     "duplicate", "space"]))
+        at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        lines = data.splitlines(keepends=True)
+        line = min(data.count(b"\n", 0, at), len(lines) - 1)
+        if kind == "flip":
+            data = data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+        elif kind == "byte":
+            byte = draw(st.sampled_from(b"0123456789 \nl+_-"))
+            data = data[:at] + bytes([byte]) + data[at + 1:]
+        elif kind == "delete":
+            data = data[:at] + data[at + 1:]
+        elif kind == "drop":
+            data = b"".join(lines[:line] + lines[line + 1:])
+        elif kind == "duplicate":
+            data = b"".join(lines[:line + 1] + lines[line:])
+        else:
+            space = draw(st.sampled_from([b" ", b"\t", b"\n", b"\r\n"]))
+            data = data[:at] + space + data[at:]
+    return data
+
+
+@given(mutated_texts())
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_reference_on_canonical_texts(data):
+    # the parser accepts a text exactly when the line-by-line reference
+    # does and the text is in export_topology's grammar, with equal masks
+    want = _reference_parse(data)
+    try:
+        got = parse_topology(data)
+    except TopologyFormatError:
+        assert want is None or not CANONICAL.fullmatch(data)
+        return
+    assert want is not None and CANONICAL.fullmatch(data)
+    sizes, m, masks = want
+    assert got.layer_sizes == sizes and got.motif_size == m
+    for ma, mb in zip(got.block_masks, masks, strict=True):
+        np.testing.assert_array_equal(ma, mb)
 
 
 @st.composite
