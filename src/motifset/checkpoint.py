@@ -26,16 +26,27 @@ _META_TYPES = {"activation": str, "weight_mode": str, "init_scheme": str,
                "density_mode": (str, type(None)), "layer_sizes": list}
 
 
+# weight cells per group of block rows that _inactive_nonzero inspects at
+# once: its two boolean temporaries stay at 256 KiB each
+_COUNT_CELLS = 1 << 18
+
+
 def _inactive_nonzero(layer: SparseLayer) -> int:
     """How many weights outside the active blocks are not ``+0.0``.
 
-    Counts cells whose bits are not all zero, over the whole grid less
-    the active blocks, so no copy larger than the active cells is made.
+    Counts cells whose bits are not all zero, one group of block rows at a
+    time, so no temporary larger than a group is made.
     """
-    bits = blocks(layer.weights.view(np.uint64), layer.expand_factor)
-    rows, cols = np.nonzero(layer.block_mask)
-    return (np.count_nonzero(bits)
-            - np.count_nonzero(bits[rows, :, cols, :]))
+    e = layer.expand_factor
+    bits = layer.weights.view(np.uint64)
+    mask = layer.block_mask
+    step = max(1, _COUNT_CELLS // bits.shape[1] // e)
+    stray = 0
+    for r in range(0, mask.shape[0], step):
+        group = blocks(bits[r * e:(r + step) * e], e)
+        stray += np.count_nonzero(
+            (group != 0) & ~mask[r:r + step, None, :, None])
+    return stray
 
 
 def save_checkpoint(network: Network, path):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Network, he_sample
+from .network import Network, SparseLayer, he_sample
 from .topology import blocks
 
 MAGNITUDE_SET = "magnitude_set"
@@ -99,18 +99,14 @@ class EvolutionStats:
 EVOLUTION_CSV_HEADER = "epoch,layer,pruned,regrown,active_blocks,saturated"
 
 
-def _prune_regrow(network: Network, i: int, policy: EvolutionPolicy,
-                  rng: np.random.Generator) -> LayerEvolutionStats:
-    layer = network.layers[i]
+def _prune_weakest(layer: SparseLayer, k: int):
+    """Deactivate and zero the ``k`` weakest active blocks of ``layer``.
+
+    Its block lists and magnitudes end with it, so none is alive through
+    the regrowth draw.
+    """
     mask = layer.block_mask
     rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    active = rows.size
-    if active == mask.size:
-        return LayerEvolutionStats(i, 0, 0, active, saturated=True)
-    k = int(np.floor(policy.zeta * active))
-    if k == 0:
-        return LayerEvolutionStats(i, 0, 0, active)
-
     e = layer.expand_factor
     w = blocks(layer.weights, e)  # w[r, :, c, :] is block (r, c)
     tiles = np.abs(w[rows, :, cols, :])
@@ -125,13 +121,27 @@ def _prune_regrow(network: Network, i: int, policy: EvolutionPolicy,
     mask[pr, pc] = False
     w[pr, :, pc, :] = 0.0
 
+
+def _prune_regrow(network: Network, i: int, policy: EvolutionPolicy,
+                  rng: np.random.Generator) -> LayerEvolutionStats:
+    layer = network.layers[i]
+    mask = layer.block_mask
+    active = np.count_nonzero(mask)
+    if active == mask.size:
+        return LayerEvolutionStats(i, 0, 0, active, saturated=True)
+    k = int(np.floor(policy.zeta * active))
+    if k == 0:
+        return LayerEvolutionStats(i, 0, 0, active)
+    _prune_weakest(layer, k)
+
     # draw before listing the free blocks, so that choice's internal
     # arange over them is gone before the list is built
     pick = rng.choice(mask.size - active + k, size=k, replace=False)
     gr, gc = np.divmod(np.flatnonzero(~mask)[pick], mask.shape[1])
     mask[gr, gc] = True
-    w[gr, :, gc, :] = he_sample(rng, network.init_scheme,
-                                network.layer_sizes[i], (k, e, e))
+    e = layer.expand_factor
+    blocks(layer.weights, e)[gr, :, gc, :] = he_sample(
+        rng, network.init_scheme, network.layer_sizes[i], (k, e, e))
     # k pruned and k regrown: the active count is where it started
     return LayerEvolutionStats(i, k, k, active)
 

@@ -25,10 +25,14 @@ the layer's expand factor, by the block mask with each column repeated
 ``e`` times.  Inactive weights are always ``+0.0``, so masking a gradient
 and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
 ``+0.0``) with no full-size temporary per step.  :func:`backward` yields
-each layer's gradients lazily, last layer first, and :func:`sgd_step`
-applies each as it comes, so a training step,
+each layer's gradients lazily, last layer first, one row slice of the
+weight gradient at a time, and :func:`sgd_step` applies each as it comes,
+so a training step,
 ``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms
-every weight gradient in the one buffer and holds one at a time.
+every weight gradient in the one buffer and holds one at a time.  A slice
+is about 256 KiB (``_SLICE_CELLS``), so its batch mean, mask and update
+run while it sits in cache: one pass over memory per gradient where there
+were four.
 :func:`_layer_forward` is the one layer step of training and evaluation:
 :func:`forward` keeps every layer's pooled input and activation in the
 :class:`ForwardCache` for :func:`backward`, and :func:`predict_accuracy`
@@ -60,8 +64,13 @@ _PROB_FLOOR = 1e-12
 # predict_accuracy's chunk rows; fewer can change results in the last bit
 EVAL_ROWS = 8192
 
-# (layer index, weight gradient, bias gradient), the last layer first
-LayerGradients = Iterable[tuple[int, np.ndarray, np.ndarray]]
+# float64 cells in one row slice of a weight gradient: 256 KiB, which fits
+# in L2 beside the weights' rows it updates
+_SLICE_CELLS = 1 << 15
+
+# (layer index, weight rows, their gradient, the bias gradient or None),
+# the last layer first; the bias gradient comes with the layer's first slice
+LayerGradients = Iterable[tuple[int, slice, np.ndarray, np.ndarray | None]]
 
 
 def _relu(z):
@@ -140,17 +149,20 @@ class SparseLayer:
         """Blocks-to-weights tile ratio (``m`` for independent hidden layers)."""
         return self.block_tile // self.share_tile
 
-    def mask_in_place(self, a: np.ndarray):
-        """Multiply C-contiguous weight-shaped ``a`` by 0.0 outside the
-        active blocks and by 1.0 inside them, in place.
+    def mask_in_place(self, a: np.ndarray, first_row: int = 0):
+        """Multiply C-contiguous ``a``, the rows of a weight-shaped array
+        from ``first_row`` on, by 0.0 outside the active blocks and by 1.0
+        inside them, in place.  ``first_row`` and the row count are
+        multiples of the expand factor.
 
         Active cells keep their bits; an inactive cell becomes ``+0.0`` or
         ``-0.0`` with the sign of its old value (NaN if it was not finite).
         """
         e = self.expand_factor
         rows, cols = a.shape
+        mask = self.block_mask[first_row // e:(first_row + rows) // e]
         view = blocks(a, e).reshape(rows // e, e, cols)
-        view *= _spread_cols(self.block_mask, e)[:, None, :]
+        view *= _spread_cols(mask, e)[:, None, :]
 
 
 @dataclass
@@ -360,6 +372,10 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
                      out: np.ndarray | None) -> LayerGradients:
     """The generator :func:`backward` returns, after its checks."""
     n = y.shape[0]
+    # 1 / n is exact for a power of two, so x * (1 / n) and x / n round the
+    # same real number: the same bits from a cheaper operation
+    mean, by = ((np.multiply, 1.0 / n) if n & (n - 1) == 0
+                else (np.divide, n))
     derivative = _ACTIVATIONS[network.activation][1]
     delta = cache.a_list[-1] - y
     for i in range(len(network.layers) - 1, -1, -1):
@@ -369,13 +385,18 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
         shape = (p.shape[1], q.shape[1])
         gw = np.matmul(p.T, q, out=None if out is None
                        else out[:shape[0] * shape[1]].reshape(shape))
-        gw /= n
-        layer.mask_in_place(gw)
         gb = delta.mean(axis=0)
         if i > 0:
             delta = (_spread_cols(q @ layer.weights.T, m)
                      * derivative(cache.a_list[i]))
-        yield i, gw, gb
+        e = layer.expand_factor
+        step = max(e, _SLICE_CELLS // shape[1] // e * e)
+        for start in range(0, shape[0], step):
+            rows = slice(start, min(start + step, shape[0]))
+            g = gw[rows]
+            mean(g, by, out=g)
+            layer.mask_in_place(g, start)
+            yield i, rows, g, gb if start == 0 else None
 
 
 def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
@@ -389,14 +410,21 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     :meth:`SparseLayer.mask_in_place`, and ``Q @ W.T`` spread back over the
     tile feeds the previous layer.  All gradients are means over the batch.
 
-    Returns an iterator of ``(layer index, dW, db)``, last layer first,
-    that forms each layer's gradients when advanced; the cache and targets
-    are checked when this is called.  Layer ``i - 1``'s delta is taken
-    from ``W_i`` before layer ``i`` is yielded, so a consumer such as
-    :func:`sgd_step` may update ``W_i`` at once.  Each ``dW`` is a new
-    array, or, given ``out`` (a 1-D float64 buffer of at least the largest
-    weight grid's cells), a view into the front of ``out`` that the next
-    layer's overwrites, so a step holds one weight-sized gradient at most.
+    Returns an iterator of ``(layer index, rows, dW[rows], db)``, last
+    layer first, that forms each layer's gradients when advanced; the cache
+    and targets are checked when this is called.  Each layer's ``P.T @ Q``
+    is one product; its row slices, of about ``_SLICE_CELLS`` cells and a
+    whole number of block rows each, are then divided by ``n`` and masked
+    one at a time as they are yielded, so a consumer can finish a slice
+    while it is in cache.  ``db`` comes with the layer's first slice and
+    is None with the others.  Layer ``i - 1``'s delta is taken from ``W_i``
+    before layer ``i``'s first slice is yielded, so a consumer such as
+    :func:`sgd_step` may update ``W_i`` at once.  Each layer's ``dW`` is a
+    new array whose slices are views of it, or, given ``out`` (a 1-D
+    float64 buffer of at least the largest weight grid's cells), a view
+    into the front of ``out`` that the next layer's overwrites, so a step
+    holds one weight-sized gradient at most.  For a batch of ``2**k`` the
+    division is a multiplication by ``2**-k``, which gives the same bits.
 
     A non-finite cell of ``P.T @ Q`` stays non-finite after masking
     (``inf * 0.0`` and ``nan * 0.0`` are NaN), so :func:`sgd_step` carries
@@ -415,23 +443,29 @@ def sgd_step(network: Network, grads: LayerGradients,
              learning_rate: float) -> Network:
     """In-place gradient descent update; returns the same network.
 
-    ``grads`` is any iterable of ``(layer index, dW, db)``, such as the
-    iterator :func:`backward` returns; each layer is updated as its triple
-    comes, and a ``dW`` not of its layer's shape raises ShapeError.  Scales
-    the gradients it is given by ``learning_rate`` in place:
-    ``W -= lr * gW`` with no temporary the size of ``W``.
+    ``grads`` is any iterable of ``(layer index, rows, dW, db)``, such as
+    the iterator :func:`backward` returns: ``rows`` is a slice of the
+    layer's weight rows (``slice(None)`` for all of them), ``dW`` their
+    gradient and ``db`` the layer's bias gradient or None.  Each item is
+    applied as it comes, ``W[rows] -= lr * dW``, so a slice of
+    :func:`backward`'s is updated while it is still in cache; a ``dW`` not
+    of the shape of ``W[rows]`` raises ShapeError.  Scales the gradients it
+    is given by ``learning_rate`` in place, with no temporary the size of
+    ``W``.
     """
-    for i, gw, gb in grads:
+    for i, rows, gw, gb in grads:
         layer = network.layers[i]
-        if gw.shape != layer.weights.shape:
+        w = layer.weights[rows]
+        if gw.shape != w.shape:
             raise ShapeError(
-                f"weight gradient shape {gw.shape} does not match layer "
-                f"shape {layer.weights.shape}"
+                f"weight gradient shape {gw.shape} does not match rows "
+                f"{rows} of layer shape {layer.weights.shape}"
             )
         gw *= learning_rate
-        layer.weights -= gw
-        gb *= learning_rate
-        layer.bias -= gb
+        w -= gw
+        if gb is not None:
+            gb *= learning_rate
+            layer.bias -= gb
     return network
 
 

@@ -95,6 +95,8 @@ def _train_epoch(network, dataset: Dataset, order: np.ndarray,
 
     Every step forms each layer's weight gradient in one buffer that lives
     only for this call, so none survives into eval, evolution or saving.
+    ``sgd_step`` applies each row slice of it as ``backward`` yields it, so
+    a slice's batch mean, mask and update run while it is in cache.
     """
     x_tr, y_tr = dataset.x_train, dataset.y_train
     n = order.size

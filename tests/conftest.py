@@ -108,9 +108,20 @@ def finite_diff_grads(network, x, y, step=1e-5):
 
 def collect_gradients(network, cache, y):
     """``(weight_grads, bias_grads)``: the per-layer gradients that the
-    package's ``backward`` yields without a buffer, in layer order."""
+    package's ``backward`` yields without a buffer, in layer order.
+
+    Without a buffer every row slice of a layer's weight gradient is a view
+    of one new array, whole once the last slice has been yielded."""
     n_layers = len(network.layers)
     weight_grads, bias_grads = [None] * n_layers, [None] * n_layers
-    for i, gw, gb in backward(network, cache, y):
-        weight_grads[i], bias_grads[i] = gw, gb
+    for i, _, gw, gb in backward(network, cache, y):
+        weight_grads[i] = gw.base
+        if gb is not None:
+            bias_grads[i] = gb
     return weight_grads, bias_grads
+
+
+def whole_layer_items(weight_grads, bias_grads):
+    """``sgd_step`` items that update each layer whole."""
+    return [(i, slice(None), gw, gb)
+            for i, (gw, gb) in enumerate(zip(weight_grads, bias_grads))]

@@ -258,6 +258,27 @@ class TestMagnitudePrune:
             tracemalloc.stop()
         assert peak < 16 * free
 
+    @pytest.mark.parametrize("m,weight_mode", [(1, "shared"),
+                                               (2, "independent")])
+    def test_prune_lists_end_before_the_draw(self, m, weight_mode):
+        # the active-block lists, magnitudes and prune selection are gone
+        # when choice builds its arange over the free blocks: the peak is
+        # that arange or the free-block list (8 bytes per free block) and
+        # the inverted mask, not those plus 3 more bytes per block
+        topo = build_topology((1000, 1000, 2), m, BlockDensitySpec.fixed(0.1),
+                              seed=3)
+        net = init_network(topo, seed=4, weight_mode=weight_mode)
+        mask = net.layers[0].block_mask
+        active = int(mask.sum())
+        free = mask.size - active + int(0.3 * active)
+        tracemalloc.start()
+        try:
+            evolve(net, _policy(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * free + 2 * mask.size
+
 
 class TestListing4:
     def test_zero_epsilon_zero_noise_is_identity(self):

@@ -1,11 +1,13 @@
 """Forward/backward/SGD checked against scalar-loop and finite-difference
 oracles, plus shape and cache validation."""
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import motifset.network
 from motifset.checkpoint import load_checkpoint, save_checkpoint
@@ -24,7 +26,12 @@ from motifset.network import (
 )
 from motifset.topology import BlockDensitySpec, build_topology
 
-from conftest import collect_gradients, finite_diff_grads, small_network
+from conftest import (
+    collect_gradients,
+    finite_diff_grads,
+    small_network,
+    whole_layer_items,
+)
 from oracles import (DenseMLP, expand_weights, max_rel_error,
                      pool_cols_reference, weight_mask)
 
@@ -301,7 +308,7 @@ class TestSgd:
         weight_grads, bias_grads = collect_gradients(net, forward(net, x), y)
         expected = [l.weights - 0.1 * g
                     for l, g in zip(net.layers, weight_grads)]
-        sgd_step(net, zip(range(2), weight_grads, bias_grads), 0.1)
+        sgd_step(net, whole_layer_items(weight_grads, bias_grads), 0.1)
         for e, layer in zip(expected, net.layers):
             np.testing.assert_allclose(layer.weights, e, atol=0)
 
@@ -471,7 +478,7 @@ def test_step_allocates_no_weight_sized_temporary(m, mode):
     returned = sum(g.nbytes for g in weight_grads + bias_grads)
     assert peak < returned + grid
     peak, _ = _peak_bytes(sgd_step, net,
-                          zip(range(2), weight_grads, bias_grads), 0.1)
+                          whole_layer_items(weight_grads, bias_grads), 0.1)
     assert peak < grid
     del weight_grads, bias_grads
     buffer = np.empty(max(layer.weights.size for layer in net.layers))
@@ -484,9 +491,10 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _reference_backward(net, cache, y):
+def _reference_backward(net, cache, y, mean=np.divide):
     """Every layer's gradients as new arrays, from the cached activations:
-    pooled by the scalar reference, masked by the oracle's cell mask."""
+    pooled by the scalar reference, ``mean(P.T @ Q, n)``, masked by the
+    oracle's cell mask."""
     n = y.shape[0]
     delta = cache.a_list[-1] - y
     weight_grads, bias_grads = [], []
@@ -495,7 +503,7 @@ def _reference_backward(net, cache, y):
         m = layer.share_tile
         p = pool_cols_reference(cache.a_list[i], m)
         q = pool_cols_reference(delta, m)
-        weight_grads.insert(0, (p.T @ q) / n * weight_mask(layer))
+        weight_grads.insert(0, mean(p.T @ q, n) * weight_mask(layer))
         bias_grads.insert(0, delta.mean(axis=0))
         if i > 0:
             a = cache.a_list[i]
@@ -505,14 +513,26 @@ def _reference_backward(net, cache, y):
     return weight_grads, bias_grads
 
 
+def _recording(items, seen):
+    """Pass ``items`` through, noting each ``(layer, rows)``."""
+    for item in items:
+        seen.append(item[:2])
+        yield item
+
+
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
 @pytest.mark.parametrize("mode", ["shared", "independent"])
 @pytest.mark.parametrize("m", [1, 2, 4])
-def test_fused_step_matches_backward_then_update(m, mode, activation):
+def test_fused_step_matches_backward_then_update(monkeypatch, m, mode,
+                                                 activation):
     """Bit for bit, backward's gradients are the reference's, and steps
     fused through one buffer give the weights and biases of backward
     followed by ``W -= lr * gW``: each delta must be taken before its
-    layer's weights change."""
+    layer's weights change.  The steps cut the gradients into row slices
+    of several sizes: 48 and 192 cells give slices of 2 to 12 rows that do
+    not divide the layers (block rows of 4 at m=4 independent), then one
+    row or block row, then the default; each size takes a batch of 8,
+    whose mean multiplies by 1/8, and one of 6, which divides."""
     def make():
         return small_network(sizes=(16, 16, 16, 4), motif_size=m,
                              density=0.5, seed=m, weight_mode=mode,
@@ -520,9 +540,12 @@ def test_fused_step_matches_backward_then_update(m, mode, activation):
     fused, stepped = make(), make()
     buffer = np.empty(max(layer.weights.size for layer in fused.layers))
     rng = np.random.default_rng(m)
-    for _ in range(4):
-        x = rng.normal(size=(6, 16))
-        y = np.eye(4)[rng.integers(0, 4, 6)]
+    short_slices = 0
+    for cells, batch in itertools.product(
+            (48, 192, 1, motifset.network._SLICE_CELLS), (8, 6)):
+        monkeypatch.setattr(motifset.network, "_SLICE_CELLS", cells)
+        x = rng.normal(size=(batch, 16))
+        y = np.eye(4)[rng.integers(0, 4, batch)]
         cache = forward(stepped, x)
         weight_grads, bias_grads = collect_gradients(stepped, cache, y)
         reference = _reference_backward(stepped, cache, y)
@@ -532,7 +555,63 @@ def test_fused_step_matches_backward_then_update(m, mode, activation):
         for layer, gw, gb in zip(stepped.layers, weight_grads, bias_grads):
             layer.weights -= 0.1 * gw
             layer.bias -= 0.1 * gb
-        sgd_step(fused, backward(fused, forward(fused, x), y, buffer), 0.1)
+        seen = []
+        sgd_step(fused, _recording(
+            backward(fused, forward(fused, x), y, buffer), seen), 0.1)
         for a, b in zip(fused.layers, stepped.layers):
             np.testing.assert_array_equal(_bits(a.weights), _bits(b.weights))
             np.testing.assert_array_equal(_bits(a.bias), _bits(b.bias))
+        # each layer's slices run over its rows in order, whole block rows
+        assert [i for i, _ in seen] == sorted((i for i, _ in seen),
+                                              reverse=True)
+        for i, layer in enumerate(fused.layers):
+            rows = [r for j, r in seen if j == i]
+            e = layer.expand_factor
+            assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
+            assert rows[-1].stop == layer.weights.shape[0]
+            assert all((r.stop - r.start) % e == 0 for r in rows)
+            short_slices += (rows[-1].stop - rows[-1].start
+                             < rows[0].stop - rows[0].start)
+    assert short_slices  # some slicing did not divide a layer
+
+
+@given(arrays(np.float64, st.integers(1, 40),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.integers(0, 1023))
+@settings(max_examples=300, deadline=None)
+def test_power_of_two_reciprocal_multiplies_to_division_bits(x, k):
+    """For ``n = 2**k``, ``x * (1 / n)`` and ``x / n`` are one rounding of
+    the same real number, subnormal results and inputs included: backward
+    multiplies by the reciprocal for such batch sizes."""
+    n = 2**k
+    np.testing.assert_array_equal(_bits(np.multiply(x, 1.0 / n)),
+                                  _bits(np.divide(x, n)))
+
+
+def test_batch_of_80_divides():
+    """1/80 is inexact, so a batch of 80 keeps the division: its gradients
+    are ``P.T @ Q / 80``, which differs from ``P.T @ Q * (1/80)`` in some
+    cells."""
+    net = small_network(sizes=(16, 16, 16, 4), motif_size=1, density=0.5,
+                        seed=7)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(80, 16))
+    y = np.eye(4)[rng.integers(0, 4, 80)]
+    cache = forward(net, x)
+    weight_grads, _ = collect_gradients(net, cache, y)
+    divided, _ = _reference_backward(net, cache, y)
+    multiplied, _ = _reference_backward(
+        net, cache, y, mean=lambda g, n: g * (1.0 / n))
+    for got, want in zip(weight_grads, divided):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert any((_bits(a) != _bits(b)).any()
+               for a, b in zip(divided, multiplied))
+
+
+def test_sgd_step_rejects_a_gradient_not_of_its_rows():
+    net = small_network(sizes=(8, 8, 4), motif_size=1, density=1.0)
+    before = [layer.weights.copy() for layer in net.layers]
+    with pytest.raises(ShapeError, match="does not match rows"):
+        sgd_step(net, [(0, slice(0, 3), np.zeros((4, 8)), None)], 0.1)
+    for b, layer in zip(before, net.layers):
+        np.testing.assert_array_equal(b, layer.weights)
