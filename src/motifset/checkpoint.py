@@ -90,8 +90,8 @@ def load_checkpoint(path) -> Network:
             # is built
             layer_sizes, implied = meta["layer_sizes"], []
             for i in range(len(layer_sizes) - 1):
-                rows, cols, _ = weight_grid(layer_sizes, meta["motif_size"],
-                                            meta["weight_mode"], i)
+                rows, cols = weight_grid(layer_sizes, meta["motif_size"],
+                                         meta["weight_mode"], i)
                 implied += [8 * rows * cols, 8 * layer_sizes[i + 1]]
             if sizes[1:] != implied:
                 raise ValueError("weight and bias sections do not match the "

@@ -133,7 +133,7 @@ def _cmd_export_topology(args) -> int:
         topology = network.topology
     else:
         config = _resolve_config(args)
-        if not config.hidden_sizes or args.input_size is None:
+        if args.input_size is None:
             raise ConfigError(
                 "building a topology without a checkpoint needs "
                 "--input-size (and --output-size)"
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NonFiniteError, FloatingPointError) as exc:
+    except NonFiniteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MotifSetError as exc:

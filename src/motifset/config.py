@@ -149,6 +149,15 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        # numbers, booleans and sizes echo as text a config file reads back
+        # as is; a string may hold a comment marker, whitespace or a newline
+        for section, key, name in SCHEMA:
+            value = getattr(self, name)
+            if isinstance(value, str) and _read_back(section, key,
+                                                      value) != value:
+                raise ConfigError(
+                    f"{name} = {value!r} would not read back from the "
+                    f"manifest as the same value")
         return self
 
 
@@ -196,19 +205,40 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _ini_parser() -> configparser.ConfigParser:
+    """A parser that takes values literally, as every config file is read."""
+    return configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                     interpolation=None)
+
+
+def _read_back(section: str, key: str, text: str) -> str | None:
+    """What a ``key = text`` line under ``[section]`` reads back as; None
+    when the text does not parse."""
+    parser = _ini_parser()
+    try:
+        parser.read_string(f"[{section}]\n{key} = {text}\n")
+    except configparser.Error:
+        return None
+    return parser.get(section, key)
+
+
 def _read_ini(path) -> configparser.ConfigParser:
     """Parse a config or manifest file, taking values literally.
 
     Malformed text (no section header, a duplicate section or key, bytes
-    that do not decode) raises ConfigError; an unreadable file, OSError.
+    that do not decode, options under ``[DEFAULT]``, which configparser
+    would copy into every section) raises ConfigError; an unreadable file,
+    OSError.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+    parser = _ini_parser()
     try:
         with open(path) as f:
             parser.read_file(f)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: options under [{parser.default_section}] "
+                          f"are not allowed; give each its own section")
     return parser
 
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import csv
 import gzip
-import struct
 import math
+import os
+import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .container import read_container, write_container
 from .errors import (
     CorruptCacheError,
     CountMismatchError,
+    DataError,
     EmptyFileError,
     MagicNumberError,
     NonNumericError,
@@ -56,6 +59,9 @@ IDX_FILES = {
 
 CACHE_MAGIC = b"MSETDATA"
 CACHE_VERSION = 2
+
+# deflate expands data at most 1032-fold, which bounds what a gzip file holds
+_DEFLATE_MAX_RATIO = 1032
 
 _STD_FLOOR = 1e-8
 # columns squared per block when summing the variance: a temporary of at
@@ -116,11 +122,25 @@ def _open_maybe_gzip(path, mode: str):
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
+    """The next ``count`` bytes of ``f``, read at once; TruncatedFileError
+    when the file cannot hold them, ends first or has damaged gzip data."""
+    room = os.fstat(f.fileno()).st_size
+    if isinstance(f, gzip.GzipFile):
+        room *= _DEFLATE_MAX_RATIO
+    if count > room:
+        raise TruncatedFileError(
+            f"{path}: header declares {count} bytes of {what}, more than "
+            f"the file can hold"
+        )
     try:
         data = f.read(count)
     except EOFError as exc:  # gzip stream cut short
         raise TruncatedFileError(
             f"{path}: compressed data ends inside the {what}"
+        ) from exc
+    except zlib.error as exc:
+        raise TruncatedFileError(
+            f"{path}: compressed data is damaged inside the {what}: {exc}"
         ) from exc
     if len(data) != count:
         raise TruncatedFileError(
@@ -214,10 +234,15 @@ def load_labeled_csv(path, label_column: int = -1
     a header only when none of its feature cells parses as a number; any
     other feature cell that is not a finite number, including one in a
     first row whose other feature cells parse, raises
-    :class:`NonNumericError` naming its row and column.
+    :class:`NonNumericError` naming its row and column.  Text that does not
+    decode, or that the csv module refuses (such as a field over its size
+    limit), raises :class:`DataError`.
     """
-    with open(path, "r", newline="") as f:
-        rows = [row for row in csv.reader(f) if row]
+    try:
+        with open(path, "r", newline="") as f:
+            rows = [row for row in csv.reader(f) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not readable as CSV text: {exc}") from exc
     if not rows:
         raise EmptyFileError(f"{path}: no rows")
 

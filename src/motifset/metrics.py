@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveBaselineError, WeightSumError
-from .network import SHARED
+from .network import weight_grid
 from .topology import MotifTopology
 
 METRICS_CSV_HEADER = "epoch,train_loss,test_accuracy,epoch_time_s,flops"
@@ -176,17 +176,18 @@ class FlopCount:
                                  + self.backward_per_sample)
 
 
-def flop_counter(topology: MotifTopology, weight_mode: str = SHARED,
+def flop_counter(topology: MotifTopology, weight_mode: str = "shared",
                  n_samples: int = 1) -> FlopCount:
     """Count MACs per sample from active block counts (closed form).
 
-    For a shared layer of tile ``m > 1`` with ``k`` active blocks,
-    ``n_prev`` input and ``n_next`` output neurons: forward costs
-    ``k + n_prev`` (column pooling plus one MAC per block), backward costs
-    ``2k + n_next`` (block gradient, input delta, and pooling the output
-    delta).  Layers stored at neuron granularity cost one MAC per active
-    weight forward and two backward; independent-mode hidden layers hold
-    ``k * m * m`` active weights.
+    Each layer's stored grid is :func:`motifset.network.weight_grid`'s.  A
+    grid with fewer rows than the layer has inputs is pooled: for ``k``
+    active blocks, ``n_prev`` input and ``n_next`` output neurons, forward
+    costs ``k + n_prev`` (column pooling plus one MAC per block), backward
+    costs ``2k + n_next`` (block gradient, input delta, and pooling the
+    output delta).  Any other grid costs one MAC per active weight forward
+    and two backward, and a block holds ``(rows / mask rows)**2`` weights:
+    ``m * m`` on an independent-mode hidden layer, else one.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
@@ -194,14 +195,13 @@ def flop_counter(topology: MotifTopology, weight_mode: str = SHARED,
     bwd = []
     sizes = topology.layer_sizes
     for i, mask in enumerate(topology.block_masks):
-        tile = topology.tile(i)
+        rows, _ = weight_grid(sizes, topology.motif_size, weight_mode, i)
         k = int(mask.sum())
-        pooled = weight_mode == SHARED and tile > 1
-        if pooled:
+        if rows < sizes[i]:
             fwd.append(k + sizes[i])
             bwd.append(2 * k + sizes[i + 1])
         else:
-            active_weights = k * tile * tile if weight_mode != SHARED else k
+            active_weights = k * (rows // mask.shape[0]) ** 2
             fwd.append(active_weights)
             bwd.append(2 * active_weights)
     return FlopCount(tuple(fwd), tuple(bwd), int(n_samples))

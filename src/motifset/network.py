@@ -19,6 +19,8 @@ Two weight modes exist per network:
     every connection trains its own value.
 
 The final weight layer always stores neuron-granularity weights (tile 1).
+:func:`weight_grid` is the one rule for where a layer's weights live; every
+other reader takes a layer's grid and tiles from the arrays' shapes.
 :meth:`SparseLayer.mask_in_place` is the one masking rule of both modes: it
 multiplies the ``(rows / e, e, cols)`` view of a weight-shaped array, ``e``
 the layer's expand factor, by the block mask with each column repeated
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, StaleCacheError
-from .topology import MotifTopology, _block_grid, blocks
+from .topology import MotifTopology, block_grid, blocks
 
 SHARED = "shared"
 INDEPENDENT = "independent"
@@ -130,24 +132,27 @@ def check_network_options(activation: str, init_scheme: str,
 
 @dataclass
 class SparseLayer:
-    """One weight layer of the network.
+    """One weight layer of the network: its three arrays.
 
-    ``weights`` is stored on a grid of ``share_tile x share_tile`` cells:
-    the block grid for shared hidden layers, the neuron grid otherwise.
-    ``block_mask`` always lives on the ``block_tile`` grid and is a view
-    into the owning network's topology, so evolution edits both at once.
+    ``weights`` lies on the layer's :func:`weight_grid`, ``bias`` has one
+    entry per output neuron, and ``block_mask``, one cell per block, is a
+    view into the owning network's topology, so evolution edits both at
+    once.  Both tiles are ratios of these shapes.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     block_mask: np.ndarray
-    block_tile: int
-    share_tile: int
+
+    @property
+    def share_tile(self) -> int:
+        """Neurons per weight side; ``m`` on a shared hidden layer."""
+        return self.bias.size // self.weights.shape[1]
 
     @property
     def expand_factor(self) -> int:
-        """Blocks-to-weights tile ratio (``m`` for independent hidden layers)."""
-        return self.block_tile // self.share_tile
+        """Weights per block side; ``m`` on an independent hidden layer."""
+        return self.weights.shape[0] // self.block_mask.shape[0]
 
     def mask_in_place(self, a: np.ndarray, first_row: int = 0):
         """Multiply C-contiguous ``a``, the rows of a weight-shaped array
@@ -205,13 +210,12 @@ class ForwardCache:
 
 
 def weight_grid(layer_sizes, motif_size: int, weight_mode: str, i: int
-                ) -> tuple[int, int, int]:
-    """``(rows, cols, share_tile)`` of weight layer ``i``'s stored grid: one
-    weight per block on a shared layer, else one per neuron pair."""
-    rows, cols, tile = _block_grid(layer_sizes, motif_size, i)
+                ) -> tuple[int, int]:
+    """``(rows, cols)`` of weight layer ``i``'s stored grid: one weight per
+    block on a shared layer, else one per neuron pair."""
     if weight_mode == SHARED:
-        return rows, cols, tile
-    return layer_sizes[i], layer_sizes[i + 1], 1
+        return block_grid(layer_sizes, motif_size, i)[:2]
+    return layer_sizes[i], layer_sizes[i + 1]
 
 
 def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
@@ -226,15 +230,9 @@ def zero_network(topology: MotifTopology, activation: str, init_scheme: str,
     sizes = topology.layer_sizes
     layers = []
     for i, mask in enumerate(topology.block_masks):
-        rows, cols, share_tile = weight_grid(sizes, topology.motif_size,
-                                             weight_mode, i)
-        layers.append(SparseLayer(
-            weights=np.zeros((rows, cols)),
-            bias=np.zeros(sizes[i + 1], dtype=np.float64),
-            block_mask=mask,
-            block_tile=topology.tile(i),
-            share_tile=share_tile,
-        ))
+        grid = weight_grid(sizes, topology.motif_size, weight_mode, i)
+        layers.append(SparseLayer(np.zeros(grid), np.zeros(sizes[i + 1]),
+                                  mask))
     return Network(topology, layers, activation, weight_mode, init_scheme)
 
 
@@ -360,7 +358,7 @@ def _check_cache(network: Network, cache: ForwardCache):
                 f"cache activation {i} has width {cache.a_list[i].shape[1]}, "
                 f"network expects {network.layer_sizes[i]}"
             )
-        width = network.layer_sizes[i] // layer.share_tile
+        width = layer.weights.shape[0]
         if cache.pooled[i].shape != (cache.a_list[i].shape[0], width):
             raise StaleCacheError(
                 f"cache pooled input {i} has shape {cache.pooled[i].shape}, "

@@ -47,8 +47,8 @@ def check_layer_sizes(layer_sizes: tuple[int, ...], motif_size: int):
             )
 
 
-def _block_grid(layer_sizes, motif_size: int, layer_index: int
-                ) -> tuple[int, int, int]:
+def block_grid(layer_sizes, motif_size: int, layer_index: int
+               ) -> tuple[int, int, int]:
     """``(rows, cols, tile)`` of weight layer ``layer_index``'s block grid.
 
     The tile is the motif size, except on the last weight layer, which stays
@@ -132,9 +132,10 @@ class MotifTopology:
         for i, mask in enumerate(self.block_masks):
             if mask.dtype != np.bool_:
                 raise ValueError(f"mask {i} must be boolean, got {mask.dtype}")
-            if mask.shape != self.block_shape(i):
+            shape = block_grid(self.layer_sizes, self.motif_size, i)[:2]
+            if mask.shape != shape:
                 raise ValueError(
-                    f"mask {i} has shape {mask.shape}, expected {self.block_shape(i)}"
+                    f"mask {i} has shape {mask.shape}, expected {shape}"
                 )
 
     @property
@@ -142,26 +143,16 @@ class MotifTopology:
         return len(self.layer_sizes) - 1
 
     def tile(self, layer_index: int) -> int:
-        """Block tile size of weight layer ``layer_index`` (1 on the last)."""
-        self._check_index(layer_index)
-        return _block_grid(self.layer_sizes, self.motif_size, layer_index)[2]
-
-    def block_shape(self, layer_index: int) -> tuple[int, int]:
-        self._check_index(layer_index)
-        return _block_grid(self.layer_sizes, self.motif_size, layer_index)[:2]
+        """Block tile size of weight layer ``layer_index`` (1 on the last),
+        read from its mask; a negative index counts from the end."""
+        mask = self.block_masks[layer_index]
+        return self.layer_sizes[:-1][layer_index] // mask.shape[0]
 
     def copy_mutable(self) -> "MotifTopology":
         """Deep copy with writable masks, for a network that will evolve."""
         masks = tuple(np.array(m) for m in self.block_masks)
         return MotifTopology(self.layer_sizes, self.motif_size, masks,
                              self.epsilon, self.density_mode)
-
-    def _check_index(self, layer_index: int):
-        if not 0 <= layer_index < self.n_weight_layers:
-            raise IndexError(
-                f"layer index {layer_index} out of range "
-                f"[0, {self.n_weight_layers})"
-            )
 
 
 def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
@@ -182,12 +173,11 @@ def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
 
     masks = []
     for i in range(len(layer_sizes) - 1):
-        rows, cols, _ = _block_grid(layer_sizes, motif_size, i)
+        rows, cols, _ = block_grid(layer_sizes, motif_size, i)
         rng = np.random.default_rng((seed, i))
         p = density.target_density(rows, cols)
         total = rows * cols
         k = int(round(p * total))
-        k = min(max(k, 0), total)
         mask = np.zeros((rows, cols), dtype=bool)
         if k > 0:
             flat = rng.choice(total, size=k, replace=False)

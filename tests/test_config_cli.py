@@ -1,11 +1,17 @@
 """Config parsing/echo, preset resolution, CLI subcommands and exit codes."""
 import configparser
+import contextlib
+import gzip
 import hashlib
+import io
 import re
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifset.cli import _resolve_config, build_parser, main
 from motifset.config import (
@@ -18,6 +24,8 @@ from motifset.config import (
 )
 from motifset.data import write_idx
 from motifset.errors import ConfigError
+
+from conftest import damaged
 
 
 class TestConfigFiles:
@@ -81,6 +89,29 @@ class TestConfigFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nepochs = 5\n",
+        "[DEFAULT]\nepochs = 5\n[model]\nmotif_size = 2\n",
+    ], ids=["alone", "beside-model"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would copy [DEFAULT] options into every section
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=r"options under \[DEFAULT\]"):
+            load_config(p)
+
+    @pytest.mark.parametrize("field,value", [
+        ("csv_path", "/tmp/a #b.csv"), ("out_dir", "runs/x ;y"),
+        ("csv_path", " x.csv"), ("out_dir", "runs/a\nb"),
+        ("out_dir", "runs/a\n[train]\nepochs = 1"),
+    ])
+    def test_value_a_manifest_would_change_rejected(self, tmp_path, field,
+                                                     value):
+        config = ExperimentConfig(csv_path="x.csv")
+        setattr(config, field, value)
+        with pytest.raises(ConfigError, match=f"^{field} = "):
+            config.validate()
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("learning_rate", -0.1), ("motif_size", 0),
@@ -285,6 +316,113 @@ def test_truncated_gzip_idx_exit_code(tmp_path, capsys):
     assert main(["train", *args, "--hidden-sizes", "4", "--epochs", "1",
                  "--out", str(tmp_path / "r")]) == 3
     assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_value_lost_in_manifest_exit_code(toy_csv, tmp_path, capsys):
+    """A path the manifest would not echo back is refused before training."""
+    odd = tmp_path / "a #b.csv"
+    odd.write_bytes(toy_csv.read_bytes())
+    out = tmp_path / "r"
+    assert main(["train", "--csv-path", str(odd), "--epochs", "1",
+                 "--out", str(out)]) == 2
+    assert "config error: csv_path = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
+@pytest.mark.parametrize("count", [2**32 - 1, 60000])
+def test_idx_header_overstating_payload_exit_code(tmp_path, capsys, gz,
+                                                  count):
+    """An image header declaring more bytes than the file holds is bad
+    input (exit 3), not an OverflowError or MemoryError."""
+    args = _idx_args(tmp_path, 4, 4, 2)
+    images = tmp_path / ("train-images.gz" if gz else "train-images")
+    with (gzip.open if gz else open)(images, "wb") as f:
+        f.write(struct.pack(">IIII", 0x803, count, 2**16 - 1, 2**16 - 1))
+    args[args.index("--train-images") + 1] = str(images)
+    assert main(["prepare", *args, "--cache-out",
+                 str(tmp_path / "cache.bin")]) == 3
+    assert "more than the file can hold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", [b"\xff", b"1" * (2**17 + 1)],
+                         ids=["undecodable", "oversized-field"])
+def test_unreadable_csv_exit_code(tmp_path, capsys, cell):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"1,2,a\n3," + cell + b",b\n")
+    assert main(["train", "--csv-path", str(path), "--epochs", "1",
+                 "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+
+
+# header fields at the extremes an IDX file can state
+_EXTREMES = st.sampled_from([0, 1, 2, 255, 2**16 - 1, 2**31, 2**32 - 1])
+
+
+@st.composite
+def _idx_file(draw, raw: bytes, header_fields: int) -> bytes:
+    """``raw``, damaged or with header fields after the magic replaced."""
+    kind = draw(st.sampled_from(["keep", "damage", "header"]))
+    if kind == "damage":
+        return draw(damaged(raw))
+    if kind == "header":
+        head = struct.Struct(f">{header_fields}I")
+        magic, *sizes = head.unpack(raw[:head.size])
+        sizes = [draw(st.one_of(st.just(v), _EXTREMES)) for v in sizes]
+        return head.pack(magic, *sizes) + raw[head.size:]
+    return raw
+
+
+def _prepare_exit_code(directory, args) -> int:
+    """``prepare``'s exit code; any exception escaping main fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(["prepare", *args, "--cache-out",
+                     str(directory / "cache.bin")])
+
+
+@given(data=st.data(), gz=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_idx_prepare_exit_code(tmp_path_factory, data, gz):
+    """Damaged IDX pairs, or pairs whose headers state extreme counts and
+    sizes, end in exit 0 or a typed error's 2 or 3, never a traceback."""
+    directory = tmp_path_factory.mktemp("idx")
+    rng = np.random.default_rng(0)
+    args = ["--dataset-kind", "idx", "--standardize", "false"]
+    for split, n in (("train", 6), ("test", 3)):
+        images, labels = directory / "images", directory / "labels"
+        write_idx(images, labels, rng.integers(0, 256, size=(n, 2, 3)),
+                  np.arange(n) % 3)
+        for kind, source, header_fields in (("images", images, 4),
+                                            ("labels", labels, 2)):
+            raw = data.draw(_idx_file(source.read_bytes(), header_fields))
+            path = directory / f"{split}-{kind}"
+            if gz:
+                raw = gzip.compress(raw, mtime=0)
+                if data.draw(st.booleans()):
+                    raw = data.draw(damaged(raw))
+                path = path.with_suffix(".gz")
+            path.write_bytes(raw)
+            args += [f"--{split}-{kind}", str(path)]
+    assert _prepare_exit_code(directory, args) in (0, 2, 3)
+
+
+_CSV_CELLS = st.sampled_from(["1", "-2.5", "0", "1e400", "nan", "a", "",
+                              " 3 ", '"4"', "x,y", "\udcff", "é"])
+
+
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=4), max_size=12).map(
+        lambda rows: "\n".join(",".join(r) for r in rows).encode(
+            "utf-8", "surrogateescape"))))
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_csv_prepare_exit_code(tmp_path_factory, data):
+    """Arbitrary CSV bytes end in exit 0 or a typed error's 2 or 3."""
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(data)
+    assert _prepare_exit_code(path.parent,
+                              ["--csv-path", str(path)]) in (0, 2, 3)
 
 
 def _label_only_csv(tmp_path):

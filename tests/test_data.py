@@ -35,6 +35,7 @@ from motifset.data import (
 from motifset.errors import (
     CorruptCacheError,
     CountMismatchError,
+    DataError,
     EmptyFileError,
     MagicNumberError,
     NonNumericError,
@@ -117,6 +118,27 @@ class TestIdx:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(TruncatedFileError,
                            match="compressed data ends inside the"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
+    @pytest.mark.parametrize("count", [2**32 - 1, 60000])
+    def test_header_overstating_payload(self, tmp_path, gz, count):
+        # the declared size is refused before a byte of payload is read, so
+        # no huge buffer is asked for
+        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=gz)
+        head = struct.pack(">IIII", 0x00000803, count, 2**16 - 1, 2**16 - 1)
+        with (gzip.open if gz else open)(ip, "wb") as f:
+            f.write(head + bytes(8))
+        with pytest.raises(TruncatedFileError,
+                           match="more than the file can hold"):
+            load_idx(ip, lp)
+
+    def test_damaged_deflate_data(self, tmp_path):
+        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=True)
+        # a bare gzip header, then a deflate block of the reserved type 3
+        ip.write_bytes(b"\x1f\x8b\x08" + bytes(6) + b"\xff\x07" + bytes(32))
+        with pytest.raises(TruncatedFileError,
+                           match="damaged inside the image header"):
             load_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
@@ -237,6 +259,14 @@ class TestCsv:
         _, y = load_labeled_csv(p)
         # sorted as strings: "10" < "2" < "nan"
         np.testing.assert_array_equal(y, [2, 1, 2, 0])
+
+    @pytest.mark.parametrize("cell", [b"\xff", b"1" * (2**17 + 1)],
+                             ids=["undecodable", "oversized-field"])
+    def test_unreadable_text(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"1,2,a\n3," + cell + b",b\n")
+        with pytest.raises(DataError, match=f"{p}: not readable as CSV"):
+            load_labeled_csv(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"

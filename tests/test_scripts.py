@@ -96,3 +96,17 @@ def test_no_unused_top_level_imports():
                     *(ROOT / "tests").glob("*.py")])
     assert len(paths) > 20
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def test_package_imports_no_private_names():
+    # a leading underscore marks a name as its module's own; a module that
+    # needs one from another should get it made public instead
+    private = []
+    for path in sorted((ROOT / "src" / "motifset").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")
+                            and not alias.name.startswith("__")]
+    assert private == []

@@ -60,6 +60,12 @@ class TestBuildShapes:
         assert topo.tile(1) == 1
         assert topo.block_masks[-1].shape == (8, 10)
 
+    def test_tile_index_wraps_like_a_sequence(self):
+        topo = build_topology([8, 16, 8, 10], 4, BlockDensitySpec.fixed(1.0))
+        assert [topo.tile(i) for i in (-3, -2, -1)] == [4, 4, 1]
+        with pytest.raises(IndexError):
+            topo.tile(3)
+
     def test_paper_scale_shapes(self):
         topo = build_topology([784, 3000, 3000, 3000, 10], 2,
                               BlockDensitySpec.erdos_renyi(5.0), seed=1)
