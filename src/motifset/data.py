@@ -13,19 +13,25 @@ Supported sources:
 
 Every source ends in a :class:`Dataset` of four arrays, whose shapes give
 the feature and class counts; it rejects an empty split, zero feature
-columns, or splits that disagree on a count.  Standardization is fit on the
-training split only and scales both splits in place, so ingestion holds no
+columns, or splits that disagree on a count.  IDX pixels are read in
+chunks and scaled into [0, 1] straight into each float64 split: a worker
+thread inflates the next chunk while the calling thread scales the last,
+and then loads the test pair while the calling thread fits the train
+moments.  Standardization is fit on the training split only and scales
+both splits in place, a block of rows at a time, so ingestion holds no
 second copy of a split; a row limit that drops rows copies the rows it
 keeps, so the full split can be freed.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import math
 import os
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,11 +68,16 @@ CACHE_VERSION = 2
 
 # deflate expands data at most 1032-fold, which bounds what a gzip file holds
 _DEFLATE_MAX_RATIO = 1032
+# bytes of IDX pixels read at a time: one chunk is scaled while the next
+# one is inflated.  The worker thread's malloc arena keeps the chunks it
+# allocated after the thread ends: at 1 MiB a desk-m2 training run peaked
+# about 0.8 MB higher than at 256 KiB, which builds as fast.
+_DECODE_CHUNK = 1 << 18
 
 _STD_FLOOR = 1e-8
-# columns squared per block when summing the variance: a temporary of at
-# most 2x this many columns, not the whole training matrix
-_STD_BLOCK_COLS = 32
+# training rows centred and squared per block when summing the variance, so
+# that a block and its squares stay in cache
+_STD_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -121,9 +132,9 @@ def _open_maybe_gzip(path, mode: str):
     return open(path, mode)
 
 
-def _read_exact(f, count: int, path, what: str) -> bytes:
-    """The next ``count`` bytes of ``f``, read at once; TruncatedFileError
-    when the file cannot hold them, ends first or has damaged gzip data."""
+def _check_room(f, count: int, path, what: str):
+    """TruncatedFileError when ``f`` cannot hold ``count`` bytes of
+    ``what``; checked before anything that size is allocated."""
     room = os.fstat(f.fileno()).st_size
     if isinstance(f, gzip.GzipFile):
         room *= _DEFLATE_MAX_RATIO
@@ -132,6 +143,12 @@ def _read_exact(f, count: int, path, what: str) -> bytes:
             f"{path}: header declares {count} bytes of {what}, more than "
             f"the file can hold"
         )
+
+
+def _read_exact(f, count: int, path, what: str) -> bytes:
+    """The next ``count`` bytes of ``f``, read at once; TruncatedFileError
+    when the file cannot hold them, ends first or has damaged gzip data."""
+    _check_room(f, count, path, what)
     try:
         data = f.read(count)
     except EOFError as exc:  # gzip stream cut short
@@ -149,20 +166,76 @@ def _read_exact(f, count: int, path, what: str) -> bytes:
     return data
 
 
-def _read_idx(path, header_struct: struct.Struct, magic: int, what: str
-              ) -> tuple[int, list[int], bytes]:
-    """``(count, dims, payload)`` of one IDX file, whose ``header_struct``
-    unpacks to the magic, the item count and each item's dimensions."""
-    with _open_maybe_gzip(path, "rb") as f:
-        found, count, *dims = header_struct.unpack(
-            _read_exact(f, header_struct.size, path, f"{what} header"))
-        if found != magic:
-            raise MagicNumberError(
-                f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}"
+def _read_header(f, header_struct: struct.Struct, magic: int, path,
+                 what: str) -> tuple[int, list[int]]:
+    """``(count, dims)`` from the IDX header at the start of ``f``, which
+    ``header_struct`` unpacks to the magic, the item count and each item's
+    dimensions."""
+    found, count, *dims = header_struct.unpack(
+        _read_exact(f, header_struct.size, path, f"{what} header"))
+    if found != magic:
+        raise MagicNumberError(
+            f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}"
+        )
+    return count, dims
+
+
+def _read_idx_pair(images_path, labels_path, read_images):
+    """``(read_images(f, n, size, images_path), labels)`` of an IDX pair,
+    where ``read_images`` reads the ``n`` images of ``size`` bytes that
+    follow the header of the open image file ``f``.
+
+    The image payload's size is checked against the file before
+    ``read_images`` runs, and the counts of both files must agree.
+    Raises :class:`MagicNumberError`, :class:`TruncatedFileError`, or
+    :class:`CountMismatchError` on the corresponding defects.
+    """
+    with (_open_maybe_gzip(images_path, "rb") as images,
+          _open_maybe_gzip(labels_path, "rb") as labels):
+        n, (rows, cols) = _read_header(images, _IMAGE_HEAD, IDX_IMAGE_MAGIC,
+                                       images_path, "image")
+        _check_room(images, n * rows * cols, images_path, "image data")
+        n_labels, _ = _read_header(labels, _LABEL_HEAD, IDX_LABEL_MAGIC,
+                                   labels_path, "label")
+        if n != n_labels:
+            raise CountMismatchError(
+                f"{images_path} holds {n} images but {labels_path} holds "
+                f"{n_labels} labels"
             )
-        payload = _read_exact(f, count * math.prod(dims), path,
-                              f"{what} data")
-    return count, dims, payload
+        return (read_images(images, n, rows * cols, images_path),
+                np.frombuffer(_read_exact(labels, n, labels_path,
+                                          "label data"), dtype=np.uint8))
+
+
+def _read_scaled(f, n: int, size: int, path, pool=None) -> np.ndarray:
+    """The next ``n`` images of ``size`` bytes in ``f`` as ``(n, size)``
+    float64 rows scaled by :func:`normalize_01`.
+
+    The bytes are read ``_DECODE_CHUNK`` at a time, in file order, and each
+    chunk is scaled straight into the result, so the byte payload is never
+    held whole.  With a one-thread ``pool``, its thread reads each next
+    chunk while this one scales the last.
+    """
+    out = np.empty((n, size))
+    flat = out.reshape(-1)
+    starts = range(0, flat.size, _DECODE_CHUNK)
+
+    def read(start: int) -> bytes:
+        return _read_exact(f, min(_DECODE_CHUNK, flat.size - start), path,
+                           "image data")
+
+    ahead = None
+    try:
+        for i, start in enumerate(starts):
+            chunk = ahead.result() if ahead is not None else read(start)
+            if pool is not None and i + 1 < len(starts):
+                ahead = pool.submit(read, starts[i + 1])
+            normalize_01(np.frombuffer(chunk, dtype=np.uint8),
+                         out=flat[start:start + len(chunk)])
+    finally:
+        if ahead is not None:  # no read may outlive the caller's file
+            wait([ahead])
+    return out
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
@@ -173,17 +246,11 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     :class:`TruncatedFileError`, or :class:`CountMismatchError` on the
     corresponding defects.
     """
-    n, (rows, cols), pixels = _read_idx(images_path, _IMAGE_HEAD,
-                                        IDX_IMAGE_MAGIC, "image")
-    n_labels, _, labels = _read_idx(labels_path, _LABEL_HEAD,
-                                    IDX_LABEL_MAGIC, "label")
-    if n != n_labels:
-        raise CountMismatchError(
-            f"{images_path} holds {n} images but {labels_path} holds "
-            f"{n_labels} labels"
-        )
-    return (np.frombuffer(pixels, dtype=np.uint8).reshape(n, rows * cols),
-            np.frombuffer(labels, dtype=np.uint8))
+    def read_bytes(f, n: int, size: int, path) -> np.ndarray:
+        return np.frombuffer(_read_exact(f, n * size, path, "image data"),
+                             dtype=np.uint8).reshape(n, size)
+
+    return _read_idx_pair(images_path, labels_path, read_bytes)
 
 
 def write_idx(images_path, labels_path, images: np.ndarray,
@@ -291,39 +358,58 @@ def load_labeled_csv(path, label_column: int = -1
 # transforms
 
 
-def normalize_01(x: np.ndarray) -> np.ndarray:
-    """Map byte-range pixel values into [0, 1] as one new float64 array."""
-    return np.divide(x, 255.0, dtype=np.float64)
+def normalize_01(x: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Map byte-range pixel values into [0, 1] as float64, into ``out``
+    when it is given, else into one new array."""
+    return np.divide(x, 255.0, out=out, dtype=np.float64)
+
+
+def _fit_standardize(train: np.ndarray) -> dict:
+    """Scale float64 ``train`` in place to zero mean and unit variance;
+    return the applied ``mean`` and ``std``.
+
+    The arithmetic is numpy's ``std`` step by step, so the results are bit
+    for bit those of ``(x - mean) / np.maximum(x.std(0), 1e-8)``, and a
+    constant feature maps to zero.  The rows are centred, squared and
+    summed ``_STD_BLOCK_ROWS`` at a time while the block is in cache, so no
+    train-sized temporary is made.  Row 0 of ``squares`` carries each
+    column's running sum of squares into the next block's sum, which keeps
+    numpy's row-by-row order.  A matrix of one column is one block: numpy
+    sums a single column pairwise, not row by row.
+    """
+    n, d = train.shape
+    mean = train.mean(axis=0)
+    rows = n if d == 1 else min(n, _STD_BLOCK_ROWS)
+    squares = np.empty((rows + 1, d))
+    for lo in range(0, n, rows):
+        block = train[lo:lo + rows]
+        block -= mean
+        np.square(block, out=squares[1:len(block) + 1])
+        # the first block has no running sum to add
+        np.add.reduce(squares[(lo == 0):len(block) + 1], axis=0,
+                      out=squares[0])
+    std = squares[0] / n
+    np.sqrt(std, out=std)
+    np.maximum(std, _STD_FLOOR, out=std)
+    train /= std
+    return {"mean": mean, "std": std}
 
 
 def _standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
     """Scale float64 ``train`` and ``test`` in place to zero mean and unit
-    variance fit on ``train`` only; return the applied ``mean`` and ``std``.
+    variance fit on ``train`` only, by :func:`_fit_standardize`; return the
+    applied ``mean`` and ``std``."""
+    params = _fit_standardize(train)
+    _apply_standardize(test, params)
+    return params
 
-    The arithmetic is numpy's ``std`` step by step, so the results are bit
-    for bit those of ``(x - mean) / np.maximum(train.std(0), 1e-8)``, and a
-    constant feature maps to zero:
-    ``train -= mean`` is the centred array ``std`` forms, and its squares
-    are summed down the rows a block of columns at a time, so no
-    train-sized temporary is made.  Every block is at least two columns
-    wide unless the matrix has one column: numpy sums a single column
-    pairwise, not row by row as it does a wider block.
-    """
-    n, d = train.shape
-    mean = train.mean(axis=0)
-    train -= mean
-    blocks = max(1, d // _STD_BLOCK_COLS)
-    edges = [d * k // blocks for k in range(blocks + 1)]
-    std = np.empty(d)
-    for lo, hi in zip(edges, edges[1:]):
-        std[lo:hi] = np.square(train[:, lo:hi]).sum(axis=0)
-    std /= n
-    np.sqrt(std, out=std)
-    np.maximum(std, _STD_FLOOR, out=std)
-    train /= std
-    test -= mean
-    test /= std
-    return {"mean": mean, "std": std}
+
+def _apply_standardize(x: np.ndarray, params: dict):
+    """Scale ``x`` in place by the ``mean`` and ``std`` fit on a train
+    split."""
+    x -= params["mean"]
+    x /= params["std"]
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -369,15 +455,27 @@ def split(x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int = 0):
 def build_idx_dataset(train_images, train_labels, test_images, test_labels,
                       n_classes: int = 10, apply_standardize: bool = True
                       ) -> Dataset:
-    """IDX pair pipeline: load, scale to [0, 1], optionally standardize."""
-    x_tr, lab_tr = load_idx(train_images, train_labels)
-    x_te, lab_te = load_idx(test_images, test_labels)
-    x_tr, x_te = normalize_01(x_tr), normalize_01(x_te)
-    # validated before standardize, which cannot fit an empty train split
+    """IDX pair pipeline: load, scale to [0, 1], optionally standardize.
+
+    One worker thread, which lives only for this call, inflates the train
+    images a chunk ahead of this thread, which scales each chunk into the
+    train split; the worker then loads the test pair while this thread
+    fits the train moments.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        x_tr, lab_tr = _read_idx_pair(
+            train_images, train_labels,
+            functools.partial(_read_scaled, pool=pool))
+        test = pool.submit(_read_idx_pair, test_images, test_labels,
+                           _read_scaled)
+        # an empty train split has no moments; Dataset refuses it below
+        params = (_fit_standardize(x_tr)
+                  if apply_standardize and len(x_tr) else None)
+        x_te, lab_te = test.result()
     dataset = Dataset(x_tr, one_hot(lab_tr, n_classes), x_te,
                       one_hot(lab_te, n_classes))
-    if apply_standardize:
-        _standardize_in_place(dataset.x_train, dataset.x_test)
+    if params is not None:
+        _apply_standardize(dataset.x_test, params)
     return dataset
 
 

@@ -131,13 +131,14 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
 
     t_start = time.perf_counter()
     dataset = load_dataset(config)
-    layer_sizes = (dataset.n_features, *config.hidden_sizes,
-                   dataset.n_classes)
-    topology = build_topology(layer_sizes, config.motif_size,
-                              config.density_spec(),
-                              seed=config.topology_seed)
-    network = init_network(topology, config.activation, config.init_scheme,
-                           config.init_seed, config.weight_mode)
+    # init_network copies the topology it is given, so the run keeps no
+    # reference to this one
+    network = init_network(
+        build_topology((dataset.n_features, *config.hidden_sizes,
+                        dataset.n_classes), config.motif_size,
+                       config.density_spec(), seed=config.topology_seed),
+        config.activation, config.init_scheme, config.init_seed,
+        config.weight_mode)
     policy = config.evolution_policy()
     n = dataset.x_train.shape[0]
     shuffle_rng = np.random.default_rng(config.shuffle_seed)

@@ -1,8 +1,12 @@
 """Dataset ingestion: IDX parsing, CSV parsing, transforms, split, cache."""
+import contextlib
 import gzip
 import hashlib
+import io
 import struct
+import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 import motifset.data
 from motifset._synthetic import write_synthetic_idx_dataset
+from motifset.cli import main
 from motifset.config import ExperimentConfig
 from motifset.container import write_container
 from motifset.data import (
@@ -365,13 +370,13 @@ def _numpy_standardize(train, test):
 class TestStandardizeInPlace:
     """The in-place core matches numpy's out-of-place formula bit for bit."""
 
-    @pytest.mark.parametrize("block", [2, 3, 32])
+    @pytest.mark.parametrize("block", [1, 2, 3, 32])
     @pytest.mark.parametrize("n, d", [
-        (1, 1), (1, 7), (40, 1), (40, 2), (3001, 5), (33, 64), (1000, 65),
-        (20, 97), (8200, 9), (30, 784)])
+        (1, 1), (1, 7), (40, 1), (3001, 1), (40, 2), (3001, 5), (33, 64),
+        (1000, 65), (20, 97), (8200, 9), (30, 784)])
     def test_bit_identical_to_numpy(self, monkeypatch, block, n, d):
-        # a width that does not divide d puts a remainder into the blocks
-        monkeypatch.setattr(motifset.data, "_STD_BLOCK_COLS", block)
+        # a block height that does not divide n leaves a short last block
+        monkeypatch.setattr(motifset.data, "_STD_BLOCK_ROWS", block)
         rng = np.random.default_rng(n * 1000 + d)
         train = rng.normal(0.0, rng.uniform(0.1, 50.0, d), size=(n, d))
         test = rng.normal(0.0, 10.0, size=(7, d))
@@ -383,7 +388,7 @@ class TestStandardizeInPlace:
 
     @pytest.mark.parametrize("offset", [1e6, -3e9, 1e12])
     def test_large_offsets_and_constant_columns(self, monkeypatch, offset):
-        monkeypatch.setattr(motifset.data, "_STD_BLOCK_COLS", 2)
+        monkeypatch.setattr(motifset.data, "_STD_BLOCK_ROWS", 7)
         rng = np.random.default_rng(11)
         train = offset + rng.normal(size=(300, 9))
         train[:, [0, 4, 8]] = offset  # constant columns, one at each end
@@ -395,8 +400,10 @@ class TestStandardizeInPlace:
         assert (train[:, [0, 4, 8]] == 0.0).all()
 
     def test_default_block_width(self):
+        # more rows than one default block, and not a multiple of it
+        assert 203 % motifset.data._STD_BLOCK_ROWS
         rng = np.random.default_rng(12)
-        train = rng.normal(5.0, 3.0, size=(64, 70))
+        train = rng.normal(5.0, 3.0, size=(203, 70))
         test = rng.normal(5.0, 3.0, size=(9, 70))
         want = _numpy_standardize(train, test)
         params = _standardize_in_place(train, test)
@@ -518,6 +525,136 @@ class TestIdxPipeline:
                 dataset_kind="idx", **{k: str(p) for k, p in paths.items()},
                 standardize=True, train_limit=limit), cache)
             assert hashlib.sha256(cache.read_bytes()).hexdigest() == sha
+
+
+def _write_quartet(directory, n_train, n_test, gz, seed=16):
+    """Random 28x28 train and test IDX pairs; returns the four paths in
+    :func:`build_idx_dataset`'s order and the ``(train, test)`` images."""
+    rng = np.random.default_rng(seed)
+    paths, images = [], []
+    for split_name, n in (("train", n_train), ("test", n_test)):
+        pixels = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
+        pair = [directory / f"{split_name}-{kind}{'.gz' * gz}"
+                for kind in ("images", "labels")]
+        write_idx(*pair, pixels, rng.integers(0, 10, n))
+        paths += pair
+        images.append(pixels.reshape(n, -1))
+    return paths, images
+
+
+class TestIdxChunkBoundaries:
+    """Pixels read in chunks and standardized in row blocks give the bytes
+    of numpy's out-of-place formula wherever the boundaries fall."""
+
+    # 1001 train rows span three default decode chunks and end inside a
+    # row block; 700 test rows span three chunks of the test pair too
+    N_TRAIN, N_TEST = 1001, 700
+
+    @pytest.mark.parametrize("chunk", [None, 1000],
+                             ids=["default-chunk", "chunk-1000"])
+    @pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
+    def test_bytes_equal_numpy(self, tmp_path, monkeypatch, gz, chunk):
+        if chunk is not None:  # a chunk that ends inside a row
+            monkeypatch.setattr(motifset.data, "_DECODE_CHUNK", chunk)
+        size = motifset.data._DECODE_CHUNK
+        assert self.N_TRAIN * 784 > 2 * size and self.N_TEST * 784 > 2 * size
+        assert self.N_TRAIN % motifset.data._STD_BLOCK_ROWS
+        paths, (u8_tr, u8_te) = _write_quartet(tmp_path, self.N_TRAIN,
+                                               self.N_TEST, gz)
+        ds = build_idx_dataset(*paths)
+        mean = (u8_tr / 255).mean(axis=0)
+        std = np.maximum((u8_tr / 255).std(axis=0), 1e-8)
+        assert ds.x_train.tobytes() == ((u8_tr / 255 - mean) / std).tobytes()
+        assert ds.x_test.tobytes() == ((u8_te / 255 - mean) / std).tobytes()
+
+
+def _gzip_damaged_after(raw: bytes, offset: int) -> bytes:
+    """A gzip member whose deflate data holds ``raw[:offset]`` and then a
+    block of the reserved type 3, so inflating fails at ``offset``."""
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    body = deflate.compress(raw[:offset]) + deflate.flush(zlib.Z_FULL_FLUSH)
+    # a full flush ends byte-aligned; 0x07 is a final block of type 3
+    return b"\x1f\x8b\x08\x00" + bytes(4) + b"\x00\xff" + body + b"\x07" \
+        + bytes(64)
+
+
+class TestIdxWorkerFailures:
+    """A defect met on the worker thread raises its typed error in the
+    caller, exits 3 through ``prepare``, and leaves no thread behind."""
+
+    def _damage(self, paths, defect):
+        if defect == "truncated-test-images":
+            raw = paths[2].read_bytes()
+            paths[2].write_bytes(raw[:len(raw) // 2])
+        elif defect == "damaged-train-deflate":
+            # past the first chunk, which the calling thread reads itself
+            with gzip.open(paths[0], "rb") as f:
+                raw = f.read()
+            offset = 16 + motifset.data._DECODE_CHUNK + 1000
+            assert offset < len(raw)
+            paths[0].write_bytes(_gzip_damaged_after(raw, offset))
+        else:  # one label more than the test images
+            with gzip.open(paths[3], "rb") as f:
+                labels = f.read()[8:]
+            with gzip.open(paths[3], "wb") as f:
+                f.write(struct.pack(">II", 0x801, len(labels) + 1) + labels
+                        + b"\x00")
+
+    DEFECTS = {
+        "truncated-test-images": (TruncatedFileError,
+                                  "compressed data ends inside the image "
+                                  "data"),
+        "damaged-train-deflate": (TruncatedFileError,
+                                  "compressed data is damaged inside the "
+                                  "image data"),
+        "test-label-count": (CountMismatchError, "holds 400 images but"),
+    }
+
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_typed_error_and_no_thread_left(self, tmp_path, defect):
+        paths, _ = _write_quartet(tmp_path, 500, 400, gz=True)
+        self._damage(paths, defect)
+        error, message = self.DEFECTS[defect]
+        threads = threading.active_count()
+        with pytest.raises(error, match=message):
+            build_idx_dataset(*paths)
+        assert threading.active_count() == threads
+        args = ["prepare", "--dataset-kind", "idx", "--cache-out",
+                str(tmp_path / "cache.bin")]
+        for flag, path in zip(("--train-images", "--train-labels",
+                               "--test-images", "--test-labels"), paths):
+            args += [flag, str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            assert main(args) == 3
+        assert message in err.getvalue()
+        assert threading.active_count() == threads
+        assert not (tmp_path / "cache.bin").exists()
+
+    def test_success_leaves_no_thread(self, tmp_path):
+        paths, _ = _write_quartet(tmp_path, 500, 400, gz=True)
+        threads = threading.active_count()
+        build_idx_dataset(*paths)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
+    def test_overdeclared_header_refused_before_allocation(self, tmp_path,
+                                                           gz):
+        """A header declaring 60000 images in a file that holds 2 is
+        refused before the 376 MB float64 split is allocated."""
+        paths, _ = _write_quartet(tmp_path, 2, 2, gz)
+        with (gzip.open if gz else open)(paths[0], "wb") as f:
+            f.write(struct.pack(">IIII", 0x803, 60000, 28, 28) + bytes(1568))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError,
+                               match="more than the file can hold"):
+                build_idx_dataset(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSplit:
