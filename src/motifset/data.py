@@ -14,13 +14,13 @@ Supported sources:
 Every source ends in a :class:`Dataset` of four arrays, whose shapes give
 the feature and class counts; it rejects an empty split, zero feature
 columns, or splits that disagree on a count.  IDX pixels are read in
-chunks and scaled into [0, 1] straight into each float64 split: a worker
-thread inflates the next chunk while the calling thread scales the last,
-and then loads the test pair while the calling thread fits the train
-moments.  Standardization is fit on the training split only and scales
-both splits in place, a block of rows at a time, so ingestion holds no
-second copy of a split; a row limit that drops rows copies the rows it
-keeps, so the full split can be freed.
+chunks and scaled into [0, 1] straight into each float64 split: the
+calling thread inflates the next chunk while a worker thread scales the
+last, and the worker then loads the test pair while the calling thread
+fits the train moments.  Standardization is fit on the training split
+only and scales both splits in place, a block of rows at a time, so
+ingestion holds no second copy of a split; a row limit that drops rows
+copies the rows it keeps, so the full split can be freed.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import math
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,9 +69,7 @@ CACHE_VERSION = 2
 # deflate expands data at most 1032-fold, which bounds what a gzip file holds
 _DEFLATE_MAX_RATIO = 1032
 # bytes of IDX pixels read at a time: one chunk is scaled while the next
-# one is inflated.  The worker thread's malloc arena keeps the chunks it
-# allocated after the thread ends: at 1 MiB a desk-m2 training run peaked
-# about 0.8 MB higher than at 256 KiB, which builds as fast.
+# one is inflated
 _DECODE_CHUNK = 1 << 18
 
 _STD_FLOOR = 1e-8
@@ -147,7 +145,8 @@ def _check_room(f, count: int, path, what: str):
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
     """The next ``count`` bytes of ``f``, read at once; TruncatedFileError
-    when the file cannot hold them, ends first or has damaged gzip data."""
+    when the file cannot hold them, ends first or has damaged gzip data,
+    and DataError when a buffer of ``count`` bytes cannot be allocated."""
     _check_room(f, count, path, what)
     try:
         data = f.read(count)
@@ -158,6 +157,11 @@ def _read_exact(f, count: int, path, what: str) -> bytes:
     except zlib.error as exc:
         raise TruncatedFileError(
             f"{path}: compressed data is damaged inside the {what}: {exc}"
+        ) from exc
+    except MemoryError as exc:  # a gzip file may declare 1032x its size
+        raise DataError(
+            f"{path}: header declares {count} bytes of {what}, more than "
+            f"memory can hold"
         ) from exc
     if len(data) != count:
         raise TruncatedFileError(
@@ -213,28 +217,35 @@ def _read_scaled(f, n: int, size: int, path, pool=None) -> np.ndarray:
 
     The bytes are read ``_DECODE_CHUNK`` at a time, in file order, and each
     chunk is scaled straight into the result, so the byte payload is never
-    held whole.  With a one-thread ``pool``, its thread reads each next
-    chunk while this one scales the last.
+    held whole.  With a one-thread ``pool``, its thread scales each chunk
+    while this one reads the next.  A chunk still queued when a read fails
+    is scaled when the caller shuts the pool down.
     """
-    out = np.empty((n, size))
-    flat = out.reshape(-1)
-    starts = range(0, flat.size, _DECODE_CHUNK)
-
-    def read(start: int) -> bytes:
-        return _read_exact(f, min(_DECODE_CHUNK, flat.size - start), path,
-                           "image data")
-
-    ahead = None
     try:
-        for i, start in enumerate(starts):
-            chunk = ahead.result() if ahead is not None else read(start)
-            if pool is not None and i + 1 < len(starts):
-                ahead = pool.submit(read, starts[i + 1])
-            normalize_01(np.frombuffer(chunk, dtype=np.uint8),
-                         out=flat[start:start + len(chunk)])
-    finally:
-        if ahead is not None:  # no read may outlive the caller's file
-            wait([ahead])
+        out = np.empty((n, size))
+    except MemoryError as exc:  # a gzip file may declare 1032x its size
+        raise DataError(
+            f"{path}: header declares {n} images of {size} bytes, more "
+            f"than memory can hold"
+        ) from exc
+    flat = out.reshape(-1)
+    scaling = []
+    for start in range(0, flat.size, _DECODE_CHUNK):
+        chunk = np.frombuffer(
+            _read_exact(f, min(_DECODE_CHUNK, flat.size - start), path,
+                        "image data"), dtype=np.uint8)
+        target = flat[start:start + chunk.size]
+        if pool is None:
+            normalize_01(chunk, out=target)
+            continue
+        # the jobs finish in order: at most two chunks wait to be scaled,
+        # so an uncompressed file, read faster than it is scaled, is not
+        # piled up whole
+        if len(scaling) >= 2:
+            scaling[-2].result()
+        scaling.append(pool.submit(normalize_01, chunk, target))
+    for job in scaling:
+        job.result()
     return out
 
 
@@ -457,10 +468,10 @@ def build_idx_dataset(train_images, train_labels, test_images, test_labels,
                       ) -> Dataset:
     """IDX pair pipeline: load, scale to [0, 1], optionally standardize.
 
-    One worker thread, which lives only for this call, inflates the train
-    images a chunk ahead of this thread, which scales each chunk into the
-    train split; the worker then loads the test pair while this thread
-    fits the train moments.
+    One worker thread, which lives only for this call, scales each chunk
+    of train images into the train split while this thread inflates the
+    next; the worker then loads the test pair while this thread fits the
+    train moments.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
         x_tr, lab_tr = _read_idx_pair(

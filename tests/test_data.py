@@ -3,10 +3,15 @@ import contextlib
 import gzip
 import hashlib
 import io
+import os
 import struct
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +57,8 @@ from motifset.errors import (
 from motifset.train import run_prepare
 
 from conftest import Unwritable, damaged
+
+SRC = Path(motifset.data.__file__).resolve().parents[1]
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, gz=False,
@@ -510,6 +517,29 @@ class TestIdxPipeline:
         payloads = (n_train + n_test) * (28 * 28 + 1)
         assert peak <= 1.25 * (outputs + payloads)
 
+    def test_payload_never_held_whole(self, tmp_path, monkeypatch):
+        """With scaling slower than reading, as for an uncompressed file,
+        the peak exceeds the result by far less than the 3 MiB train
+        payload: at most two chunks wait to be scaled."""
+        # a small test split, so the peak falls while the train split is read
+        paths = self._write(tmp_path, 4000, 10, False)
+        scale = motifset.data.normalize_01
+
+        def slow_scale(x, out=None):
+            time.sleep(0.005)
+            return scale(x, out)
+
+        monkeypatch.setattr(motifset.data, "normalize_01", slow_scale)
+        tracemalloc.start()
+        try:
+            ds = build_idx_dataset(*paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (ds.x_train, ds.y_train, ds.x_test,
+                                         ds.y_test))
+        assert peak - outputs < 6 * motifset.data._DECODE_CHUNK
+
     def test_prepare_cache_bytes_pinned(self, tmp_path):
         """The cache bytes of an IDX prepare, with and without a row limit,
         as written before ingestion scaled the splits in place."""
@@ -578,21 +608,44 @@ def _gzip_damaged_after(raw: bytes, offset: int) -> bytes:
         + bytes(64)
 
 
+def _prepare_args(paths, cache):
+    """``prepare`` arguments that read the four IDX ``paths``."""
+    args = ["prepare", "--dataset-kind", "idx", "--cache-out", str(cache)]
+    for flag, path in zip(("--train-images", "--train-labels",
+                           "--test-images", "--test-labels"), paths):
+        args += [flag, str(path)]
+    return args
+
+
+# runs prepare with the address space capped 256 MiB above what the
+# interpreter has mapped once motifset is imported
+_CAPPED_PREPARE = """
+import resource, sys
+from motifset.cli import main
+with open("/proc/self/status") as f:
+    mapped = next(int(line.split()[1]) * 1024 for line in f
+                  if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**28, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestIdxWorkerFailures:
-    """A defect met on the worker thread raises its typed error in the
-    caller, exits 3 through ``prepare``, and leaves no thread behind."""
+    """A defect met on the worker thread, which reads the test pair, or on
+    the calling thread while the worker runs, raises its typed error in
+    the caller, exits 3 through ``prepare``, and leaves no thread behind."""
 
     def _damage(self, paths, defect):
         if defect == "truncated-test-images":
             raw = paths[2].read_bytes()
             paths[2].write_bytes(raw[:len(raw) // 2])
-        elif defect == "damaged-train-deflate":
-            # past the first chunk, which the calling thread reads itself
-            with gzip.open(paths[0], "rb") as f:
+        elif defect in ("damaged-test-deflate", "damaged-train-deflate"):
+            path = paths[2 if defect == "damaged-test-deflate" else 0]
+            with gzip.open(path, "rb") as f:
                 raw = f.read()
-            offset = 16 + motifset.data._DECODE_CHUNK + 1000
-            assert offset < len(raw)
-            paths[0].write_bytes(_gzip_damaged_after(raw, offset))
+            # in the middle of the image payload
+            path.write_bytes(_gzip_damaged_after(raw, len(raw) // 2))
         else:  # one label more than the test images
             with gzip.open(paths[3], "rb") as f:
                 labels = f.read()[8:]
@@ -604,6 +657,9 @@ class TestIdxWorkerFailures:
         "truncated-test-images": (TruncatedFileError,
                                   "compressed data ends inside the image "
                                   "data"),
+        "damaged-test-deflate": (TruncatedFileError,
+                                 "compressed data is damaged inside the "
+                                 "image data"),
         "damaged-train-deflate": (TruncatedFileError,
                                   "compressed data is damaged inside the "
                                   "image data"),
@@ -619,15 +675,10 @@ class TestIdxWorkerFailures:
         with pytest.raises(error, match=message):
             build_idx_dataset(*paths)
         assert threading.active_count() == threads
-        args = ["prepare", "--dataset-kind", "idx", "--cache-out",
-                str(tmp_path / "cache.bin")]
-        for flag, path in zip(("--train-images", "--train-labels",
-                               "--test-images", "--test-labels"), paths):
-            args += [flag, str(path)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            assert main(args) == 3
+            assert main(_prepare_args(paths, tmp_path / "cache.bin")) == 3
         assert message in err.getvalue()
         assert threading.active_count() == threads
         assert not (tmp_path / "cache.bin").exists()
@@ -642,7 +693,7 @@ class TestIdxWorkerFailures:
     def test_overdeclared_header_refused_before_allocation(self, tmp_path,
                                                            gz):
         """A header declaring 60000 images in a file that holds 2 is
-        refused before the 376 MB float64 split is allocated."""
+        refused before a buffer for the declared payload is allocated."""
         paths, _ = _write_quartet(tmp_path, 2, 2, gz)
         with (gzip.open if gz else open)(paths[0], "wb") as f:
             f.write(struct.pack(">IIII", 0x803, 60000, 28, 28) + bytes(1568))
@@ -655,6 +706,33 @@ class TestIdxWorkerFailures:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads the mapped size from /proc")
+    def test_payload_too_large_for_memory(self, tmp_path):
+        """A gzip header that declares no more than deflate could expand
+        the file to, but more than the process may allocate, exits 3 and
+        names the file."""
+        paths, _ = _write_quartet(tmp_path, 2, 2, gz=True)
+        # random bytes do not compress: a 1 MiB member may declare up to
+        # about 1 GiB, four times the capped headroom
+        rng = np.random.default_rng(17)
+        with gzip.open(paths[0], "wb") as f:
+            f.write(struct.pack(">IIII", 0x803, 1_300_000, 28, 28)
+                    + rng.bytes(2**20))
+        with gzip.open(paths[1], "wb") as f:
+            f.write(struct.pack(">II", 0x801, 1_300_000)
+                    + rng.integers(0, 10, 1_300_000, np.uint8).tobytes())
+        assert 1_300_000 * 784 <= 1032 * paths[0].stat().st_size
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_PREPARE,
+             *_prepare_args(paths, tmp_path / "cache.bin")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 3, done.stderr
+        assert f"{paths[0]}: header declares 1300000 images of 784 bytes, " \
+            "more than memory can hold" in done.stderr
+        assert not (tmp_path / "cache.bin").exists()
 
 
 class TestSplit:
