@@ -170,6 +170,28 @@ def _read_exact(f, count: int, path, what: str) -> bytes:
     return data
 
 
+def _read_to_end(f, path, what: str):
+    """Read a gzip file ``f`` on past ``what`` to its end, dropping the
+    bytes, so gzip checks the CRC-32 and length trailer of every member; a
+    raw file is left as it is.  TruncatedFileError when the stream ends
+    before a trailer, DataError when a check fails or the data after
+    ``what`` is not gzip."""
+    if not isinstance(f, gzip.GzipFile):
+        return
+    try:
+        while f.read(_DECODE_CHUNK):
+            pass
+    except EOFError as exc:
+        raise TruncatedFileError(
+            f"{path}: compressed data ends after the {what}, before its "
+            f"gzip trailer"
+        ) from exc
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise DataError(
+            f"{path}: gzip check failed after the {what}: {exc}"
+        ) from exc
+
+
 def _read_header(f, header_struct: struct.Struct, magic: int, path,
                  what: str) -> tuple[int, list[int]]:
     """``(count, dims)`` from the IDX header at the start of ``f``, which
@@ -190,9 +212,11 @@ def _read_idx_pair(images_path, labels_path, read_images):
     follow the header of the open image file ``f``.
 
     The image payload's size is checked against the file before
-    ``read_images`` runs, and the counts of both files must agree.
-    Raises :class:`MagicNumberError`, :class:`TruncatedFileError`, or
-    :class:`CountMismatchError` on the corresponding defects.
+    ``read_images`` runs, and the counts of both files must agree.  A
+    gzipped file is read on to its end after its payload, so its trailer is
+    checked (:func:`_read_to_end`).  Raises :class:`MagicNumberError`,
+    :class:`TruncatedFileError`, :class:`CountMismatchError`, or
+    :class:`DataError` on a failed gzip check.
     """
     with (_open_maybe_gzip(images_path, "rb") as images,
           _open_maybe_gzip(labels_path, "rb") as labels):
@@ -206,9 +230,11 @@ def _read_idx_pair(images_path, labels_path, read_images):
                 f"{images_path} holds {n} images but {labels_path} holds "
                 f"{n_labels} labels"
             )
-        return (read_images(images, n, rows * cols, images_path),
-                np.frombuffer(_read_exact(labels, n, labels_path,
-                                          "label data"), dtype=np.uint8))
+        x = read_images(images, n, rows * cols, images_path)
+        _read_to_end(images, images_path, "image data")
+        label_bytes = _read_exact(labels, n, labels_path, "label data")
+        _read_to_end(labels, labels_path, "label data")
+        return x, np.frombuffer(label_bytes, dtype=np.uint8)
 
 
 def _read_scaled(f, n: int, size: int, path, pool=None) -> np.ndarray:
@@ -254,8 +280,8 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
     Images come back flattened to ``(n, rows * cols)`` uint8, labels as
     ``(n,)`` uint8.  Raises :class:`MagicNumberError`,
-    :class:`TruncatedFileError`, or :class:`CountMismatchError` on the
-    corresponding defects.
+    :class:`TruncatedFileError`, :class:`CountMismatchError`, or
+    :class:`DataError` on a gzipped file whose trailer check fails.
     """
     def read_bytes(f, n: int, size: int, path) -> np.ndarray:
         return np.frombuffer(_read_exact(f, n * size, path, "image data"),

@@ -63,8 +63,13 @@ _INIT_SCHEMES = (HE_UNIFORM, HE_NORMAL)
 
 _PROB_FLOOR = 1e-12
 
-# predict_accuracy's chunk rows; fewer can change results in the last bit
-EVAL_ROWS = 8192
+# rows of one evaluation chunk.  It bounds evaluation's arrays: about 3 MiB
+# on the 784-256-256-10 desk shape at m=2, 12 MiB each on a 3000-wide layer.
+# It is the least power of two whose products give every output bit of one
+# pass over all rows on the desk shape: OpenBLAS 0.3.31 runs a product of
+# at most 10**6 multiply-adds on another kernel, which the 256 x 10 output
+# layer reaches at 390 rows, and 256-row chunks changed the last bit
+EVAL_ROWS = 512
 
 # float64 cells in one row slice of a weight gradient: 256 KiB, which fits
 # in L2 beside the weights' rows it updates
@@ -93,12 +98,14 @@ def _sigmoid(z):
     return z
 
 
-# name: (activation, applied in place and returning its argument, and its
-# derivative computed from the activation's output); the first entry is
+# name: (activation, applied in place and returning its argument; and
+# apply_derivative(d, a), which multiplies the delta ``d`` in place by the
+# derivative taken from the activation's output ``a``).  The first entry is
 # init_network's default
 _ACTIVATIONS = {
-    "relu": (_relu, lambda a: (a > 0).astype(np.float64)),
-    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
+    "relu": (_relu, lambda d, a: np.multiply(d, a > 0, out=d)),
+    "sigmoid": (_sigmoid,
+                lambda d, a: np.multiply(d, a * (1.0 - a), out=d)),
 }
 
 
@@ -374,7 +381,7 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
     # same real number: the same bits from a cheaper operation
     mean, by = ((np.multiply, 1.0 / n) if n & (n - 1) == 0
                 else (np.divide, n))
-    derivative = _ACTIVATIONS[network.activation][1]
+    apply_derivative = _ACTIVATIONS[network.activation][1]
     delta = cache.a_list[-1] - y
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
@@ -385,8 +392,9 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
                        else out[:shape[0] * shape[1]].reshape(shape))
         gb = delta.mean(axis=0)
         if i > 0:
-            delta = (_spread_cols(q @ layer.weights.T, m)
-                     * derivative(cache.a_list[i]))
+            # a new array at every tile, so the derivative may overwrite it
+            delta = _spread_cols(q @ layer.weights.T, m)
+            apply_derivative(delta, cache.a_list[i])
         e = layer.expand_factor
         step = max(e, _SLICE_CELLS // shape[1] // e * e)
         for start in range(0, shape[0], step):
@@ -406,7 +414,8 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     ``Q`` the column-pooled delta (both unpooled at tile 1),
     ``dW = P.T @ Q / n`` masked in place by
     :meth:`SparseLayer.mask_in_place`, and ``Q @ W.T`` spread back over the
-    tile feeds the previous layer.  All gradients are means over the batch.
+    tile, multiplied in place by the activation's derivative, is the
+    previous layer's delta.  All gradients are means over the batch.
 
     Returns an iterator of ``(layer index, rows, dW[rows], db)``, last
     layer first, that forms each layer's gradients when advanced; the cache
@@ -467,23 +476,42 @@ def sgd_step(network: Network, grads: LayerGradients,
     return network
 
 
+def _chunk_outputs(network: Network, x: np.ndarray):
+    """The network's outputs on ``x``, one chunk of ``EVAL_ROWS`` rows at a
+    time: yields ``(row, outputs of x[row:row + len(outputs)])``, each row
+    once, in order.
+
+    Every chunk has ``EVAL_ROWS`` rows unless ``x`` has fewer: the last one
+    ends at the last row and recomputes the rows it shares with the one
+    before, whose outputs it does not yield again.  So no product is
+    shorter than ``EVAL_ROWS`` rows, because a short product can run
+    another BLAS kernel whose results differ in the last bit.  Each chunk
+    goes layer by layer through :func:`_layer_forward`, keeping only the
+    current activation: no :class:`ForwardCache` is built.
+    """
+    n = x.shape[0]
+    for row in range(0, n, EVAL_ROWS):
+        start = max(min(row, n - EVAL_ROWS), 0)
+        a = x[start:start + EVAL_ROWS]
+        for i in range(len(network.layers)):
+            a = _layer_forward(network, i, a)[1]
+        yield row, a[row - start:]
+
+
 def predict_accuracy(network: Network, x: np.ndarray,
                      y_true: np.ndarray) -> float:
     """Fraction of samples whose argmax output matches the one-hot target.
 
     Ties in the output probabilities resolve to the lowest class index on
-    both sides of the comparison.  Each chunk of ``EVAL_ROWS`` samples goes
-    layer by layer through :func:`_layer_forward`, keeping only the current
-    activation: no :class:`ForwardCache` is built.
+    both sides of the comparison.  The outputs are formed
+    ``EVAL_ROWS`` rows at a time by :func:`_chunk_outputs`, so evaluation
+    holds one chunk's layer arrays, whatever the rows of ``x``.
     """
     x = _check_batch(network, x)
     y = _check_targets(y_true, (x.shape[0], network.n_classes))
     true_idx = np.argmax(y, axis=1)
     hits = 0
-    for start in range(0, x.shape[0], EVAL_ROWS):
-        stop = start + EVAL_ROWS
-        a = x[start:stop]
-        for i in range(len(network.layers)):
-            a = _layer_forward(network, i, a)[1]
-        hits += int((np.argmax(a, axis=1) == true_idx[start:stop]).sum())
+    for row, probs in _chunk_outputs(network, x):
+        hits += int((np.argmax(probs, axis=1)
+                     == true_idx[row:row + probs.shape[0]]).sum())
     return hits / x.shape[0]

@@ -631,6 +631,76 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _flip_payload_byte_stored(path, offset):
+    """Recompress gzip file ``path`` at level 0, whose stored blocks hold
+    the bytes verbatim, with byte ``offset`` of its content flipped: the
+    deflate data still decodes, and only the CRC-32 trailer can tell."""
+    raw = gzip.decompress(path.read_bytes())
+    packed = bytearray(gzip.compress(raw, compresslevel=0))
+    packed[packed.index(raw) + offset] ^= 0x01
+    path.write_bytes(bytes(packed))
+
+
+class TestGzipTrailer:
+    """A gzipped IDX file is read on to its end, so gzip checks the CRC-32
+    and length trailer after the payload."""
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_flipped_payload_byte_is_refused(self, tmp_path, which):
+        rng = np.random.default_rng(4)
+        ip, lp = tmp_path / "images.gz", tmp_path / "labels.gz"
+        write_idx(ip, lp, rng.integers(0, 256, size=(40, 8, 8)),
+                  rng.integers(0, 10, size=40))
+        path = ip if which == "images" else lp
+        # a byte past the header, inside the payload
+        _flip_payload_byte_stored(path, 20)
+        with pytest.raises(DataError, match="CRC check failed") as info:
+            load_idx(ip, lp)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
+    def test_prepare_exits_3(self, tmp_path, which):
+        paths, _ = _write_quartet(tmp_path, 50, 40, gz=True)
+        _flip_payload_byte_stored(paths[which], 30)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            assert main(_prepare_args(paths, tmp_path / "cache.bin")) == 3
+        assert str(paths[which]) in err.getvalue()
+        assert "CRC check failed" in err.getvalue()
+        assert not (tmp_path / "cache.bin").exists()
+
+    def test_intact_level_0_pair_loads(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pixels = rng.integers(0, 256, size=(40, 8, 8))
+        ip, lp = tmp_path / "images.gz", tmp_path / "labels.gz"
+        write_idx(ip, lp, pixels, rng.integers(0, 10, size=40))
+        for path in (ip, lp):
+            path.write_bytes(gzip.compress(gzip.decompress(
+                path.read_bytes()), compresslevel=0))
+        images, _ = load_idx(ip, lp)
+        assert (images == pixels.reshape(40, -1)).all()
+
+    def test_trailer_cut_short(self, tmp_path):
+        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=True)
+        lp.write_bytes(lp.read_bytes()[:-4])  # half of the length field
+        with pytest.raises(TruncatedFileError, match="before its gzip "
+                                                     "trailer"):
+            load_idx(ip, lp)
+
+    def test_bytes_after_the_member_that_are_not_gzip(self, tmp_path):
+        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=True)
+        ip.write_bytes(ip.read_bytes() + b"extra bytes")
+        with pytest.raises(DataError, match="Not a gzipped file"):
+            load_idx(ip, lp)
+
+    def test_raw_file_with_trailing_bytes_loads(self, tmp_path):
+        ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0])
+        ip.write_bytes(ip.read_bytes() + b"extra")
+        images, labels = load_idx(ip, lp)
+        assert images.shape == (2, 4) and list(labels) == [1, 0]
+
+
 class TestIdxWorkerFailures:
     """A defect met on the worker thread, which reads the test pair, or on
     the calling thread while the worker runs, raises its typed error in

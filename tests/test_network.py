@@ -15,6 +15,7 @@ from motifset.errors import ShapeError, StaleCacheError
 from motifset.evolution import EvolutionPolicy, evolve
 from motifset.network import (
     ForwardCache,
+    _chunk_outputs,
     _pool_cols,
     backward,
     forward,
@@ -402,6 +403,37 @@ class TestPredictAccuracy:
         assert peak < arrays * 256 * 512 * 8
 
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_desk_peak_is_one_512_row_chunk(self, m):
+        """On the 784-256-256-10 desk shape, evaluating four 512-row chunks
+        holds one chunk's layer arrays at a time: the peak stays under 512
+        rows of every layer's width, where one pass over all the rows
+        would hold about four times as much."""
+        sizes = (784, 256, 256, 10)
+        net = small_network(sizes=sizes, motif_size=m, density=15.7,
+                            density_mode="erdos_renyi")
+        x = _batch(4 * 512, 784)
+        y = _onehot_targets(4 * 512, 10)
+        peak, _ = _peak_bytes(predict_accuracy, net, x, y)
+        assert peak < 512 * sum(sizes) * 8
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_chunks_give_the_bits_of_one_pass(self, m):
+        """At ``EVAL_ROWS`` rows a chunk, the desk shape's outputs are those
+        of one pass over every row, bit for bit, also for the last chunk,
+        which overlaps the one before it; shorter products can run another
+        BLAS kernel and change the last bit."""
+        net = small_network(sizes=(784, 256, 256, 10), motif_size=m,
+                            density=15.7, density_mode="erdos_renyi")
+        rows = 2 * motifset.network.EVAL_ROWS + 37
+        x = _batch(rows, 784, seed=3)
+        starts, outputs = zip(*_chunk_outputs(net, x))
+        assert starts == (0, motifset.network.EVAL_ROWS,
+                          2 * motifset.network.EVAL_ROWS)
+        whole = forward(net, x).a_list[-1]
+        assert np.concatenate(outputs).tobytes() == whole.tobytes()
+
+
 @given(st.integers(min_value=0, max_value=2**31),
        st.sampled_from([1, 2]),
        st.sampled_from(["shared", "independent"]))
@@ -485,6 +517,22 @@ def test_step_allocates_no_weight_sized_temporary(m, mode):
     peak, _ = _peak_bytes(
         lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
     assert peak < grid
+
+
+def test_step_multiplies_the_relu_derivative_into_the_delta():
+    """A fused m=1 ReLU step holds a layer's delta, the next one, which the
+    derivative multiplies in place, and the bool mask ``a > 0``, an eighth
+    of a delta: its peak stays under 2.25 delta-sized arrays.  No float
+    copy of the mask is made beside the spread delta."""
+    net = small_network(sizes=(64, 1500, 1500, 10), motif_size=1,
+                        density=0.1)
+    x = _batch(128, 64, seed=6)
+    y = _onehot_targets(128, 10)
+    cache = forward(net, x)
+    buffer = np.empty(max(layer.weights.size for layer in net.layers))
+    peak, _ = _peak_bytes(
+        lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
+    assert peak < 2.25 * 128 * 1500 * 8
 
 
 def _bits(a):
