@@ -25,7 +25,6 @@ copies the rows it keeps, so the full split can be freed.
 from __future__ import annotations
 
 import csv
-import functools
 import gzip
 import math
 import os
@@ -55,6 +54,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 _IMAGE_HEAD = struct.Struct(">IIII")  # magic, count, rows, cols
 _LABEL_HEAD = struct.Struct(">II")  # magic, count
+# classes of every IDX dataset (the MNIST family)
+IDX_CLASSES = 10
 
 IDX_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -206,17 +207,18 @@ def _read_header(f, header_struct: struct.Struct, magic: int, path,
     return count, dims
 
 
-def _read_idx_pair(images_path, labels_path, read_images):
-    """``(read_images(f, n, size, images_path), labels)`` of an IDX pair,
-    where ``read_images`` reads the ``n`` images of ``size`` bytes that
-    follow the header of the open image file ``f``.
+def _read_idx_pair(images_path, labels_path, pool=None):
+    """``(images, labels)`` of an IDX pair: the images as ``(n, rows *
+    cols)`` float64 rows scaled into [0, 1] by :func:`_read_scaled`, with
+    ``pool``, and the labels as ``(n,)`` uint8.
 
-    The image payload's size is checked against the file before
-    ``read_images`` runs, and the counts of both files must agree.  A
-    gzipped file is read on to its end after its payload, so its trailer is
-    checked (:func:`_read_to_end`).  Raises :class:`MagicNumberError`,
+    The image payload's size is checked against the file before it is
+    read, and the counts of both files must agree.  A gzipped file is read
+    on to its end after its payload, so its trailer is checked
+    (:func:`_read_to_end`).  Raises :class:`MagicNumberError`,
     :class:`TruncatedFileError`, :class:`CountMismatchError`, or
-    :class:`DataError` on a failed gzip check.
+    :class:`DataError` on a failed gzip check or a payload too large for
+    memory.
     """
     with (_open_maybe_gzip(images_path, "rb") as images,
           _open_maybe_gzip(labels_path, "rb") as labels):
@@ -230,14 +232,14 @@ def _read_idx_pair(images_path, labels_path, read_images):
                 f"{images_path} holds {n} images but {labels_path} holds "
                 f"{n_labels} labels"
             )
-        x = read_images(images, n, rows * cols, images_path)
+        x = _read_scaled(images, n, rows * cols, images_path, pool)
         _read_to_end(images, images_path, "image data")
         label_bytes = _read_exact(labels, n, labels_path, "label data")
         _read_to_end(labels, labels_path, "label data")
         return x, np.frombuffer(label_bytes, dtype=np.uint8)
 
 
-def _read_scaled(f, n: int, size: int, path, pool=None) -> np.ndarray:
+def _read_scaled(f, n: int, size: int, path, pool) -> np.ndarray:
     """The next ``n`` images of ``size`` bytes in ``f`` as ``(n, size)``
     float64 rows scaled by :func:`normalize_01`.
 
@@ -275,25 +277,11 @@ def _read_scaled(f, n: int, size: int, path, pool=None) -> np.ndarray:
     return out
 
 
-def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Load an IDX image/label pair as ``(images, labels)``.
-
-    Images come back flattened to ``(n, rows * cols)`` uint8, labels as
-    ``(n,)`` uint8.  Raises :class:`MagicNumberError`,
-    :class:`TruncatedFileError`, :class:`CountMismatchError`, or
-    :class:`DataError` on a gzipped file whose trailer check fails.
-    """
-    def read_bytes(f, n: int, size: int, path) -> np.ndarray:
-        return np.frombuffer(_read_exact(f, n * size, path, "image data"),
-                             dtype=np.uint8).reshape(n, size)
-
-    return _read_idx_pair(images_path, labels_path, read_bytes)
-
-
 def write_idx(images_path, labels_path, images: np.ndarray,
               labels: np.ndarray):
     """Write ``(n, rows, cols)`` images and ``(n,)`` labels as uint8 IDX
-    files, gzipped when a path ends in ``.gz``; inverts :func:`load_idx`."""
+    files, gzipped when a path ends in ``.gz``, as :func:`build_idx_dataset`
+    reads them."""
     for path, head, magic, array in (
             (images_path, _IMAGE_HEAD, IDX_IMAGE_MAGIC, images),
             (labels_path, _LABEL_HEAD, IDX_LABEL_MAGIC, labels)):
@@ -490,8 +478,7 @@ def split(x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int = 0):
 
 
 def build_idx_dataset(train_images, train_labels, test_images, test_labels,
-                      n_classes: int = 10, apply_standardize: bool = True
-                      ) -> Dataset:
+                      apply_standardize: bool = True) -> Dataset:
     """IDX pair pipeline: load, scale to [0, 1], optionally standardize.
 
     One worker thread, which lives only for this call, scales each chunk
@@ -500,17 +487,14 @@ def build_idx_dataset(train_images, train_labels, test_images, test_labels,
     train moments.
     """
     with ThreadPoolExecutor(max_workers=1) as pool:
-        x_tr, lab_tr = _read_idx_pair(
-            train_images, train_labels,
-            functools.partial(_read_scaled, pool=pool))
-        test = pool.submit(_read_idx_pair, test_images, test_labels,
-                           _read_scaled)
+        x_tr, lab_tr = _read_idx_pair(train_images, train_labels, pool)
+        test = pool.submit(_read_idx_pair, test_images, test_labels)
         # an empty train split has no moments; Dataset refuses it below
         params = (_fit_standardize(x_tr)
                   if apply_standardize and len(x_tr) else None)
         x_te, lab_te = test.result()
-    dataset = Dataset(x_tr, one_hot(lab_tr, n_classes), x_te,
-                      one_hot(lab_te, n_classes))
+    dataset = Dataset(x_tr, one_hot(lab_tr, IDX_CLASSES), x_te,
+                      one_hot(lab_te, IDX_CLASSES))
     if params is not None:
         _apply_standardize(dataset.x_test, params)
     return dataset

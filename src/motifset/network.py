@@ -68,7 +68,9 @@ _PROB_FLOOR = 1e-12
 # It is the least power of two whose products give every output bit of one
 # pass over all rows on the desk shape: OpenBLAS 0.3.31 runs a product of
 # at most 10**6 multiply-adds on another kernel, which the 256 x 10 output
-# layer reaches at 390 rows, and 256-row chunks changed the last bit
+# layer reaches at 390 rows, and 256-row chunks changed the last bit.  That
+# holds with 1 BLAS thread only: with 2, a 3000-wide shared layer at m >= 2
+# can give other last bits for 512 rows than for 1000
 EVAL_ROWS = 512
 
 # float64 cells in one row slice of a weight gradient: 256 KiB, which fits
@@ -110,10 +112,13 @@ _ACTIVATIONS = {
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's maximum."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of float64 ``z``, stabilized by subtracting each
+    row's maximum; applied in place, returning ``z``, with the bits of
+    ``exp(z - max) / sum``."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def he_sample(rng: np.random.Generator, init_scheme: str, fan_in: int,
@@ -270,18 +275,18 @@ def init_network(topology: MotifTopology,
 def _pool_cols(a: np.ndarray, m: int) -> np.ndarray:
     """Sum each group of ``m`` consecutive columns (``a`` itself at 1).
 
-    A copy of the strided slice ``a[:, 0::m]`` adds ``a[:, j::m]`` for
-    ``j = 1 .. m-1`` in place, so every group is summed left to right.  For
-    ``m <= 7`` that is the order of numpy's ``reshape(n, d // m, m)
-    .sum(axis=2)``, so the sums agree bit for bit (except that a group of
-    ``-0.0`` alone sums to ``-0.0``, where numpy gives ``+0.0``); from
-    ``m = 8`` numpy sums a group pairwise over 8 accumulators, so the two
-    can differ in the last bit.
+    ``a[:, 0::m] + a[:, 1::m]`` adds ``a[:, j::m]`` for ``j = 2 .. m-1`` in
+    place, so every group is summed left to right.  For ``m <= 7`` that is
+    the order of numpy's ``reshape(n, d // m, m).sum(axis=2)``, so the sums
+    agree bit for bit (except that a group of ``-0.0`` alone sums to
+    ``-0.0``, where numpy gives ``+0.0``); from ``m = 8`` numpy sums a
+    group pairwise over 8 accumulators, so the two can differ in the last
+    bit.
     """
     if m == 1:
         return a
-    out = a[:, 0::m].copy()
-    for j in range(1, m):
+    out = np.add(a[:, 0::m], a[:, 1::m])
+    for j in range(2, m):
         out += a[:, j::m]
     return out
 
@@ -349,7 +354,8 @@ def loss(cache: ForwardCache, y_true: np.ndarray) -> float:
     probs = cache.a_list[-1]
     y = _check_targets(y_true, probs.shape)
     logp = np.log(np.maximum(probs, _PROB_FLOOR))
-    return float(-(y * logp).sum(axis=1).mean())
+    # numpy's mean is this reduce and then a divide
+    return float(-np.add.reduce((y * logp).sum(axis=1)) / y.shape[0])
 
 
 def _check_cache(network: Network, cache: ForwardCache):
@@ -390,7 +396,9 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
         shape = (p.shape[1], q.shape[1])
         gw = np.matmul(p.T, q, out=None if out is None
                        else out[:shape[0] * shape[1]].reshape(shape))
-        gb = delta.mean(axis=0)
+        # numpy's mean is this reduce and then a divide by n
+        gb = np.add.reduce(delta, axis=0)
+        mean(gb, by, out=gb)
         if i > 0:
             # a new array at every tile, so the derivative may overwrite it
             delta = _spread_cols(q @ layer.weights.T, m)
@@ -485,9 +493,12 @@ def _chunk_outputs(network: Network, x: np.ndarray):
     ends at the last row and recomputes the rows it shares with the one
     before, whose outputs it does not yield again.  So no product is
     shorter than ``EVAL_ROWS`` rows, because a short product can run
-    another BLAS kernel whose results differ in the last bit.  Each chunk
-    goes layer by layer through :func:`_layer_forward`, keeping only the
-    current activation: no :class:`ForwardCache` is built.
+    another BLAS kernel whose results differ in the last bit.  Only with 1
+    BLAS thread are the outputs those of one pass, bit for bit: with 2, a
+    3000-wide shared layer at m >= 2 can differ in the last bit with the
+    row count.  Each chunk goes layer by layer through
+    :func:`_layer_forward`, keeping only the current activation: no
+    :class:`ForwardCache` is built.
     """
     n = x.shape[0]
     for row in range(0, n, EVAL_ROWS):

@@ -181,7 +181,7 @@ def build_topology(layer_sizes, motif_size: int, density: BlockDensitySpec,
         mask = np.zeros((rows, cols), dtype=bool)
         if k > 0:
             flat = rng.choice(total, size=k, replace=False)
-            mask.flat[flat] = True
+            mask.reshape(-1)[flat] = True
         # every output block column must receive at least one connection
         empty_cols = np.flatnonzero(~mask.any(axis=0))
         for col in empty_cols:

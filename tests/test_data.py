@@ -28,13 +28,13 @@ from motifset.data import (
     CACHE_VERSION,
     IDX_FILES,
     Dataset,
+    _read_idx_pair,
     _standardize_in_place,
     build_csv_dataset,
     build_idx_dataset,
     find_idx_files,
     limit_dataset,
     load_dataset_cache,
-    load_idx,
     load_labeled_csv,
     normalize_01,
     one_hot,
@@ -85,29 +85,30 @@ class TestIdx:
     def test_known_bytes_round_trip(self, tmp_path):
         pixels = [0, 255, 128, 3, 10, 20, 30, 40]
         ip, lp = _write_idx_pair(tmp_path, pixels, [7, 2])
-        images, labels = load_idx(ip, lp)
+        images, labels = _read_idx_pair(ip, lp)
         assert images.shape == (2, 4)
-        assert images.dtype == np.uint8
-        np.testing.assert_array_equal(images[0], [0, 255, 128, 3])
+        assert images.dtype == np.float64
+        assert images.tobytes() == (np.reshape(pixels, (2, 4))
+                                    / 255.0).tobytes()
         np.testing.assert_array_equal(labels, [7, 2])
 
     def test_gzip_by_extension(self, tmp_path):
         pixels = list(range(8))
         ip, lp = _write_idx_pair(tmp_path, pixels, [1, 0], gz=True)
-        images, labels = load_idx(ip, lp)
-        np.testing.assert_array_equal(images.ravel(), pixels)
+        images, labels = _read_idx_pair(ip, lp)
+        assert images.tobytes() == (np.array(pixels) / 255.0).tobytes()
 
     def test_bad_image_magic(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0],
                                  image_magic=0x00000804)
         with pytest.raises(MagicNumberError):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     def test_bad_label_magic(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0],
                                  label_magic=0xDEADBEEF)
         with pytest.raises(MagicNumberError):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     @pytest.mark.parametrize("cut", ["image", "label"])
     def test_truncated_payload(self, tmp_path, cut):
@@ -115,7 +116,7 @@ class TestIdx:
         path = ip if cut == "image" else lp
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(TruncatedFileError, match=f"bytes of {cut} data"):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     @pytest.mark.parametrize("cut", ["images", "labels"])
     def test_truncated_gzip(self, tmp_path, cut):
@@ -130,7 +131,7 @@ class TestIdx:
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(TruncatedFileError,
                            match="compressed data ends inside the"):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     @pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
     @pytest.mark.parametrize("count", [2**32 - 1, 60000])
@@ -143,7 +144,7 @@ class TestIdx:
             f.write(head + bytes(8))
         with pytest.raises(TruncatedFileError,
                            match="more than the file can hold"):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     def test_damaged_deflate_data(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=True)
@@ -151,14 +152,14 @@ class TestIdx:
         ip.write_bytes(b"\x1f\x8b\x08" + bytes(6) + b"\xff\x07" + bytes(32))
         with pytest.raises(TruncatedFileError,
                            match="damaged inside the image header"):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
         # label header promises 3 but the image header says 2
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0, 5],
                                  label_count=3)
         with pytest.raises(CountMismatchError):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
     def test_write_idx_round_trip(self, tmp_path, suffix):
@@ -167,8 +168,9 @@ class TestIdx:
         ip = tmp_path / f"images{suffix}"
         lp = tmp_path / f"labels{suffix}"
         write_idx(ip, lp, images, labels)
-        back_images, back_labels = load_idx(ip, lp)
-        np.testing.assert_array_equal(back_images, images.reshape(3, 10))
+        back_images, back_labels = _read_idx_pair(ip, lp)
+        assert back_images.tobytes() == (images.reshape(3, 10)
+                                         / 255.0).tobytes()
         np.testing.assert_array_equal(back_labels, labels)
         # gzipped when and only when the name says so
         assert (ip.read_bytes()[:2] == b"\x1f\x8b") == (suffix == ".gz")
@@ -481,12 +483,11 @@ class TestIdxPipeline:
     def test_matches_standardize_of_normalize(self, tmp_path, gz):
         paths = self._write(tmp_path, 120, 40, gz)
         ds = build_idx_dataset(*paths)
-        x_tr, lab_tr = load_idx(paths[0], paths[1])
-        x_te, lab_te = load_idx(paths[2], paths[3])
-        want_tr, want_te = normalize_01(x_tr), normalize_01(x_te)
-        _standardize_in_place(want_tr, want_te)
-        assert ds.x_train.tobytes() == want_tr.tobytes()
-        assert ds.x_test.tobytes() == want_te.tobytes()
+        x_tr, lab_tr = _read_idx_pair(paths[0], paths[1])
+        x_te, lab_te = _read_idx_pair(paths[2], paths[3])
+        _standardize_in_place(x_tr, x_te)
+        assert ds.x_train.tobytes() == x_tr.tobytes()
+        assert ds.x_test.tobytes() == x_te.tobytes()
         assert ds.y_train.tobytes() == one_hot(lab_tr, 10).tobytes()
         assert ds.y_test.tobytes() == one_hot(lab_te, 10).tobytes()
 
@@ -497,10 +498,10 @@ class TestIdxPipeline:
             build_idx_dataset(*paths)
 
     def test_unstandardized_is_normalize(self, tmp_path):
-        paths = self._write(tmp_path, 30, 10, False)
+        paths, (u8_tr, u8_te) = _write_quartet(tmp_path, 30, 10, False)
         ds = build_idx_dataset(*paths, apply_standardize=False)
-        x_tr, _ = load_idx(paths[0], paths[1])
-        assert ds.x_train.tobytes() == (x_tr / 255.0).tobytes()
+        assert ds.x_train.tobytes() == (u8_tr / 255.0).tobytes()
+        assert ds.x_test.tobytes() == (u8_te / 255.0).tobytes()
 
     def test_ingestion_holds_each_split_once(self, tmp_path):
         """The peak stays within 1.25x of what the result itself holds."""
@@ -655,7 +656,7 @@ class TestGzipTrailer:
         # a byte past the header, inside the payload
         _flip_payload_byte_stored(path, 20)
         with pytest.raises(DataError, match="CRC check failed") as info:
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
@@ -678,26 +679,26 @@ class TestGzipTrailer:
         for path in (ip, lp):
             path.write_bytes(gzip.compress(gzip.decompress(
                 path.read_bytes()), compresslevel=0))
-        images, _ = load_idx(ip, lp)
-        assert (images == pixels.reshape(40, -1)).all()
+        images, _ = _read_idx_pair(ip, lp)
+        assert images.tobytes() == (pixels.reshape(40, -1) / 255.0).tobytes()
 
     def test_trailer_cut_short(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=True)
         lp.write_bytes(lp.read_bytes()[:-4])  # half of the length field
         with pytest.raises(TruncatedFileError, match="before its gzip "
                                                      "trailer"):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     def test_bytes_after_the_member_that_are_not_gzip(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0], gz=True)
         ip.write_bytes(ip.read_bytes() + b"extra bytes")
         with pytest.raises(DataError, match="Not a gzipped file"):
-            load_idx(ip, lp)
+            _read_idx_pair(ip, lp)
 
     def test_raw_file_with_trailing_bytes_loads(self, tmp_path):
         ip, lp = _write_idx_pair(tmp_path, [0] * 8, [1, 0])
         ip.write_bytes(ip.read_bytes() + b"extra")
-        images, labels = load_idx(ip, lp)
+        images, labels = _read_idx_pair(ip, lp)
         assert images.shape == (2, 4) and list(labels) == [1, 0]
 
 

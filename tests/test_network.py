@@ -108,6 +108,17 @@ class TestForward:
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p.sum(axis=1), 1.0)
 
+    def test_softmax_in_place_gives_formula_bits(self):
+        rng = np.random.default_rng(9)
+        z = np.vstack([rng.normal(size=(6, 5)) * 30.0,
+                       [1000.0, 0.0, -1000.0, 710.0, 709.0],
+                       [-1000.0, -1001.0, -2000.0, 0.0, -745.0]])
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        want = e / e.sum(axis=1, keepdims=True)
+        got = softmax(z)
+        assert got is z
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_matches_scalar_oracle_dense(self, activation):
         net = small_network(sizes=(6, 6, 4), motif_size=1, density=1.0,
@@ -170,6 +181,17 @@ class TestLoss:
                           [l.bias for l in net.layers], "relu")
         assert loss(forward(net, x), y) == pytest.approx(
             oracle.loss(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 6, 80])
+    def test_bits_of_numpy_mean(self, n):
+        """The batch mean is numpy's mean, bit for bit; over 20 batches, a
+        multiplication by an inexact 1/n would change some last bits."""
+        net = small_network(sizes=(8, 8, 10), density=0.8, seed=n)
+        for seed in range(20):
+            cache = forward(net, _batch(n, 8, seed=seed))
+            y = _onehot_targets(n, 10, seed=seed)
+            logp = np.log(np.maximum(cache.a_list[-1], 1e-12))
+            assert loss(cache, y) == float(-(y * logp).sum(axis=1).mean())
 
     def test_mismatched_targets_rejected(self):
         net = small_network()

@@ -138,19 +138,28 @@ class TestSampling:
                    for ma, mc in zip(a.block_masks, c.block_masks))
 
     def test_sampling_procedure_reproduced_independently(self):
-        """Re-run the documented sampling recipe by hand and compare."""
-        sizes, m, density, seed = (6, 4), 2, 0.5, 11
-        topo = build_topology(sizes, m, BlockDensitySpec.fixed(density),
-                              seed=seed)
-        # the single weight layer is the final one, stored at tile 1
-        rng = np.random.default_rng((seed, 0))
-        rows, cols = 6, 4
-        k = round(density * rows * cols)
-        expected = np.zeros((rows, cols), dtype=bool)
-        expected.flat[rng.choice(rows * cols, size=k, replace=False)] = True
-        for col in np.flatnonzero(~expected.any(axis=0)):
-            expected[rng.integers(rows), col] = True
-        assert (topo.block_masks[0] == expected).all()
+        """Re-run the documented sampling recipe by hand and compare, on
+        layers that need the empty-column repair and layers that do not."""
+        repaired = 0
+        for sizes, m, spec, seed in (
+                ((6, 4), 2, BlockDensitySpec.fixed(0.5), 11),
+                ((12, 8, 6, 3), 2, BlockDensitySpec.erdos_renyi(0.5), 3),
+                ((40, 30, 10), 1, BlockDensitySpec.fixed(0.03), 5)):
+            topo = build_topology(sizes, m, spec, seed=seed)
+            for i, mask in enumerate(topo.block_masks):
+                # the final weight layer is stored at tile 1
+                tile = 1 if i == len(sizes) - 2 else m
+                rows, cols = sizes[i] // tile, sizes[i + 1] // tile
+                rng = np.random.default_rng((seed, i))
+                k = round(spec.target_density(rows, cols) * rows * cols)
+                expected = np.zeros((rows, cols), dtype=bool)
+                expected.flat[rng.choice(rows * cols, size=k,
+                                         replace=False)] = True
+                for col in np.flatnonzero(~expected.any(axis=0)):
+                    expected[rng.integers(rows), col] = True
+                    repaired += 1
+                assert (mask == expected).all()
+        assert repaired
 
     def test_every_output_column_reachable(self):
         # near-empty sampling still leaves no dead output column
