@@ -101,18 +101,13 @@ def _cmd_score(args) -> int:
 
 def _sweep_grid(args):
     """The ``w_eff`` grid of ``sweep``, or None for the default grid."""
-    if args.grid:
-        try:
-            return np.array([float(p) for p in args.grid.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"--grid must list numbers, got {args.grid!r}"
-                              ) from exc
-    if args.grid_step is None:
+    if args.grid is None:
         return None
-    if not 0.0 < args.grid_step <= 1.0:
-        raise ConfigError(
-            f"--grid-step must be in (0, 1], got {args.grid_step}")
-    return np.arange(0.0, 1.0 + args.grid_step / 2, args.grid_step)
+    try:
+        return np.array([float(p) for p in args.grid.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"--grid must list numbers, got {args.grid!r}"
+                          ) from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -185,9 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep the efficiency weight over [0, 1]")
     p.add_argument("--baseline", required=True)
     p.add_argument("--variant", required=True)
-    p.add_argument("--grid", help="explicit comma separated w_eff values")
-    p.add_argument("--grid-step", type=float, default=None,
-                   help="uniform grid step (default 0.01)")
+    p.add_argument("--grid", help="comma separated w_eff values "
+                                  "(default 0 to 1 in steps of 0.01)")
     p.add_argument("--use-flops", action="store_true")
     p.add_argument("--out", help="directory for sweep.csv")
     p.set_defaults(func=_cmd_sweep)

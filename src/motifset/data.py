@@ -86,7 +86,8 @@ class Dataset:
     ``x_*`` are float64 matrices, ``y_*`` one-hot float64 matrices.  Raises
     :class:`EmptyFileError` for zero feature columns,
     :class:`TooFewSamplesError` for an empty split, and
-    :class:`CountMismatchError` when the splits disagree on a count.
+    :class:`CountMismatchError` for an array that is not 2-D or when the
+    splits disagree on a count.
     """
 
     x_train: np.ndarray
@@ -103,6 +104,10 @@ class Dataset:
         return self.y_train.shape[1]
 
     def __post_init__(self):
+        for name, a in vars(self).items():
+            if a.ndim != 2:
+                raise CountMismatchError(
+                    f"{name} must be 2-D, got shape {a.shape}")
         if self.n_features == 0:
             raise EmptyFileError("the data has no feature columns")
         for name, x, y in (("train", self.x_train, self.y_train),

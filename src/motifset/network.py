@@ -31,10 +31,10 @@ each layer's gradients lazily, last layer first, one row slice of the
 weight gradient at a time, and :func:`sgd_step` applies each as it comes,
 so a training step,
 ``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms
-every weight gradient in the one buffer and holds one at a time.  A slice
-is about 256 KiB (``_SLICE_CELLS``), so its batch mean, mask and update
-run while it sits in cache: one pass over memory per gradient where there
-were four.
+every weight gradient in the one buffer it is given and holds one at a
+time.  A slice is about 256 KiB (``_SLICE_CELLS``), so its batch mean,
+mask and update run while it sits in cache: one pass over memory per
+gradient where there were four.
 :func:`_layer_forward` is the one layer step of training and evaluation:
 :func:`forward` keeps every layer's pooled input and activation in the
 :class:`ForwardCache` for :func:`backward`, and :func:`predict_accuracy`
@@ -380,7 +380,7 @@ def _check_cache(network: Network, cache: ForwardCache):
 
 
 def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
-                     out: np.ndarray | None) -> LayerGradients:
+                     out: np.ndarray) -> LayerGradients:
     """The generator :func:`backward` returns, after its checks."""
     n = y.shape[0]
     # 1 / n is exact for a power of two, so x * (1 / n) and x / n round the
@@ -394,8 +394,7 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
         m = layer.share_tile
         p, q = cache.pooled[i], _pool_cols(delta, m)
         shape = (p.shape[1], q.shape[1])
-        gw = np.matmul(p.T, q, out=None if out is None
-                       else out[:shape[0] * shape[1]].reshape(shape))
+        gw = np.matmul(p.T, q, out=out[:shape[0] * shape[1]].reshape(shape))
         # numpy's mean is this reduce and then a divide by n
         gb = np.add.reduce(delta, axis=0)
         mean(gb, by, out=gb)
@@ -414,7 +413,7 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
 
 
 def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
-             out: np.ndarray | None = None) -> LayerGradients:
+             out: np.ndarray) -> LayerGradients:
     """Backpropagate cross-entropy gradients through the cached pass.
 
     The softmax/cross-entropy pair gives the output delta ``probs - y``
@@ -434,10 +433,9 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     while it is in cache.  ``db`` comes with the layer's first slice and
     is None with the others.  Layer ``i - 1``'s delta is taken from ``W_i``
     before layer ``i``'s first slice is yielded, so a consumer such as
-    :func:`sgd_step` may update ``W_i`` at once.  Each layer's ``dW`` is a
-    new array whose slices are views of it, or, given ``out`` (a 1-D
-    float64 buffer of at least the largest weight grid's cells), a view
-    into the front of ``out`` that the next layer's overwrites, so a step
+    :func:`sgd_step` may update ``W_i`` at once.  ``out`` is a 1-D float64
+    buffer of at least the largest weight grid's cells; each layer's ``dW``
+    is a view into its front that the next layer's overwrites, so a step
     holds one weight-sized gradient at most.  For a batch of ``2**k`` the
     division is a multiplication by ``2**-k``, which gives the same bits.
 

@@ -106,16 +106,24 @@ def finite_diff_grads(network, x, y, step=1e-5):
     return weight_grads, bias_grads
 
 
+def gradient_buffer(network):
+    """A buffer for ``backward``'s ``out``: the largest weight grid's cells,
+    as training allocates it."""
+    return np.empty(max(layer.weights.size for layer in network.layers))
+
+
 def collect_gradients(network, cache, y):
     """``(weight_grads, bias_grads)``: the per-layer gradients that the
-    package's ``backward`` yields without a buffer, in layer order.
+    package's ``backward`` yields, in layer order, as new arrays.
 
-    Without a buffer every row slice of a layer's weight gradient is a view
-    of one new array, whole once the last slice has been yielded."""
-    n_layers = len(network.layers)
-    weight_grads, bias_grads = [None] * n_layers, [None] * n_layers
-    for i, _, gw, gb in backward(network, cache, y):
-        weight_grads[i] = gw.base
+    ``backward`` forms them in one buffer, as a training step does, and
+    overwrites each layer's with the next: every yielded row slice of a
+    weight gradient is copied into its layer's array as it comes."""
+    weight_grads = [np.empty_like(layer.weights) for layer in network.layers]
+    bias_grads = [None] * len(network.layers)
+    for i, rows, gw, gb in backward(network, cache, y,
+                                    gradient_buffer(network)):
+        weight_grads[i][rows] = gw
         if gb is not None:
             bias_grads[i] = gb
     return weight_grads, bias_grads

@@ -35,7 +35,7 @@ from motifset.network import (
 from motifset.topology import BlockDensitySpec, build_topology
 from motifset.train import run_train
 
-from conftest import collect_gradients, finite_diff_grads
+from conftest import collect_gradients, finite_diff_grads, gradient_buffer
 from oracles import (DenseMLP, active_block_count, expand_mask,
                      expand_weights, max_rel_error)
 
@@ -177,11 +177,12 @@ def test_criterion_03_dense_equivalence():
     net = init_network(topo, seed=32)
     oracle = DenseMLP([l.weights for l in net.layers],
                       [l.bias for l in net.layers], "relu")
+    buffer = gradient_buffer(net)
     rng = np.random.default_rng(33)
     for _ in range(10):
         x = rng.normal(size=(8, 6))
         y = np.eye(4)[rng.integers(0, 4, 8)]
-        sgd_step(net, backward(net, forward(net, x), y), 0.05)
+        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.05)
         oracle.sgd_step(x, y, 0.05)
     gap = 0.0
     for layer, ow, ob in zip(net.layers, oracle.weights_arrays(),

@@ -21,16 +21,17 @@ from motifset.errors import CheckpointFormatError
 from motifset.network import backward, forward, init_network, sgd_step
 from motifset.topology import BlockDensitySpec, build_topology
 
-from conftest import Unwritable, damaged, small_network
+from conftest import Unwritable, damaged, gradient_buffer, small_network
 
 
 def _trained(seed=0, **kw):
     net = small_network(seed=seed, **kw)
+    buffer = gradient_buffer(net)
     rng = np.random.default_rng(seed + 100)
     for _ in range(5):
         x = rng.normal(size=(6, net.layer_sizes[0]))
         y = np.eye(net.n_classes)[rng.integers(0, net.n_classes, 6)]
-        sgd_step(net, backward(net, forward(net, x), y), 0.1)
+        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
     return net
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifset.checkpoint import save_checkpoint
 from motifset.cli import _resolve_config, build_parser, main
 from motifset.config import (
     ExperimentConfig,
@@ -25,7 +26,7 @@ from motifset.config import (
 from motifset.data import write_idx
 from motifset.errors import ConfigError
 
-from conftest import damaged
+from conftest import damaged, small_network
 
 
 class TestConfigFiles:
@@ -518,8 +519,7 @@ class TestCliScoreSweep:
         assert scores == [1.0, 0.5, 0.0]
 
     @pytest.mark.parametrize("flags", [
-        ["--grid", "a,b"], ["--grid", "2"], ["--grid-step", "-0.1"],
-        ["--grid-step", "1.5"]])
+        ["--grid", "a,b"], ["--grid", "2"], ["--grid", ""]])
     def test_bad_grid_exit_code(self, tmp_path, capsys, flags):
         base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
         assert main(["sweep", "--baseline", str(base), "--variant",
@@ -604,6 +604,67 @@ def test_bad_config_or_manifest_file(tmp_path, capsys, command, text, code,
     assert capsys.readouterr().err.startswith(prefix)
 
 
+def _cli_exit_code(argv) -> int:
+    """``main``'s exit code, or argparse's when it rejects an option's text;
+    any other exception escaping main fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+# numbers, text that float() reads or refuses, and configparser syntax
+_RESULT_VALUE = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " 1", "1e400", "0x10", "1_0", "%(x)s", "1 # c",
+                     "a", "0,1"]),
+    st.text(max_size=6))
+
+
+@st.composite
+def _result_section(draw) -> str:
+    """A manifest's ``[result]`` text: any text, or a positive number under
+    each key, with some keys dropped or given other text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=40))
+    text = ""
+    for key in ("train_time_s", "final_accuracy", "total_flops"):
+        if draw(st.integers(0, 4)):
+            value = repr(draw(st.floats(1e-3, 1e6)))
+        else:
+            value = draw(st.one_of(st.none(), _RESULT_VALUE))
+        if value is not None:
+            text += f"{key} = {value}\n"
+    return text
+
+
+@given(command=st.sampled_from(["score", "sweep"]),
+       results=st.tuples(_result_section(), _result_section()),
+       value=st.one_of(st.none(), _RESULT_VALUE, st.lists(
+           st.floats(0, 1).map(repr), min_size=1, max_size=3).map(",".join)),
+       use_flops=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_score_and_sweep_exit_code(tmp_path_factory, command,
+                                          results, value, use_flops):
+    """Drawn manifest ``[result]`` sections and ``--w-eff`` or ``--grid``
+    text end in exit 0 or a typed error's 2 or 3, never a traceback."""
+    directory = tmp_path_factory.mktemp("manifests")
+    argv = [command]
+    for role, result in zip(("baseline", "variant"), results):
+        path = directory / f"{role}.txt"
+        text = config_to_text(ExperimentConfig()) + "\n[result]\n" + result
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv += [f"--{role}", str(path)]
+    if value is not None:
+        argv.append(("--w-eff=" if command == "score" else "--grid=")
+                    + value)
+    if use_flops:
+        argv.append("--use-flops")
+    assert _cli_exit_code(argv) in (0, 2, 3)
+
+
 class TestCliExportTopology:
     def test_export_from_checkpoint_parses(self, toy_csv, tmp_path):
         out = tmp_path / "run"
@@ -639,3 +700,13 @@ class TestCliExportTopology:
                      "--hidden-sizes", "8", "--output-size", "4",
                      flag, value]) == 2
         assert "config error:" in capsys.readouterr().err
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_export_topology_checkpoint_exit_code(tmp_path_factory, data):
+    """A damaged checkpoint ends in exit 3, never a traceback or a topology."""
+    path = tmp_path_factory.mktemp("ck") / "checkpoint.bin"
+    save_checkpoint(small_network(sizes=(8, 8, 4)), path)
+    path.write_bytes(data.draw(damaged(path.read_bytes())))
+    assert _cli_exit_code(["export-topology", "--checkpoint", str(path)]) == 3

@@ -912,6 +912,26 @@ class TestCache:
         with pytest.raises(CorruptCacheError, match="malformed cache"):
             load_dataset_cache(path)
 
+    def test_three_dimensional_matrix_exit_code(self, tmp_path, capsys):
+        """A sealed cache whose feature matrices are 3-D, with the counts
+        their axes 1 give, is malformed: ``train`` exits 3 and writes no
+        run file."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "cache.bin"
+        self._write_sealed(path, (rng.normal(size=(8, 4, 2)),
+                                  one_hot(np.arange(8) % 2, 2),
+                                  rng.normal(size=(4, 4, 2)),
+                                  one_hot(np.arange(4) % 2, 2)),
+                           n_features=4, n_classes=2)
+        with pytest.raises(CorruptCacheError, match=r"x_train must be 2-D, "
+                                                    r"got shape \(8, 4, 2\)"):
+            load_dataset_cache(path)
+        out = tmp_path / "r"
+        assert main(["train", "--cache-path", str(path), "--epochs", "1",
+                     "--hidden-sizes", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists() or not list(out.iterdir())
+
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "cache.bin"
         save_dataset_cache(self._dataset(), path)

@@ -30,6 +30,7 @@ from motifset.topology import BlockDensitySpec, build_topology
 from conftest import (
     collect_gradients,
     finite_diff_grads,
+    gradient_buffer,
     small_network,
     whole_layer_items,
 )
@@ -260,10 +261,11 @@ class TestBackward:
         net = small_network()
         other = small_network(sizes=(6, 6, 4), motif_size=1, density=1.0)
         cache = forward(other, _batch(5, 6))
+        buffer = gradient_buffer(net)
         with pytest.raises(StaleCacheError):
-            backward(net, cache, _onehot_targets(5, 4))
+            backward(net, cache, _onehot_targets(5, 4), buffer)
         with pytest.raises(StaleCacheError):
-            backward(net, ForwardCache(), _onehot_targets(5, 4))
+            backward(net, ForwardCache(), _onehot_targets(5, 4), buffer)
         # pooled inputs missing, one layer short, layer 0 left unpooled,
         # a sample short
         cache = forward(net, _batch(5, 8))
@@ -272,7 +274,7 @@ class TestBackward:
                        [p[:-1] for p in cache.pooled]):
             with pytest.raises(StaleCacheError):
                 backward(net, ForwardCache(cache.a_list, pooled),
-                         _onehot_targets(5, 4))
+                         _onehot_targets(5, 4), buffer)
 
 
 class TestPooling:
@@ -290,7 +292,8 @@ class TestPooling:
     def test_pools_at_most_twice_per_layer_per_step(self, mode,
                                                     monkeypatch):
         # forward pools each input once and caches it; backward pools
-        # only the deltas
+        # only the deltas.  sgd_step advances backward's generator, so
+        # its pools are counted too
         calls = []
 
         def counted(a, m):
@@ -301,7 +304,8 @@ class TestPooling:
         net = small_network(sizes=(8, 8, 8, 4), motif_size=2,
                             weight_mode=mode)
         x = _batch(5, 8)
-        backward(net, forward(net, x), _onehot_targets(5, 4))
+        sgd_step(net, backward(net, forward(net, x), _onehot_targets(5, 4),
+                               gradient_buffer(net)), 0.1)
         assert len(calls) <= 2 * len(net.layers)
 
     def test_cached_input_is_pooled_input(self):
@@ -317,7 +321,8 @@ class TestSgd:
         net = small_network(seed=50)
         x = _batch(4, 8, seed=51)
         cache = forward(net, x)
-        grads = backward(net, cache, cache.a_list[-1].copy())
+        grads = backward(net, cache, cache.a_list[-1].copy(),
+                         gradient_buffer(net))
         before = [l.weights.copy() for l in net.layers]
         sgd_step(net, grads, 0.5)
         for b, layer in zip(before, net.layers):
@@ -341,11 +346,12 @@ class TestSgd:
                             seed=60)
         oracle = DenseMLP([l.weights for l in net.layers],
                           [l.bias for l in net.layers], "relu")
+        buffer = gradient_buffer(net)
         rng = np.random.default_rng(61)
         for _ in range(10):
             x = rng.normal(size=(8, 6))
             y = np.eye(4)[rng.integers(0, 4, 8)]
-            sgd_step(net, backward(net, forward(net, x), y), 0.05)
+            sgd_step(net, backward(net, forward(net, x), y, buffer), 0.05)
             oracle.sgd_step(x, y, 0.05)
         for layer, ow, ob in zip(net.layers, oracle.weights_arrays(),
                                  oracle.bias_arrays()):
@@ -360,8 +366,9 @@ class TestSgd:
         y = np.eye(4)[labels]
         net = small_network(sizes=(8, 16, 4), motif_size=2, density=0.8,
                             seed=71)
+        buffer = gradient_buffer(net)
         for _ in range(200):
-            sgd_step(net, backward(net, forward(net, x), y), 0.1)
+            sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
         assert predict_accuracy(net, x, y) == 1.0
 
 
@@ -464,11 +471,12 @@ def test_masked_weights_stay_zero_through_training(seed, m, mode):
     """Inactive connections never become nonzero under SGD."""
     net = small_network(sizes=(8, 8, 4), motif_size=m, density=0.5,
                         seed=seed % 1000, weight_mode=mode)
+    buffer = gradient_buffer(net)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         x = rng.normal(size=(6, 8))
         y = np.eye(4)[rng.integers(0, 4, 6)]
-        sgd_step(net, backward(net, forward(net, x), y), 0.1)
+        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
     for layer in net.layers:
         assert (layer.weights[~weight_mask(layer)] == 0.0).all()
 
@@ -489,11 +497,12 @@ def test_inactive_weights_are_plus_zero(tmp_path, m, mode):
     net = small_network(sizes=(16, 16, 16, 4), motif_size=m, density=0.4,
                         seed=m, weight_mode=mode)
     _assert_inactive_plus_zero(net, "after init")
+    buffer = gradient_buffer(net)
     rng = np.random.default_rng(m)
     for _ in range(10):
         x = rng.normal(size=(6, 16))
         y = np.eye(4)[rng.integers(0, 4, 6)]
-        sgd_step(net, backward(net, forward(net, x), y), 0.1)
+        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
     _assert_inactive_plus_zero(net, "after 10 SGD steps")
     evolve(net, EvolutionPolicy(zeta=0.3, rng_seed=m), 0)
     _assert_inactive_plus_zero(net, "after a magnitude_set event")
@@ -518,24 +527,19 @@ def _peak_bytes(fn, *args):
 
 @pytest.mark.parametrize("m,mode", [(1, "shared"), (2, "independent")])
 def test_step_allocates_no_weight_sized_temporary(m, mode):
-    """Collecting backward's unbuffered gradients allocates them and
-    batch-sized arrays only, sgd_step over them allocates nothing the size
-    of a weight grid, and neither does the fused step given a buffer."""
+    """sgd_step over whole-layer gradients allocates nothing the size of a
+    weight grid, and neither does the fused step given a buffer."""
     net = small_network(sizes=(600, 600, 10), motif_size=m, density=0.5,
                         weight_mode=mode)
     grid = net.layers[0].weights.nbytes  # the 600 x 600 layer
     x = _batch(64, 600, seed=5)
     y = _onehot_targets(64, 10)
     cache = forward(net, x)
-    peak, (weight_grads, bias_grads) = _peak_bytes(collect_gradients, net,
-                                                   cache, y)
-    returned = sum(g.nbytes for g in weight_grads + bias_grads)
-    assert peak < returned + grid
-    peak, _ = _peak_bytes(sgd_step, net,
-                          whole_layer_items(weight_grads, bias_grads), 0.1)
+    items = whole_layer_items(*collect_gradients(net, cache, y))
+    peak, _ = _peak_bytes(sgd_step, net, items, 0.1)
     assert peak < grid
-    del weight_grads, bias_grads
-    buffer = np.empty(max(layer.weights.size for layer in net.layers))
+    del items
+    buffer = gradient_buffer(net)
     peak, _ = _peak_bytes(
         lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
     assert peak < grid
@@ -551,7 +555,7 @@ def test_step_multiplies_the_relu_derivative_into_the_delta():
     x = _batch(128, 64, seed=6)
     y = _onehot_targets(128, 10)
     cache = forward(net, x)
-    buffer = np.empty(max(layer.weights.size for layer in net.layers))
+    buffer = gradient_buffer(net)
     peak, _ = _peak_bytes(
         lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
     assert peak < 2.25 * 128 * 1500 * 8
@@ -608,7 +612,7 @@ def test_fused_step_matches_backward_then_update(monkeypatch, m, mode,
                              density=0.5, seed=m, weight_mode=mode,
                              activation=activation)
     fused, stepped = make(), make()
-    buffer = np.empty(max(layer.weights.size for layer in fused.layers))
+    buffer = gradient_buffer(fused)
     rng = np.random.default_rng(m)
     short_slices = 0
     for cells, batch in itertools.product(
