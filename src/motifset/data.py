@@ -14,12 +14,10 @@ Supported sources:
 Every source ends in a :class:`Dataset` of four arrays, whose shapes give
 the feature and class counts; it rejects an empty split, zero feature
 columns, or splits that disagree on a count.  IDX pixels are read in
-chunks and scaled into [0, 1] straight into each float64 split: the
-calling thread inflates the next chunk while a worker thread scales the
-last, and the worker then loads the test pair while the calling thread
-fits the train moments.  Standardization is fit on the training split
-only and scales both splits in place, a block of rows at a time, so
-ingestion holds no second copy of a split; a row limit that drops rows
+chunks, each inflated and scaled into [0, 1] straight into its float64
+split before the next is read.  Standardization is fit on the training
+split only and scales both splits in place, a block of rows at a time,
+so ingestion holds no second copy of a split; a row limit that drops rows
 copies the rows it keeps, so the full split can be freed.
 """
 from __future__ import annotations
@@ -30,7 +28,6 @@ import math
 import os
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,8 +66,7 @@ CACHE_VERSION = 2
 
 # deflate expands data at most 1032-fold, which bounds what a gzip file holds
 _DEFLATE_MAX_RATIO = 1032
-# bytes of IDX pixels read at a time: one chunk is scaled while the next
-# one is inflated
+# bytes of IDX pixels read and scaled at a time
 _DECODE_CHUNK = 1 << 18
 
 _STD_FLOOR = 1e-8
@@ -212,10 +208,10 @@ def _read_header(f, header_struct: struct.Struct, magic: int, path,
     return count, dims
 
 
-def _read_idx_pair(images_path, labels_path, pool=None):
+def _read_idx_pair(images_path, labels_path):
     """``(images, labels)`` of an IDX pair: the images as ``(n, rows *
-    cols)`` float64 rows scaled into [0, 1] by :func:`_read_scaled`, with
-    ``pool``, and the labels as ``(n,)`` uint8.
+    cols)`` float64 rows scaled into [0, 1] by :func:`_read_scaled`, and
+    the labels as ``(n,)`` uint8.
 
     The image payload's size is checked against the file before it is
     read, and the counts of both files must agree.  A gzipped file is read
@@ -237,22 +233,20 @@ def _read_idx_pair(images_path, labels_path, pool=None):
                 f"{images_path} holds {n} images but {labels_path} holds "
                 f"{n_labels} labels"
             )
-        x = _read_scaled(images, n, rows * cols, images_path, pool)
+        x = _read_scaled(images, n, rows * cols, images_path)
         _read_to_end(images, images_path, "image data")
         label_bytes = _read_exact(labels, n, labels_path, "label data")
         _read_to_end(labels, labels_path, "label data")
         return x, np.frombuffer(label_bytes, dtype=np.uint8)
 
 
-def _read_scaled(f, n: int, size: int, path, pool) -> np.ndarray:
+def _read_scaled(f, n: int, size: int, path) -> np.ndarray:
     """The next ``n`` images of ``size`` bytes in ``f`` as ``(n, size)``
     float64 rows scaled by :func:`normalize_01`.
 
     The bytes are read ``_DECODE_CHUNK`` at a time, in file order, and each
-    chunk is scaled straight into the result, so the byte payload is never
-    held whole.  With a one-thread ``pool``, its thread scales each chunk
-    while this one reads the next.  A chunk still queued when a read fails
-    is scaled when the caller shuts the pool down.
+    chunk is scaled straight into the result before the next is read, so
+    one chunk of the byte payload is held at a time.
     """
     try:
         out = np.empty((n, size))
@@ -262,23 +256,11 @@ def _read_scaled(f, n: int, size: int, path, pool) -> np.ndarray:
             f"than memory can hold"
         ) from exc
     flat = out.reshape(-1)
-    scaling = []
     for start in range(0, flat.size, _DECODE_CHUNK):
         chunk = np.frombuffer(
             _read_exact(f, min(_DECODE_CHUNK, flat.size - start), path,
                         "image data"), dtype=np.uint8)
-        target = flat[start:start + chunk.size]
-        if pool is None:
-            normalize_01(chunk, out=target)
-            continue
-        # the jobs finish in order: at most two chunks wait to be scaled,
-        # so an uncompressed file, read faster than it is scaled, is not
-        # piled up whole
-        if len(scaling) >= 2:
-            scaling[-2].result()
-        scaling.append(pool.submit(normalize_01, chunk, target))
-    for job in scaling:
-        job.result()
+        normalize_01(chunk, out=flat[start:start + chunk.size])
     return out
 
 
@@ -395,15 +377,15 @@ def normalize_01(x: np.ndarray, out: np.ndarray | None = None
     return np.divide(x, 255.0, out=out, dtype=np.float64)
 
 
-def _fit_standardize(train: np.ndarray) -> dict:
-    """Scale float64 ``train`` in place to zero mean and unit variance;
-    return the applied ``mean`` and ``std``.
+def _standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
+    """Scale float64 ``train`` and ``test`` in place to zero mean and unit
+    variance fit on ``train`` only; return the applied ``mean`` and ``std``.
 
     The arithmetic is numpy's ``std`` step by step, so the results are bit
-    for bit those of ``(x - mean) / np.maximum(x.std(0), 1e-8)``, and a
-    constant feature maps to zero.  The rows are centred, squared and
-    summed ``_STD_BLOCK_ROWS`` at a time while the block is in cache, so no
-    train-sized temporary is made.  Row 0 of ``squares`` carries each
+    for bit those of ``(x - mean) / np.maximum(train.std(0), 1e-8)``, and a
+    constant feature maps to zero.  The training rows are centred, squared
+    and summed ``_STD_BLOCK_ROWS`` at a time while the block is in cache, so
+    no train-sized temporary is made.  Row 0 of ``squares`` carries each
     column's running sum of squares into the next block's sum, which keeps
     numpy's row-by-row order.  A matrix of one column is one block: numpy
     sums a single column pairwise, not row by row.
@@ -423,23 +405,9 @@ def _fit_standardize(train: np.ndarray) -> dict:
     np.sqrt(std, out=std)
     np.maximum(std, _STD_FLOOR, out=std)
     train /= std
+    test -= mean
+    test /= std
     return {"mean": mean, "std": std}
-
-
-def _standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
-    """Scale float64 ``train`` and ``test`` in place to zero mean and unit
-    variance fit on ``train`` only, by :func:`_fit_standardize`; return the
-    applied ``mean`` and ``std``."""
-    params = _fit_standardize(train)
-    _apply_standardize(test, params)
-    return params
-
-
-def _apply_standardize(x: np.ndarray, params: dict):
-    """Scale ``x`` in place by the ``mean`` and ``std`` fit on a train
-    split."""
-    x -= params["mean"]
-    x /= params["std"]
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -484,24 +452,16 @@ def split(x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int = 0):
 
 def build_idx_dataset(train_images, train_labels, test_images, test_labels,
                       apply_standardize: bool = True) -> Dataset:
-    """IDX pair pipeline: load, scale to [0, 1], optionally standardize.
-
-    One worker thread, which lives only for this call, scales each chunk
-    of train images into the train split while this thread inflates the
-    next; the worker then loads the test pair while this thread fits the
-    train moments.
-    """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        x_tr, lab_tr = _read_idx_pair(train_images, train_labels, pool)
-        test = pool.submit(_read_idx_pair, test_images, test_labels)
-        # an empty train split has no moments; Dataset refuses it below
-        params = (_fit_standardize(x_tr)
-                  if apply_standardize and len(x_tr) else None)
-        x_te, lab_te = test.result()
+    """IDX pair pipeline: load the train pair, then the test pair, scaled
+    to [0, 1], and optionally standardize."""
+    x_tr, lab_tr = _read_idx_pair(train_images, train_labels)
+    x_te, lab_te = _read_idx_pair(test_images, test_labels)
+    # Dataset refuses an empty train split, which has no moments, before
+    # it is standardized
     dataset = Dataset(x_tr, one_hot(lab_tr, IDX_CLASSES), x_te,
                       one_hot(lab_te, IDX_CLASSES))
-    if params is not None:
-        _apply_standardize(dataset.x_test, params)
+    if apply_standardize:
+        _standardize_in_place(dataset.x_train, dataset.x_test)
     return dataset
 
 

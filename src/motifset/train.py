@@ -126,9 +126,6 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     finite; the epoch gets no ``metrics.csv`` row.
     """
     config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     t_start = time.perf_counter()
     dataset = load_dataset(config)
     # init_network copies the topology it is given, so the run keeps no
@@ -143,6 +140,9 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     n = dataset.x_train.shape[0]
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
     run = RunMeasurement()
+    # made only now, so a run refused before training leaves no directory
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with (open(out_dir / "metrics.csv", "w") as mf,
           open(out_dir / "evolution.csv", "w") as ef):

@@ -25,6 +25,7 @@ from motifset.config import (
 )
 from motifset.data import write_idx
 from motifset.errors import ConfigError
+from motifset.topology import ER_MODE, FIXED_MODE
 
 from conftest import damaged, small_network
 
@@ -288,7 +289,7 @@ class TestCliPrepareAndCache:
                      "--out", str(out)])
         assert code == 3
         assert "i/o error:" in capsys.readouterr().err
-        assert not (out / "metrics.csv").exists()
+        assert not out.exists()
 
 
 def _idx_args(tmp_path, n_train, n_test, side):
@@ -424,6 +425,54 @@ def test_fuzzed_csv_prepare_exit_code(tmp_path_factory, data):
     path.write_bytes(data)
     assert _prepare_exit_code(path.parent,
                               ["--csv-path", str(path)]) in (0, 2, 3)
+
+
+# values of each fuzzed training flag that a run may take, edges included
+_TRAIN_FLAGS = {
+    "--epochs": st.sampled_from(["1", "2"]),
+    "--batch-size": st.sampled_from(["0", "1", "2", "5"]),
+    "--hidden-sizes": st.lists(st.sampled_from(["2", "4", "8"]),
+                               min_size=1, max_size=2).map(",".join),
+    # the IDX images have 4 pixels and the CSV rows 2 features
+    "--motif-size": st.sampled_from(["1", "2", "4"]),
+    "--density-mode": st.sampled_from([ER_MODE, FIXED_MODE]),
+    "--density-value": st.sampled_from(["0.01", "0.5", "1", "1.5", "20"]),
+    # 1e300 overflows in the first step
+    "--learning-rate": st.sampled_from(["0.01", "0.5", "1e300"]),
+    "--train-limit": st.sampled_from(["0", "1", "2", "5"]),
+    "--test-limit": st.sampled_from(["0", "1", "2", "5"]),
+}
+# a value that one flag may refuse
+_ODD_VALUES = st.sampled_from(["0", "-1", "x", "", "nan", "inf", "2,0"])
+
+
+@given(data=st.data(), source=st.sampled_from(["idx", "csv"]),
+       odd=st.one_of(st.none(), st.sampled_from(list(_TRAIN_FLAGS))))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_train_exit_code(tmp_path_factory, data, source, odd):
+    """Drawn training flags, one of them perhaps given an odd value, on
+    tiny IDX or CSV inputs end in exit 0, a typed error's 2 or 3, or a
+    numerical failure's 4, never a traceback; a run refused before it
+    trains leaves no run directory."""
+    directory = tmp_path_factory.mktemp("train")
+    if source == "idx":
+        argv = ["train", *_idx_args(directory, 6, 3, 2)]
+    else:
+        csv_path = directory / "d.csv"
+        csv_path.write_text("".join(f"{i % 3},{i * 0.5},{i % 2}\n"
+                                    for i in range(9)))
+        argv = ["train", "--csv-path", str(csv_path)]
+    for flag, values in _TRAIN_FLAGS.items():
+        argv += [flag, data.draw(_ODD_VALUES if flag == odd else values)]
+    out = directory / "run"
+    # a diverging run warns before it exits 4
+    with np.errstate(all="ignore"):
+        code = _cli_exit_code([*argv, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert not out.exists()
+    else:
+        assert (out / "metrics.csv").is_file()
 
 
 def _label_only_csv(tmp_path):

@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -518,19 +517,11 @@ class TestIdxPipeline:
         payloads = (n_train + n_test) * (28 * 28 + 1)
         assert peak <= 1.25 * (outputs + payloads)
 
-    def test_payload_never_held_whole(self, tmp_path, monkeypatch):
-        """With scaling slower than reading, as for an uncompressed file,
-        the peak exceeds the result by far less than the 3 MiB train
-        payload: at most two chunks wait to be scaled."""
+    def test_payload_never_held_whole(self, tmp_path):
+        """The peak exceeds the result by far less than the 3 MiB train
+        payload: one chunk at a time is read and scaled."""
         # a small test split, so the peak falls while the train split is read
         paths = self._write(tmp_path, 4000, 10, False)
-        scale = motifset.data.normalize_01
-
-        def slow_scale(x, out=None):
-            time.sleep(0.005)
-            return scale(x, out)
-
-        monkeypatch.setattr(motifset.data, "normalize_01", slow_scale)
         tracemalloc.start()
         try:
             ds = build_idx_dataset(*paths)
@@ -539,7 +530,7 @@ class TestIdxPipeline:
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in (ds.x_train, ds.y_train, ds.x_test,
                                          ds.y_test))
-        assert peak - outputs < 6 * motifset.data._DECODE_CHUNK
+        assert peak - outputs < 3 * motifset.data._DECODE_CHUNK
 
     def test_prepare_cache_bytes_pinned(self, tmp_path):
         """The cache bytes of an IDX prepare, with and without a row limit,
@@ -703,9 +694,8 @@ class TestGzipTrailer:
 
 
 class TestIdxWorkerFailures:
-    """A defect met on the worker thread, which reads the test pair, or on
-    the calling thread while the worker runs, raises its typed error in
-    the caller, exits 3 through ``prepare``, and leaves no thread behind."""
+    """A defect in the train or the test pair raises its typed error,
+    exits 3 through ``prepare``, and leaves no thread behind."""
 
     def _damage(self, paths, defect):
         if defect == "truncated-test-images":

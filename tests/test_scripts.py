@@ -50,6 +50,33 @@ def test_score_tables_prints_readme_scores():
                       "0.9000", "0.9198", "0.9089"]
 
 
+def test_code_lines_counts_a_fixture(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "notes.py").write_text("# only a comment\n\n")
+    (package / "mod.py").write_text('''"""A module docstring
+over two lines."""
+# a comment
+
+import os  # a comment after code
+
+
+def f(x):
+    """A docstring."""
+    text = """a string
+over two lines"""
+    "a string statement"
+    return os.sep.join([x,
+                        text])
+''')
+    done = _run("code_lines.py", package)
+    assert done.returncode == 0, done.stderr
+    # import, def, the two lines of the assigned string and of the return
+    assert done.stdout.splitlines() == [f"     6 {package / 'mod.py'}",
+                                        f"     0 {package / 'notes.py'}",
+                                        "     6 total"]
+
+
 def test_perfbench_selftest():
     # the benchmark imports the package's run_train, its callees and the
     # checkpoint loader; an API change that breaks it shows up here
