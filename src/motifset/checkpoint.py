@@ -89,6 +89,10 @@ def load_checkpoint(path) -> Network:
             # the file's own size bounds every grid: check it before one
             # is built
             layer_sizes, implied = meta["layer_sizes"], []
+            # a string or list would make the products below repeat it
+            if not all(isinstance(n, int) for n in layer_sizes):
+                raise ValueError(f"layer sizes {layer_sizes} are not all "
+                                 f"integers")
             for i in range(len(layer_sizes) - 1):
                 rows, cols = weight_grid(layer_sizes, meta["motif_size"],
                                          meta["weight_mode"], i)

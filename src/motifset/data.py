@@ -389,24 +389,43 @@ def _standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
     column's running sum of squares into the next block's sum, which keeps
     numpy's row-by-row order.  A matrix of one column is one block: numpy
     sums a single column pairwise, not row by row.
+
+    Raises :class:`DataError` naming the first column whose mean or spread
+    is not finite, or whose scaled test values are not, in float64.
     """
     n, d = train.shape
-    mean = train.mean(axis=0)
-    rows = n if d == 1 else min(n, _STD_BLOCK_ROWS)
-    squares = np.empty((rows + 1, d))
-    for lo in range(0, n, rows):
-        block = train[lo:lo + rows]
-        block -= mean
-        np.square(block, out=squares[1:len(block) + 1])
-        # the first block has no running sum to add
-        np.add.reduce(squares[(lo == 0):len(block) + 1], axis=0,
-                      out=squares[0])
-    std = squares[0] / n
-    np.sqrt(std, out=std)
+    with np.errstate(all="ignore"):
+        mean = train.mean(axis=0)
+        rows = n if d == 1 else min(n, _STD_BLOCK_ROWS)
+        squares = np.empty((rows + 1, d))
+        for lo in range(0, n, rows):
+            block = train[lo:lo + rows]
+            block -= mean
+            np.square(block, out=squares[1:len(block) + 1])
+            # the first block has no running sum to add
+            np.add.reduce(squares[(lo == 0):len(block) + 1], axis=0,
+                          out=squares[0])
+        std = squares[0] / n
+        np.sqrt(std, out=std)
+    # a mean that is not finite makes the spread not finite too
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        j = bad[0]
+        raise DataError(f"feature column {j} overflows float64 when "
+                        f"standardized (mean {mean[j]}, spread {std[j]})")
     np.maximum(std, _STD_FLOOR, out=std)
-    train /= std
-    test -= mean
-    test /= std
+    try:
+        # centred training values are within sqrt(n) spreads, so only the
+        # test split can overflow
+        with np.errstate(all="ignore", over="raise"):
+            train /= std
+            test -= mean
+            test /= std
+    except FloatingPointError:
+        j = np.flatnonzero(~np.isfinite(test).all(axis=0))[0]
+        raise DataError(f"test feature column {j} overflows float64 when "
+                        f"standardized (mean {mean[j]}, spread {std[j]})"
+                        ) from None
     return {"mean": mean, "std": std}
 
 
@@ -531,6 +550,9 @@ def load_dataset_cache(path) -> Dataset:
             # the file's own size bounds every matrix: check it before one
             # is allocated
             shapes = [tuple(shape) for shape in meta["shapes"]]
+            # a string or list would make the product below repeat it
+            if not all(isinstance(n, int) for shape in shapes for n in shape):
+                raise ValueError("a stored shape holds a non-integer")
             if sizes != [8 * math.prod(shape) for shape in shapes]:
                 raise ValueError("sections do not match the stored shapes")
             matrices = [read(np.empty(shape)) for shape in shapes]

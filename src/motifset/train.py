@@ -121,9 +121,9 @@ def _train_epoch(network, dataset: Dataset, order: np.ndarray,
 def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     """Train a network per the config; writes run files, returns measurements.
 
-    Raises NonFiniteError as soon as a batch's loss is not finite, naming
-    the epoch, the batch index and the first layer whose parameters are not
-    finite; the epoch gets no ``metrics.csv`` row.
+    Raises NonFiniteError at the first batch whose loss is not finite,
+    naming the epoch, batch and first non-finite layer, whatever numpy's
+    error state or the warnings filter; the epoch gets no ``metrics.csv`` row.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -145,7 +145,8 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with (open(out_dir / "metrics.csv", "w") as mf,
-          open(out_dir / "evolution.csv", "w") as ef):
+          open(out_dir / "evolution.csv", "w") as ef,
+          np.errstate(all="ignore")):
         mf.write(METRICS_CSV_HEADER + "\n")
         ef.write(EVOLUTION_CSV_HEADER + "\n")
         for epoch in range(config.epochs):

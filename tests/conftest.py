@@ -45,6 +45,18 @@ def damaged(draw, raw: bytes) -> bytes:
     return data
 
 
+# any JSON value: huge and negative ints, NaN and infinite floats, strings,
+# bools, null, and lists and objects of these
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.sampled_from([-1, 0, 1, 2**31, 2**63, 10**30, -10**30]),
+              st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=2)),
+    max_leaves=8)
+
+
 class Unwritable:
     """Stands in for an array whose conversion fails halfway through a save."""
 

@@ -21,7 +21,13 @@ from motifset.errors import CheckpointFormatError
 from motifset.network import backward, forward, init_network, sgd_step
 from motifset.topology import BlockDensitySpec, build_topology
 
-from conftest import Unwritable, damaged, gradient_buffer, small_network
+from conftest import (
+    Unwritable,
+    damaged,
+    gradient_buffer,
+    json_values,
+    small_network,
+)
 
 
 def _trained(seed=0, **kw):
@@ -234,6 +240,55 @@ def test_damaged_checkpoint_rejected(tmp_path, edit):
         load_checkpoint(path)
     assert "checksum" not in str(caught.value)
     assert main(["export-topology", "--checkpoint", str(path)]) == 3
+
+
+@pytest.mark.parametrize("sizes", [["8", 8, 4], [[8], 8, 4], [8.0, 8, 4]],
+                         ids=["str", "list", "float"])
+def test_non_integer_layer_size_rejected(tmp_path, sizes):
+    # an independent layer's grid sides are its sizes, so a string or list
+    # side would be repeated by the section-length product, not multiplied
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(), path)
+    _edit_checkpoint(path, lambda meta, topo: (
+        {**meta, "weight_mode": "independent", "layer_sizes": sizes}, topo))
+    with pytest.raises(CheckpointFormatError,
+                       match=r"layer sizes .* are not all integers"):
+        load_checkpoint(path)
+
+
+# a topology line: a layer line of drawn numbers, a block line, or text
+_TOPOLOGY_LINES = st.one_of(
+    st.lists(st.integers(-2, 10**12).map(str), min_size=4, max_size=4).map(
+        lambda fields: " ".join(["layer", *fields])),
+    st.lists(st.integers(-2, 10**12).map(str), max_size=3).map(" ".join),
+    st.text(alphabet="0123456789 -layer\t", max_size=12))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_resealed_metadata_fuzz(data, checkpoint_bytes, tmp_path_factory):
+    """Drawn metadata values and topology lines, sealed again so that the
+    digest passes: the loader raises only CheckpointFormatError, and the
+    command line exits 0 or 3."""
+    path = tmp_path_factory.mktemp("resealed") / "ck.bin"
+    path.write_bytes(checkpoint_bytes)
+
+    def edit(meta, topo):
+        keys = st.lists(st.sampled_from(sorted(meta)), max_size=3,
+                        unique=True)
+        meta.update({key: data.draw(json_values) for key in data.draw(keys)})
+        lines = topo.split("\n")
+        for at in data.draw(st.lists(st.integers(0, len(lines) - 1),
+                                     max_size=2)):
+            lines[at] = data.draw(_TOPOLOGY_LINES)
+        return meta, "\n".join(lines)
+
+    _edit_checkpoint(path, edit)
+    try:
+        load_checkpoint(path)
+    except CheckpointFormatError:
+        pass
+    assert main(["export-topology", "--checkpoint", str(path)]) in (0, 3)
 
 
 @pytest.mark.parametrize("key", ["epsilon", "density_mode"])

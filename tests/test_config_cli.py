@@ -409,15 +409,25 @@ def test_fuzzed_idx_prepare_exit_code(tmp_path_factory, data, gz):
     assert _prepare_exit_code(directory, args) in (0, 2, 3)
 
 
-_CSV_CELLS = st.sampled_from(["1", "-2.5", "0", "1e400", "nan", "a", "",
-                              " 3 ", '"4"', "x,y", "\udcff", "é"])
+# finite cells, two of which overflow float64 when a column is standardized
+_CSV_NUMBERS = ["1", "-2.5", "0", "1e308", "-1.7e308"]
+_CSV_CELLS = st.sampled_from([*_CSV_NUMBERS, "1e400", "nan", "a", "", " 3 ",
+                              '"4"', "x,y", "\udcff", "é"])
+
+
+def _csv_bytes(rows) -> bytes:
+    return "\n".join(",".join(r) for r in rows).encode("utf-8",
+                                                       "surrogateescape")
 
 
 @given(data=st.one_of(
     st.binary(max_size=200),
-    st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=4), max_size=12).map(
-        lambda rows: "\n".join(",".join(r) for r in rows).encode(
-            "utf-8", "surrogateescape"))))
+    st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=4),
+             max_size=12).map(_csv_bytes),
+    # rectangular and numeric, so that most examples are standardized
+    st.integers(2, 4).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from(_CSV_NUMBERS), min_size=width,
+                 max_size=width), min_size=3, max_size=12)).map(_csv_bytes)))
 @settings(max_examples=80, deadline=None)
 def test_fuzzed_csv_prepare_exit_code(tmp_path_factory, data):
     """Arbitrary CSV bytes end in exit 0 or a typed error's 2 or 3."""
@@ -465,9 +475,7 @@ def test_fuzzed_train_exit_code(tmp_path_factory, data, source, odd):
     for flag, values in _TRAIN_FLAGS.items():
         argv += [flag, data.draw(_ODD_VALUES if flag == odd else values)]
     out = directory / "run"
-    # a diverging run warns before it exits 4
-    with np.errstate(all="ignore"):
-        code = _cli_exit_code([*argv, "--out", str(out)])
+    code = _cli_exit_code([*argv, "--out", str(out)])
     assert code in (0, 2, 3, 4)
     if code in (2, 3):
         assert not out.exists()
@@ -514,6 +522,23 @@ def test_non_finite_csv_feature_exit_code(toy_csv, tmp_path, capsys):
                  "--hidden-sizes", "8,8", "--out", str(tmp_path / "r")]) == 3
     assert "row 5, column 2: 'nan' is not a finite number" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["prepare", "train"])
+def test_csv_that_overflows_when_standardized_exit_code(toy_csv, tmp_path,
+                                                        capsys, command):
+    """A column whose mean or spread overflows float64 is bad input (exit
+    3), not a training failure, and leaves no cache and no run directory."""
+    lines = toy_csv.read_text().splitlines()
+    lines = [",".join(["1e308", *line.split(",")[1:]]) for line in lines]
+    toy_csv.write_text("\n".join(lines) + "\n")
+    out, cache = tmp_path / "r", tmp_path / "cache.bin"
+    assert main([command, "--csv-path", str(toy_csv), "--epochs", "1",
+                 "--hidden-sizes", "8,8", "--out", str(out),
+                 *["--cache-out", str(cache)] * (command == "prepare")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "data error: feature column 0 overflows float64 when standardized")
+    assert not out.exists() and not cache.exists()
 
 
 def _manifest(tmp_path, name, train_time, accuracy):

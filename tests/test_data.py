@@ -55,7 +55,7 @@ from motifset.errors import (
 )
 from motifset.train import run_prepare
 
-from conftest import Unwritable, damaged
+from conftest import Unwritable, damaged, json_values
 
 SRC = Path(motifset.data.__file__).resolve().parents[1]
 
@@ -418,6 +418,34 @@ class TestStandardizeInPlace:
         assert np.array_equal(_bits(train), _bits(want[0]))
         assert np.array_equal(_bits(test), _bits(want[1]))
         assert np.array_equal(_bits(params["std"]), _bits(want[2]))
+
+
+    @pytest.mark.parametrize("column, message", [
+        # the sum behind the mean overflows
+        ([1e308, 1e308, 0.0], r"mean inf, spread inf"),
+        # the mean is finite, a square is not
+        ([1e308, -1e308, 0.0], r"mean 0\.0, spread inf"),
+        ([-1.7e308, 0.0, 0.0], r"mean -5\.6+7e\+307, spread inf"),
+    ])
+    def test_moment_that_overflows_is_a_data_error(self, column, message):
+        train = np.zeros((3, 3))
+        train[:, 1] = column
+        with np.errstate(all="raise"), pytest.raises(
+                DataError, match=r"^feature column 1 overflows float64 when "
+                                 r"standardized \(" + message):
+            _standardize_in_place(train, np.zeros((2, 3)))
+
+    def test_test_value_that_overflows_is_a_data_error(self):
+        # a constant training column scales by the 1e-8 floor, so a large
+        # test value leaves float64
+        train = np.zeros((4, 3))
+        test = np.zeros((2, 3))
+        test[1, 2] = 1e308
+        with np.errstate(all="raise"), pytest.raises(
+                DataError, match=r"^test feature column 2 overflows float64 "
+                                 r"when standardized \(mean 0\.0, spread "
+                                 r"1e-08\)$"):
+            _standardize_in_place(train, test)
 
 
 class TestDataset:
@@ -868,6 +896,34 @@ class TestCache:
                         (np.ascontiguousarray(a, dtype="<f8")
                          for a in matrices))
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_resealed_metadata_fuzz(self, tmp_path_factory, data):
+        """Drawn ``n_features``, ``n_classes`` and ``shapes``, sealed again
+        so that the digest passes: only CorruptCacheError escapes."""
+        ds = self._dataset()
+        matrices = (ds.x_train, ds.y_train, ds.x_test, ds.y_test)
+
+        def shape_of(a):
+            # shapes whose sizes match the sections reach the array checks
+            n = a.size
+            return st.one_of(json_values, st.sampled_from([
+                list(a.shape), [n], [1, n], [n, 1, 1], [float(n), 1.0],
+                [True, n], [-1, -n], [a.shape[1], a.shape[0]]]))
+
+        edits = {"n_features": json_values, "n_classes": json_values,
+                 "shapes": st.one_of(json_values, st.tuples(
+                     *map(shape_of, matrices)).map(list))}
+        keys = data.draw(st.lists(st.sampled_from(sorted(edits)),
+                                  min_size=1, max_size=3, unique=True))
+        path = tmp_path_factory.mktemp("resealed") / "cache.bin"
+        self._write_sealed(path, matrices,
+                           **{key: data.draw(edits[key]) for key in keys})
+        try:
+            load_dataset_cache(path)
+        except CorruptCacheError:
+            pass
+
     def test_cache_with_preprocessing_record_loads(self, tmp_path):
         """Older writers stored a ``preprocessing`` list in the metadata."""
         ds = self._dataset()
@@ -981,6 +1037,17 @@ class TestCache:
                                   ds.y_test),
                            shapes=[[10**9, 10**9], [20, 3], [8, 5], [8, 3]])
         with pytest.raises(CorruptCacheError, match="stored shapes"):
+            load_dataset_cache(path)
+
+    @pytest.mark.parametrize("side", ["x", [5], 5.0])
+    def test_non_integer_shape_rejected(self, tmp_path, side):
+        # a string or list would be repeated by the size product
+        ds = self._dataset()
+        path = tmp_path / "cache.bin"
+        self._write_sealed(path, (ds.x_train, ds.y_train, ds.x_test,
+                                  ds.y_test),
+                           shapes=[[20, side], [20, 3], [8, 5], [8, 3]])
+        with pytest.raises(CorruptCacheError, match="holds a non-integer"):
             load_dataset_cache(path)
 
     def test_load_peaks_near_the_arrays_it_returns(self, tmp_path):

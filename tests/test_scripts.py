@@ -2,6 +2,7 @@
 benchmark's own self-test, a check that the test oracles stay apart from
 the package, and a check for unused imports."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -75,6 +76,35 @@ over two lines"""
     assert done.stdout.splitlines() == [f"     6 {package / 'mod.py'}",
                                         f"     0 {package / 'notes.py'}",
                                         "     6 total"]
+
+
+def test_motif_curve_tiny_record(tmp_path):
+    # the record's fields, not its ratios: those are measured, not fixed
+    out = tmp_path / "curve.json"
+    done = _run("motif_curve.py", "--tiny", "--out", out)
+    assert done.returncode == 0, done.stderr
+    bench = json.loads(out.read_text())
+    assert bench["tiny"] is True and bench["environment"]["blas_threads"] == 1
+    records = bench["records"]
+    assert [(r["shape"], r["m"]) for r in records] == [
+        (shape, m) for shape in ("desk", "wide") for m in (1, 2, 4)]
+    for r in records:
+        assert len(r["round_step_ms"]) == 3
+        assert r["step_ms_min"] <= r["step_ms_median"]
+        assert r["wall_ratio_min"] <= r["wall_ratio_median"]
+        assert r["analytic_macs"] > 0 and r["grid_macs"] > 0
+        assert ("gate_pass" in r) == (r["m"] > 1)
+        if r["m"] == 1:
+            assert r["analytic_ratio"] == r["grid_ratio"] == 1.0
+        else:
+            assert r["gate_bound"] == 1.25 * r["analytic_ratio"]
+            assert r["gate_pass"] == (r["wall_ratio_median"]
+                                      <= r["gate_bound"])
+    # the tiny desk shape 32-16-16-4 at m = 4 stores grids of 8 x 4, 4 x 4
+    # and, at tile 1 on the last layer, 16 x 4; each runs three products a
+    # sample, but layer 0 forms no input delta
+    desk4 = records[2]
+    assert desk4["grid_macs"] == 8 * (2 * 8 * 4 + 3 * 4 * 4 + 3 * 16 * 4)
 
 
 def test_perfbench_selftest():

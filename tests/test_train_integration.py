@@ -3,6 +3,8 @@ bookkeeping, and a real-data check when scikit-learn's digits are around."""
 import csv
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -18,6 +20,8 @@ from motifset.errors import NonFiniteError
 from motifset.evolution import evolution_schedule
 from motifset.metrics import METRICS_CSV_HEADER
 from motifset.train import run_train
+
+SRC = Path(motifset.train.__file__).resolve().parents[1]
 
 
 def _synth_config(paths, out_dir, motif_size=1, epochs=10, **kw):
@@ -168,11 +172,38 @@ class TestNonFinite:
             csv_path=str(toy_csv), standardize=False, hidden_sizes=(8, 8),
             motif_size=2, density_mode="fixed_density", density_value=0.5,
             epochs=3, learning_rate=1e308, batch_size=16, out_dir=str(out))
-        with np.errstate(all="ignore"), pytest.raises(
+        with pytest.raises(
                 NonFiniteError, match=r"^non-finite parameters in layer 0 "
                                       r"at epoch 0, batch 1$"):
             run_train(config, echo=lambda *_: None)
         assert (out / "metrics.csv").read_text() == METRICS_CSV_HEADER + "\n"
+
+    def test_caller_error_state_does_not_change_the_failure(self, toy_csv,
+                                                            tmp_path):
+        # numpy's error state is the caller's; a run that diverges under
+        # "raise" still ends in NonFiniteError, not FloatingPointError
+        config = ExperimentConfig(
+            csv_path=str(toy_csv), hidden_sizes=(8, 8), epochs=2,
+            learning_rate=1e308, batch_size=16, out_dir=str(tmp_path / "r"))
+        with np.errstate(all="raise"), pytest.raises(NonFiniteError):
+            run_train(config, echo=lambda *_: None)
+        assert np.geterr()["over"] == "warn"  # and it is restored
+
+    def test_diverging_run_under_warnings_as_errors_exits_4(self, toy_csv,
+                                                            tmp_path):
+        # "-W error" turns numpy's RuntimeWarnings into exceptions; a run
+        # computes under its own error state, so it emits none and stderr
+        # is the one failure line
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "motifset.cli", "train",
+             "--csv-path", str(toy_csv), "--hidden-sizes", "8,8",
+             "--epochs", "2", "--learning-rate", "1e308",
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith("numerical failure: non-finite ")
+        assert done.stderr.count("\n") == 1
 
     def test_nan_in_an_inactive_gradient_cell_stops_the_run(
             self, toy_csv, tmp_path, monkeypatch):
