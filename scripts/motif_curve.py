@@ -94,7 +94,7 @@ def measure_shape(name, spec):
         t0 = time.perf_counter()
         cache = forward(network, x)
         loss(cache, y)
-        sgd_step(network, backward(network, cache, y, buffer), LEARNING_RATE)
+        sgd_step(backward(network, cache, y, buffer), LEARNING_RATE)
         return time.perf_counter() - t0
 
     for m in MOTIF_SIZES:  # warm-up, not timed

@@ -27,14 +27,14 @@ the layer's expand factor, by the block mask with each column repeated
 ``e`` times.  Inactive weights are always ``+0.0``, so masking a gradient
 and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
 ``+0.0``) with no full-size temporary per step.  :func:`backward` yields
-each layer's gradients lazily, last layer first, one row slice of the
-weight gradient at a time, and :func:`sgd_step` applies each as it comes,
-so a training step,
-``sgd_step(network, backward(network, cache, y, buffer), lr)``, forms
-every weight gradient in the one buffer it is given and holds one at a
-time.  A slice is about 256 KiB (``_SLICE_CELLS``), so its batch mean,
-mask and update run while it sits in cache: one pass over memory per
-gradient where there were four.
+``(parameter, gradient)`` pairs lazily, last layer first: a layer's bias,
+then its weights one row slice at a time.  :func:`sgd_step` applies each
+pair as it comes, so a training step,
+``sgd_step(backward(network, cache, y, buffer), lr)``, forms every weight
+gradient in the one buffer it is given and holds one at a time.  A slice
+is about 256 KiB (``_SLICE_CELLS``), so its batch mean, mask and update
+run while it sits in cache: one pass over memory per gradient where there
+were four.
 :func:`_layer_forward` is the one layer step of training and evaluation:
 :func:`forward` keeps every layer's pooled input and activation in the
 :class:`ForwardCache` for :func:`backward`, and :func:`predict_accuracy`
@@ -77,9 +77,9 @@ EVAL_ROWS = 512
 # in L2 beside the weights' rows it updates
 _SLICE_CELLS = 1 << 15
 
-# (layer index, weight rows, their gradient, the bias gradient or None),
-# the last layer first; the bias gradient comes with the layer's first slice
-LayerGradients = Iterable[tuple[int, slice, np.ndarray, np.ndarray | None]]
+# (parameter, its gradient): an array to update in place and its gradient
+# of the same shape
+GradientPairs = Iterable[tuple[np.ndarray, np.ndarray]]
 
 
 def _relu(z):
@@ -380,7 +380,7 @@ def _check_cache(network: Network, cache: ForwardCache):
 
 
 def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
-                     out: np.ndarray) -> LayerGradients:
+                     out: np.ndarray) -> GradientPairs:
     """The generator :func:`backward` returns, after its checks."""
     n = y.shape[0]
     # 1 / n is exact for a power of two, so x * (1 / n) and x / n round the
@@ -402,18 +402,18 @@ def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
             # a new array at every tile, so the derivative may overwrite it
             delta = _spread_cols(q @ layer.weights.T, m)
             apply_derivative(delta, cache.a_list[i])
+        yield layer.bias, gb
         e = layer.expand_factor
         step = max(e, _SLICE_CELLS // shape[1] // e * e)
         for start in range(0, shape[0], step):
-            rows = slice(start, min(start + step, shape[0]))
-            g = gw[rows]
+            g = gw[start:start + step]
             mean(g, by, out=g)
             layer.mask_in_place(g, start)
-            yield i, rows, g, gb if start == 0 else None
+            yield layer.weights[start:start + step], g
 
 
 def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
-             out: np.ndarray) -> LayerGradients:
+             out: np.ndarray) -> GradientPairs:
     """Backpropagate cross-entropy gradients through the cached pass.
 
     The softmax/cross-entropy pair gives the output delta ``probs - y``
@@ -424,20 +424,21 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     tile, multiplied in place by the activation's derivative, is the
     previous layer's delta.  All gradients are means over the batch.
 
-    Returns an iterator of ``(layer index, rows, dW[rows], db)``, last
-    layer first, that forms each layer's gradients when advanced; the cache
-    and targets are checked when this is called.  Each layer's ``P.T @ Q``
-    is one product; its row slices, of about ``_SLICE_CELLS`` cells and a
-    whole number of block rows each, are then divided by ``n`` and masked
-    one at a time as they are yielded, so a consumer can finish a slice
-    while it is in cache.  ``db`` comes with the layer's first slice and
-    is None with the others.  Layer ``i - 1``'s delta is taken from ``W_i``
-    before layer ``i``'s first slice is yielded, so a consumer such as
-    :func:`sgd_step` may update ``W_i`` at once.  ``out`` is a 1-D float64
-    buffer of at least the largest weight grid's cells; each layer's ``dW``
-    is a view into its front that the next layer's overwrites, so a step
-    holds one weight-sized gradient at most.  For a batch of ``2**k`` the
-    division is a multiplication by ``2**-k``, which gives the same bits.
+    Returns an iterator of ``(parameter, gradient)`` pairs that forms each
+    layer's gradients when advanced; the cache and targets are checked when
+    this is called.  Layers come last first; each gives ``(bias, db)``, then
+    ``(W[rows], dW[rows])`` for its row slices in order, each a view into
+    the layer's weights.  Each layer's ``P.T @ Q`` is one product; its row
+    slices, of about ``_SLICE_CELLS`` cells and a whole number of block
+    rows each, are then divided by ``n`` and masked one at a time as they
+    are yielded, so a consumer can finish a slice while it is in cache.
+    Layer ``i - 1``'s delta is taken from ``W_i`` before layer ``i``'s
+    first pair is yielded, so a consumer such as :func:`sgd_step` may
+    update ``W_i`` at once.  ``out`` is a 1-D float64 buffer of at least the
+    largest weight grid's cells; each layer's ``dW`` is a view into its
+    front that the next layer's overwrites, so a step holds one
+    weight-sized gradient at most.  For a batch of ``2**k`` the division is
+    a multiplication by ``2**-k``, which gives the same bits.
 
     A non-finite cell of ``P.T @ Q`` stays non-finite after masking
     (``inf * 0.0`` and ``nan * 0.0`` are NaN), so :func:`sgd_step` carries
@@ -452,34 +453,23 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     return _layer_gradients(network, cache, y, out)
 
 
-def sgd_step(network: Network, grads: LayerGradients,
-             learning_rate: float) -> Network:
-    """In-place gradient descent update; returns the same network.
+def sgd_step(grads: GradientPairs, learning_rate: float):
+    """In-place gradient descent: ``param -= learning_rate * grad`` for each
+    ``(param, grad)`` pair of ``grads``, such as the iterator
+    :func:`backward` returns.
 
-    ``grads`` is any iterable of ``(layer index, rows, dW, db)``, such as
-    the iterator :func:`backward` returns: ``rows`` is a slice of the
-    layer's weight rows (``slice(None)`` for all of them), ``dW`` their
-    gradient and ``db`` the layer's bias gradient or None.  Each item is
-    applied as it comes, ``W[rows] -= lr * dW``, so a slice of
-    :func:`backward`'s is updated while it is still in cache; a ``dW`` not
-    of the shape of ``W[rows]`` raises ShapeError.  Scales the gradients it
-    is given by ``learning_rate`` in place, with no temporary the size of
-    ``W``.
+    Each pair is applied as it comes, so a slice of :func:`backward`'s is
+    updated while it is still in cache.  ``param`` must be writable (a
+    view updates the array it views); a ``grad`` not of its shape raises
+    ShapeError.  Scales each gradient by ``learning_rate`` in place, with no
+    temporary of its size.
     """
-    for i, rows, gw, gb in grads:
-        layer = network.layers[i]
-        w = layer.weights[rows]
-        if gw.shape != w.shape:
-            raise ShapeError(
-                f"weight gradient shape {gw.shape} does not match rows "
-                f"{rows} of layer shape {layer.weights.shape}"
-            )
-        gw *= learning_rate
-        w -= gw
-        if gb is not None:
-            gb *= learning_rate
-            layer.bias -= gb
-    return network
+    for param, grad in grads:
+        if grad.shape != param.shape:
+            raise ShapeError(f"gradient shape {grad.shape} does not match "
+                             f"parameter shape {param.shape}")
+        grad *= learning_rate
+        param -= grad
 
 
 def _chunk_outputs(network: Network, x: np.ndarray):

@@ -95,8 +95,8 @@ def _train_epoch(network, dataset: Dataset, order: np.ndarray,
 
     Every step forms each layer's weight gradient in one buffer that lives
     only for this call, so none survives into eval, evolution or saving.
-    ``sgd_step`` applies each row slice of it as ``backward`` yields it, so
-    a slice's batch mean, mask and update run while it is in cache.
+    ``sgd_step`` applies each pair as ``backward`` yields it, so a row
+    slice's batch mean, mask and update run while it is in cache.
     """
     x_tr, y_tr = dataset.x_train, dataset.y_train
     n = order.size
@@ -105,15 +105,16 @@ def _train_epoch(network, dataset: Dataset, order: np.ndarray,
     loss_sum = 0.0
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
+        y = y_tr[idx]
         cache = forward(network, x_tr[idx])
-        batch_loss = loss(cache, y_tr[idx])
+        batch_loss = loss(cache, y)
         if not np.isfinite(batch_loss):
             where = f"at epoch {epoch}, batch {start // batch_size}"
             _check_finite(network, where)
             raise NonFiniteError(f"non-finite loss {batch_loss} "
                                  f"{where}, from finite parameters")
         loss_sum += batch_loss * idx.size
-        sgd_step(network, backward(network, cache, y_tr[idx], grad_buffer),
+        sgd_step(backward(network, cache, y, grad_buffer),
                  config.learning_rate)
     return loss_sum / n
 
@@ -141,8 +142,12 @@ def run_train(config: ExperimentConfig, echo=print) -> RunMeasurement:
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
     run = RunMeasurement()
     # made only now, so a run refused before training leaves no directory
+    # and an earlier run's results in it as they are; from here on those
+    # go, so a run that fails leaves none of them beside its own files
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("checkpoint.bin", "manifest.txt"):
+        (out_dir / name).unlink(missing_ok=True)
 
     with (open(out_dir / "metrics.csv", "w") as mf,
           open(out_dir / "evolution.csv", "w") as ef,

@@ -130,18 +130,24 @@ def collect_gradients(network, cache, y):
 
     ``backward`` forms them in one buffer, as a training step does, and
     overwrites each layer's with the next: every yielded row slice of a
-    weight gradient is copied into its layer's array as it comes."""
+    weight gradient is copied into its layer's array as it comes.  Layers
+    come last first, each starting with its bias, the one 1-D parameter."""
     weight_grads = [np.empty_like(layer.weights) for layer in network.layers]
     bias_grads = [None] * len(network.layers)
-    for i, rows, gw, gb in backward(network, cache, y,
-                                    gradient_buffer(network)):
-        weight_grads[i][rows] = gw
-        if gb is not None:
-            bias_grads[i] = gb
+    i = len(network.layers)
+    for param, grad in backward(network, cache, y, gradient_buffer(network)):
+        if param.ndim == 1:
+            i -= 1
+            bias_grads[i] = grad
+            row = 0
+        else:
+            weight_grads[i][row:row + grad.shape[0]] = grad
+            row += grad.shape[0]
     return weight_grads, bias_grads
 
 
-def whole_layer_items(weight_grads, bias_grads):
-    """``sgd_step`` items that update each layer whole."""
-    return [(i, slice(None), gw, gb)
-            for i, (gw, gb) in enumerate(zip(weight_grads, bias_grads))]
+def whole_layer_pairs(network, weight_grads, bias_grads):
+    """``sgd_step`` pairs that update each layer whole."""
+    return [pair for layer, gw, gb in zip(network.layers, weight_grads,
+                                          bias_grads)
+            for pair in ((layer.weights, gw), (layer.bias, gb))]

@@ -182,7 +182,7 @@ def test_criterion_03_dense_equivalence():
     for _ in range(10):
         x = rng.normal(size=(8, 6))
         y = np.eye(4)[rng.integers(0, 4, 8)]
-        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.05)
+        sgd_step(backward(net, forward(net, x), y, buffer), 0.05)
         oracle.sgd_step(x, y, 0.05)
     gap = 0.0
     for layer, ow, ob in zip(net.layers, oracle.weights_arrays(),

@@ -37,7 +37,7 @@ def _trained(seed=0, **kw):
     for _ in range(5):
         x = rng.normal(size=(6, net.layer_sizes[0]))
         y = np.eye(net.n_classes)[rng.integers(0, net.n_classes, 6)]
-        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
+        sgd_step(backward(net, forward(net, x), y, buffer), 0.1)
     return net
 
 
@@ -240,6 +240,25 @@ def test_damaged_checkpoint_rejected(tmp_path, edit):
         load_checkpoint(path)
     assert "checksum" not in str(caught.value)
     assert main(["export-topology", "--checkpoint", str(path)]) == 3
+
+
+def test_metadata_not_a_json_object_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(), path)
+    _edit_checkpoint(path, lambda meta, topo: (list(meta), topo))
+    with pytest.raises(CheckpointFormatError,
+                       match="metadata is not a JSON object"):
+        load_checkpoint(path)
+
+
+def test_topology_without_its_last_layer_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(sizes=(8, 8, 8, 4)), path)
+    _edit_checkpoint(path, lambda meta, topo: (
+        meta, topo[:topo.index("\nlayer 2 ") + 1]))
+    with pytest.raises(CheckpointFormatError,
+                       match=r"^.*: 2 layers for sizes \[8, 8, 8, 4\]$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("sizes", [["8", 8, 4], [[8], 8, 4], [8.0, 8, 4]],

@@ -24,8 +24,9 @@ from motifset.config import (
     read_manifest_result,
 )
 from motifset.data import write_idx
-from motifset.errors import ConfigError
+from motifset.errors import ConfigError, MissingFieldError
 from motifset.topology import ER_MODE, FIXED_MODE
+from motifset.train import run_sweep
 
 from conftest import damaged, small_network
 
@@ -249,6 +250,24 @@ class TestCliTrain:
         code = main(["train", "--config", str(p), "--preset", "fmnist-desk",
                      "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_rerun_into_a_used_directory(self, toy_csv, tmp_path):
+        """A run that trains removes an earlier run's checkpoint and
+        manifest, so one that then fails leaves none to be scored; a run
+        refused before training leaves them as they are."""
+        out = tmp_path / "run"
+        train = ["train", "--csv-path", str(toy_csv), "--epochs", "2",
+                 "--out", str(out)]
+        assert main(train) == 0
+        kept = {name: (out / name).read_bytes()
+                for name in ("checkpoint.bin", "manifest.txt")}
+        assert main([*train, "--epochs", "0"]) == 2
+        assert main([*train, "--cache-path", str(tmp_path / "no.bin")]) == 3
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+        assert main([*train, "--learning-rate", "1e300"]) == 4
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "manifest.txt").exists()
+        assert (out / "metrics.csv").exists()
 
 
 class TestCliPrepareAndCache:
@@ -635,6 +654,20 @@ class TestCliScoreSweep:
         assert main(["score", "--baseline", str(base), "--variant",
                      str(var), "--use-flops"]) == 0
         assert "R_r=0.500000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["score", "sweep"])
+    def test_variant_without_final_accuracy_exit_code(self, tmp_path,
+                                                       capsys, command):
+        base = _manifest(tmp_path, "base.txt", 100.0, 0.9)
+        var = tmp_path / "var.txt"
+        var.write_text(re.sub(r"(?m)^final_accuracy = .*\n", "",
+                              base.read_text()))
+        with pytest.raises(MissingFieldError, match="'final_accuracy'"):
+            run_sweep(base, var)
+        assert main([command, "--baseline", str(base), "--variant",
+                     str(var)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "final_accuracy" in err
 
     def test_missing_result_field_exit_code(self, tmp_path):
         config = ExperimentConfig(csv_path="toy.csv")

@@ -924,6 +924,16 @@ class TestCache:
         except CorruptCacheError:
             pass
 
+    def test_metadata_not_a_json_object_rejected(self, tmp_path):
+        ds = self._dataset()
+        path = tmp_path / "cache.bin"
+        write_container(path, CACHE_MAGIC, CACHE_VERSION, [5, 3],
+                        (np.ascontiguousarray(a) for a in (
+                            ds.x_train, ds.y_train, ds.x_test, ds.y_test)))
+        with pytest.raises(CorruptCacheError,
+                           match="metadata is not a JSON object"):
+            load_dataset_cache(path)
+
     def test_cache_with_preprocessing_record_loads(self, tmp_path):
         """Older writers stored a ``preprocessing`` list in the metadata."""
         ds = self._dataset()

@@ -32,7 +32,7 @@ from conftest import (
     finite_diff_grads,
     gradient_buffer,
     small_network,
-    whole_layer_items,
+    whole_layer_pairs,
 )
 from oracles import (DenseMLP, expand_weights, max_rel_error,
                      pool_cols_reference, weight_mask)
@@ -304,8 +304,8 @@ class TestPooling:
         net = small_network(sizes=(8, 8, 8, 4), motif_size=2,
                             weight_mode=mode)
         x = _batch(5, 8)
-        sgd_step(net, backward(net, forward(net, x), _onehot_targets(5, 4),
-                               gradient_buffer(net)), 0.1)
+        sgd_step(backward(net, forward(net, x), _onehot_targets(5, 4),
+                          gradient_buffer(net)), 0.1)
         assert len(calls) <= 2 * len(net.layers)
 
     def test_cached_input_is_pooled_input(self):
@@ -324,7 +324,7 @@ class TestSgd:
         grads = backward(net, cache, cache.a_list[-1].copy(),
                          gradient_buffer(net))
         before = [l.weights.copy() for l in net.layers]
-        sgd_step(net, grads, 0.5)
+        sgd_step(grads, 0.5)
         for b, layer in zip(before, net.layers):
             np.testing.assert_array_equal(b, layer.weights)
 
@@ -336,7 +336,7 @@ class TestSgd:
         weight_grads, bias_grads = collect_gradients(net, forward(net, x), y)
         expected = [l.weights - 0.1 * g
                     for l, g in zip(net.layers, weight_grads)]
-        sgd_step(net, whole_layer_items(weight_grads, bias_grads), 0.1)
+        sgd_step(whole_layer_pairs(net, weight_grads, bias_grads), 0.1)
         for e, layer in zip(expected, net.layers):
             np.testing.assert_allclose(layer.weights, e, atol=0)
 
@@ -351,7 +351,7 @@ class TestSgd:
         for _ in range(10):
             x = rng.normal(size=(8, 6))
             y = np.eye(4)[rng.integers(0, 4, 8)]
-            sgd_step(net, backward(net, forward(net, x), y, buffer), 0.05)
+            sgd_step(backward(net, forward(net, x), y, buffer), 0.05)
             oracle.sgd_step(x, y, 0.05)
         for layer, ow, ob in zip(net.layers, oracle.weights_arrays(),
                                  oracle.bias_arrays()):
@@ -368,7 +368,7 @@ class TestSgd:
                             seed=71)
         buffer = gradient_buffer(net)
         for _ in range(200):
-            sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
+            sgd_step(backward(net, forward(net, x), y, buffer), 0.1)
         assert predict_accuracy(net, x, y) == 1.0
 
 
@@ -476,7 +476,7 @@ def test_masked_weights_stay_zero_through_training(seed, m, mode):
     for _ in range(3):
         x = rng.normal(size=(6, 8))
         y = np.eye(4)[rng.integers(0, 4, 6)]
-        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
+        sgd_step(backward(net, forward(net, x), y, buffer), 0.1)
     for layer in net.layers:
         assert (layer.weights[~weight_mask(layer)] == 0.0).all()
 
@@ -502,7 +502,7 @@ def test_inactive_weights_are_plus_zero(tmp_path, m, mode):
     for _ in range(10):
         x = rng.normal(size=(6, 16))
         y = np.eye(4)[rng.integers(0, 4, 6)]
-        sgd_step(net, backward(net, forward(net, x), y, buffer), 0.1)
+        sgd_step(backward(net, forward(net, x), y, buffer), 0.1)
     _assert_inactive_plus_zero(net, "after 10 SGD steps")
     evolve(net, EvolutionPolicy(zeta=0.3, rng_seed=m), 0)
     _assert_inactive_plus_zero(net, "after a magnitude_set event")
@@ -535,13 +535,13 @@ def test_step_allocates_no_weight_sized_temporary(m, mode):
     x = _batch(64, 600, seed=5)
     y = _onehot_targets(64, 10)
     cache = forward(net, x)
-    items = whole_layer_items(*collect_gradients(net, cache, y))
-    peak, _ = _peak_bytes(sgd_step, net, items, 0.1)
+    pairs = whole_layer_pairs(net, *collect_gradients(net, cache, y))
+    peak, _ = _peak_bytes(sgd_step, pairs, 0.1)
     assert peak < grid
-    del items
+    del pairs
     buffer = gradient_buffer(net)
     peak, _ = _peak_bytes(
-        lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
+        lambda: sgd_step(backward(net, cache, y, buffer), 0.1))
     assert peak < grid
 
 
@@ -557,7 +557,7 @@ def test_step_multiplies_the_relu_derivative_into_the_delta():
     cache = forward(net, x)
     buffer = gradient_buffer(net)
     peak, _ = _peak_bytes(
-        lambda: sgd_step(net, backward(net, cache, y, buffer), 0.1))
+        lambda: sgd_step(backward(net, cache, y, buffer), 0.1))
     assert peak < 2.25 * 128 * 1500 * 8
 
 
@@ -587,11 +587,11 @@ def _reference_backward(net, cache, y, mean=np.divide):
     return weight_grads, bias_grads
 
 
-def _recording(items, seen):
-    """Pass ``items`` through, noting each ``(layer, rows)``."""
-    for item in items:
-        seen.append(item[:2])
-        yield item
+def _recording(pairs, seen):
+    """Pass ``pairs`` through, noting each parameter."""
+    for pair in pairs:
+        seen.append(pair[0])
+        yield pair
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
@@ -630,22 +630,28 @@ def test_fused_step_matches_backward_then_update(monkeypatch, m, mode,
             layer.weights -= 0.1 * gw
             layer.bias -= 0.1 * gb
         seen = []
-        sgd_step(fused, _recording(
+        sgd_step(_recording(
             backward(fused, forward(fused, x), y, buffer), seen), 0.1)
         for a, b in zip(fused.layers, stepped.layers):
             np.testing.assert_array_equal(_bits(a.weights), _bits(b.weights))
             np.testing.assert_array_equal(_bits(a.bias), _bits(b.bias))
-        # each layer's slices run over its rows in order, whole block rows
-        assert [i for i, _ in seen] == sorted((i for i, _ in seen),
-                                              reverse=True)
-        for i, layer in enumerate(fused.layers):
-            rows = [r for j, r in seen if j == i]
-            e = layer.expand_factor
-            assert [r.start for r in rows] == [0] + [r.stop for r in rows[:-1]]
-            assert rows[-1].stop == layer.weights.shape[0]
-            assert all((r.stop - r.start) % e == 0 for r in rows)
-            short_slices += (rows[-1].stop - rows[-1].start
-                             < rows[0].stop - rows[0].start)
+        # layers come last first, each its bias and then slices over its
+        # rows in order, whole block rows; a slice's start row is its
+        # offset into the layer's weights
+        params = iter(seen)
+        for layer in reversed(fused.layers):
+            assert next(params) is layer.bias
+            w, rows = layer.weights, []
+            while sum(rows) < w.shape[0]:
+                param = next(params)
+                assert param.ctypes.data - w.ctypes.data == (
+                    sum(rows) * w.strides[0])
+                assert param.shape[1:] == w.shape[1:]
+                rows.append(param.shape[0])
+            assert sum(rows) == w.shape[0]
+            assert all(r % layer.expand_factor == 0 for r in rows)
+            short_slices += rows[-1] < rows[0]
+        assert next(params, None) is None
     assert short_slices  # some slicing did not divide a layer
 
 
@@ -685,7 +691,7 @@ def test_batch_of_80_divides():
 def test_sgd_step_rejects_a_gradient_not_of_its_rows():
     net = small_network(sizes=(8, 8, 4), motif_size=1, density=1.0)
     before = [layer.weights.copy() for layer in net.layers]
-    with pytest.raises(ShapeError, match="does not match rows"):
-        sgd_step(net, [(0, slice(0, 3), np.zeros((4, 8)), None)], 0.1)
+    with pytest.raises(ShapeError, match="does not match parameter shape"):
+        sgd_step([(net.layers[0].weights[0:3], np.zeros((4, 8)))], 0.1)
     for b, layer in zip(before, net.layers):
         np.testing.assert_array_equal(b, layer.weights)

@@ -222,16 +222,15 @@ class TestNonFinite:
                 assert empty.size, "need a block row with no active block"
                 cache.pooled[0] = cache.pooled[0].copy()
                 cache.pooled[0][0, empty[0]] = np.nan  # feeds only that row
-                planted.append(empty[0])
+                planted.extend((empty[0], network))
             return real_backward(network, cache, y_true, out)
 
-        def sgd_step_reaching_weights(network, grads, learning_rate):
-            real_sgd_step(network, grads, learning_rate)
-            if len(planted) == 1:
-                row = network.layers[0].weights[planted[0]]
+        def sgd_step_reaching_weights(grads, learning_rate):
+            real_sgd_step(grads, learning_rate)
+            if len(planted) == 2:
+                row = planted[1].layers[0].weights[planted[0]]
                 assert np.isnan(row).all()
                 planted.append("weights")
-            return network
 
         monkeypatch.setattr(motifset.train, "backward",
                             backward_with_nan_input)
@@ -245,7 +244,7 @@ class TestNonFinite:
                 NonFiniteError, match=r"^non-finite parameters in layer 0 "
                                       r"at epoch 0, batch 1$"):
             run_train(config, echo=lambda *_: None)
-        assert planted[1:] == ["weights"]
+        assert planted[2:] == ["weights"]
 
 
 def test_no_weight_sized_gradient_alive_during_evolve(toy_csv, tmp_path,
