@@ -23,12 +23,16 @@ round's step, the analytic MACs (``flop_counter(...).total``), the grid
 MACs the products execute (each stored grid ``rows x cols`` three times per
 sample, twice for layer 0, which forms no input delta), the ratios of both
 to ``m = 1``, the wall ratio to ``m = 1`` as the median of per-round ratios
-with the smallest, and the gate "wall ratio <= 1.25 x analytic ratio",
-recorded as it comes out.  ``--tiny`` runs small shapes in a few seconds;
-its record has the same fields.
+with the smallest, the gate "wall ratio <= 1.25 x analytic ratio",
+recorded as it comes out, and the process's minor page faults per timed
+step, which show when a step falls into an allocator regime that maps and
+unmaps its arrays (glibc's heap growing and trimming on every step).
+``--tiny`` runs small shapes in a few seconds; its record has the same
+fields.
 """
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -69,6 +73,7 @@ def measure_shape(name, spec):
     from motifset.network import (
         backward,
         forward,
+        gradient_buffer,
         init_network,
         loss,
         sgd_step,
@@ -85,7 +90,7 @@ def measure_shape(name, spec):
                                   BlockDensitySpec(density_mode, density),
                                   seed=SEED)
         network = init_network(topology, seed=SEED)
-        buffer = np.empty(max(layer.weights.size for layer in network.layers))
+        buffer = gradient_buffer(network)
         runs[m] = (network, buffer, flop_counter(topology, "shared",
                                                  n_samples=batch).total)
 
@@ -100,9 +105,13 @@ def measure_shape(name, spec):
     for m in MOTIF_SIZES:  # warm-up, not timed
         step(m)
     times = {m: [] for m in MOTIF_SIZES}
+    faults = dict.fromkeys(MOTIF_SIZES, 0)
     for _ in range(rounds):
         for m in MOTIF_SIZES:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             times[m].append(1e3 * min(step(m) for _ in range(per_round)))
+            faults[m] += (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
 
     base_macs = runs[1][2]
     base_grid = grid_macs(sizes, 1, batch)
@@ -125,6 +134,7 @@ def measure_shape(name, spec):
             "grid_ratio": grid / base_grid,
             "wall_ratio_median": statistics.median(ratios),
             "wall_ratio_min": min(ratios),
+            "minor_faults_per_step": faults[m] / (rounds * per_round),
         }
         if m > 1:
             record["gate_bound"] = GATE * analytic_ratio

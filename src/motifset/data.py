@@ -83,7 +83,8 @@ class Dataset:
     :class:`EmptyFileError` for zero feature columns,
     :class:`TooFewSamplesError` for an empty split, and
     :class:`CountMismatchError` for an array that is not 2-D or when the
-    splits disagree on a count.
+    splits disagree on a count, and :class:`NonNumericError`, naming the
+    split and the first column, for a NaN or infinite cell.
     """
 
     x_train: np.ndarray
@@ -119,6 +120,21 @@ class Dataset:
                     f"{name}: {x.shape[1]} features and {y.shape[1]} classes,"
                     f" train has {self.n_features} and {self.n_classes}"
                 )
+        for name, a in vars(self).items():
+            # a finite sum proves every cell finite, and the reduce
+            # allocates nothing; a sum that overflows from finite cells
+            # finds no column below
+            with np.errstate(all="ignore"):
+                total = np.add.reduce(a, axis=None)
+            if not np.isfinite(total):
+                bad = ~np.isfinite(a)
+                if bad.any():
+                    j = np.flatnonzero(bad.any(axis=0))[0]
+                    i = np.flatnonzero(bad[:, j])[0]
+                    kind = "feature" if name[0] == "x" else "target"
+                    raise NonNumericError(
+                        f"{name[2:]}: {kind} column {j} holds {a[i, j]} at "
+                        f"row {i}, not a finite number")
 
 
 # --------------------------------------------------------------------------
@@ -504,11 +520,18 @@ def limit_dataset(dataset: Dataset, train_limit: int = 0,
     """Keep only the first N train/test rows (0 means keep all).
 
     A limit that drops rows copies the rows it keeps, so the caller can
-    free the full split; one that keeps every row copies nothing.
+    free the full split.  When neither limit drops a row, ``dataset``
+    itself is returned, so it is not checked again.
     """
+    def drops(a: np.ndarray, limit: int) -> bool:
+        return 0 < limit < len(a)
+
+    if not (drops(dataset.x_train, train_limit)
+            or drops(dataset.x_test, test_limit)):
+        return dataset
+
     def head(a: np.ndarray, limit: int) -> np.ndarray:
-        rows = a[:limit if limit > 0 else None]
-        return rows.copy() if len(rows) < len(a) else rows
+        return a[:limit].copy() if drops(a, limit) else a
 
     return Dataset(head(dataset.x_train, train_limit),
                    head(dataset.y_train, train_limit),

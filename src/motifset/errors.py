@@ -80,7 +80,8 @@ class RaggedRowError(DataError):
 
 
 class NonNumericError(DataError):
-    """A CSV feature cell is not a finite number (text, nan or inf)."""
+    """A CSV feature cell is not a finite number (text, nan or inf), or a
+    dataset array holds a NaN or infinite cell."""
 
 
 class EmptyFileError(DataError):

@@ -31,10 +31,10 @@ and subtracting it in place keeps them ``+0.0`` (``+0.0 - (-0.0)`` is
 then its weights one row slice at a time.  :func:`sgd_step` applies each
 pair as it comes, so a training step,
 ``sgd_step(backward(network, cache, y, buffer), lr)``, forms every weight
-gradient in the one buffer it is given and holds one at a time.  A slice
-is about 256 KiB (``_SLICE_CELLS``), so its batch mean, mask and update
-run while it sits in cache: one pass over memory per gradient where there
-were four.
+gradient in the one buffer it is given, which :func:`gradient_buffer`
+makes, and holds one at a time.  A slice is about 256 KiB
+(``_SLICE_CELLS``), so its batch mean, mask and update run while it sits
+in cache: one pass over memory per gradient where there were four.
 :func:`_layer_forward` is the one layer step of training and evaluation:
 :func:`forward` keeps every layer's pooled input and activation in the
 :class:`ForwardCache` for :func:`backward`, and :func:`predict_accuracy`
@@ -379,6 +379,28 @@ def _check_cache(network: Network, cache: ForwardCache):
             )
 
 
+def gradient_buffer(network: Network) -> np.ndarray:
+    """A new buffer for :func:`backward`'s ``out``: 1-D float64, with the
+    cells of the network's largest weight grid.  Every layer's weight
+    gradient is formed in its front, so one buffer serves every step while
+    the grids keep their shapes."""
+    return np.empty(max(np.size(layer.weights) for layer in network.layers))
+
+
+def _check_out(network: Network, out: np.ndarray):
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.ndim == 1 and out.flags.c_contiguous):
+        raise ShapeError("the gradient buffer must be a 1-D C-contiguous "
+                         f"float64 array, got {type(out).__name__} of "
+                         f"shape {np.shape(out)} and dtype "
+                         f"{np.asarray(out).dtype}")
+    for i, layer in enumerate(network.layers):
+        if out.size < layer.weights.size:
+            raise ShapeError(
+                f"the gradient buffer has {out.size} cells, layer {i}'s "
+                f"weight gradient needs {layer.weights.size}")
+
+
 def _layer_gradients(network: Network, cache: ForwardCache, y: np.ndarray,
                      out: np.ndarray) -> GradientPairs:
     """The generator :func:`backward` returns, after its checks."""
@@ -425,8 +447,9 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     previous layer's delta.  All gradients are means over the batch.
 
     Returns an iterator of ``(parameter, gradient)`` pairs that forms each
-    layer's gradients when advanced; the cache and targets are checked when
-    this is called.  Layers come last first; each gives ``(bias, db)``, then
+    layer's gradients when advanced; the cache, targets and ``out`` are
+    checked when this is called, and a wrong one raises StaleCacheError or
+    ShapeError.  Layers come last first; each gives ``(bias, db)``, then
     ``(W[rows], dW[rows])`` for its row slices in order, each a view into
     the layer's weights.  Each layer's ``P.T @ Q`` is one product; its row
     slices, of about ``_SLICE_CELLS`` cells and a whole number of block
@@ -434,11 +457,12 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     are yielded, so a consumer can finish a slice while it is in cache.
     Layer ``i - 1``'s delta is taken from ``W_i`` before layer ``i``'s
     first pair is yielded, so a consumer such as :func:`sgd_step` may
-    update ``W_i`` at once.  ``out`` is a 1-D float64 buffer of at least the
-    largest weight grid's cells; each layer's ``dW`` is a view into its
-    front that the next layer's overwrites, so a step holds one
-    weight-sized gradient at most.  For a batch of ``2**k`` the division is
-    a multiplication by ``2**-k``, which gives the same bits.
+    update ``W_i`` at once.  ``out`` is the buffer that
+    :func:`gradient_buffer` returns, or any 1-D C-contiguous float64 array
+    at least as long; each layer's ``dW`` is a view into its front that the
+    next layer's overwrites, so a step holds one weight-sized gradient at
+    most.  For a batch of ``2**k`` the division is a multiplication by
+    ``2**-k``, which gives the same bits.
 
     A non-finite cell of ``P.T @ Q`` stays non-finite after masking
     (``inf * 0.0`` and ``nan * 0.0`` are NaN), so :func:`sgd_step` carries
@@ -450,6 +474,7 @@ def backward(network: Network, cache: ForwardCache, y_true: np.ndarray,
     """
     _check_cache(network, cache)
     y = _check_targets(y_true, cache.a_list[-1].shape)
+    _check_out(network, out)
     return _layer_gradients(network, cache, y, out)
 
 

@@ -92,14 +92,6 @@ class BlockDensitySpec:
         if self.mode == FIXED_MODE and self.value > 1.0:
             raise ValueError(f"fixed density must be <= 1, got {self.value}")
 
-    @classmethod
-    def erdos_renyi(cls, epsilon: float) -> "BlockDensitySpec":
-        return cls(ER_MODE, float(epsilon))
-
-    @classmethod
-    def fixed(cls, density: float) -> "BlockDensitySpec":
-        return cls(FIXED_MODE, float(density))
-
     def target_density(self, rows: int, cols: int) -> float:
         """Target fraction of active blocks for a rows x cols block grid."""
         if self.mode == FIXED_MODE:

@@ -46,7 +46,8 @@ from .metrics import (
     score_csv_rows,
     tradeoff_sweep,
 )
-from .network import backward, forward, init_network, loss, predict_accuracy, sgd_step
+from .network import (backward, forward, gradient_buffer, init_network, loss,
+                      predict_accuracy, sgd_step)
 from .topology import build_topology
 
 
@@ -101,7 +102,7 @@ def _train_epoch(network, dataset: Dataset, order: np.ndarray,
     x_tr, y_tr = dataset.x_train, dataset.y_train
     n = order.size
     batch_size = config.batch_size if config.batch_size > 0 else n
-    grad_buffer = np.empty(max(layer.weights.size for layer in network.layers))
+    grad_buffer = gradient_buffer(network)
     loss_sum = 0.0
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]

@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from motifset.network import backward, forward, init_network, loss
-from motifset.topology import BlockDensitySpec, build_topology
+from motifset.network import (
+    backward,
+    forward,
+    gradient_buffer,
+    init_network,
+    loss,
+)
+from motifset.topology import FIXED_MODE, BlockDensitySpec, build_topology
 
 from oracles import weight_mask
 
@@ -68,10 +74,9 @@ class Unwritable:
 
 def small_network(sizes=(8, 8, 4), motif_size=2, density=0.5, seed=0,
                   weight_mode="shared", activation="relu",
-                  density_mode="fixed"):
-    spec = (BlockDensitySpec.fixed(density) if density_mode == "fixed"
-            else BlockDensitySpec.erdos_renyi(density))
-    topo = build_topology(sizes, motif_size, spec, seed=seed)
+                  density_mode=FIXED_MODE):
+    topo = build_topology(sizes, motif_size,
+                          BlockDensitySpec(density_mode, density), seed=seed)
     return init_network(topo, activation=activation, seed=seed + 1,
                         weight_mode=weight_mode)
 
@@ -116,12 +121,6 @@ def finite_diff_grads(network, x, y, step=1e-5):
             gb[j] = (up - down) / (2.0 * step)
         bias_grads.append(gb)
     return weight_grads, bias_grads
-
-
-def gradient_buffer(network):
-    """A buffer for ``backward``'s ``out``: the largest weight grid's cells,
-    as training allocates it."""
-    return np.empty(max(layer.weights.size for layer in network.layers))
 
 
 def collect_gradients(network, cache, y):

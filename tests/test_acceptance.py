@@ -29,13 +29,14 @@ from motifset.metrics import comprehensive_score, flop_counter, tradeoff_sweep
 from motifset.network import (
     backward,
     forward,
+    gradient_buffer,
     init_network,
     sgd_step,
 )
-from motifset.topology import BlockDensitySpec, build_topology
+from motifset.topology import FIXED_MODE, BlockDensitySpec, build_topology
 from motifset.train import run_train
 
-from conftest import collect_gradients, finite_diff_grads, gradient_buffer
+from conftest import collect_gradients, finite_diff_grads
 from oracles import (DenseMLP, active_block_count, expand_mask,
                      expand_weights, max_rel_error)
 
@@ -147,7 +148,7 @@ def _nudge_off_kinks(net, x, seed):
 def test_criterion_02_gradient_check():
     worst = 0.0
     for i, sizes, m, density, mode, activation in _random_configs():
-        topo = build_topology(sizes, m, BlockDensitySpec.fixed(density),
+        topo = build_topology(sizes, m, BlockDensitySpec(FIXED_MODE, density),
                               seed=100 + i)
         net = init_network(topo, activation=activation, seed=200 + i,
                           weight_mode=mode)
@@ -172,7 +173,7 @@ def test_criterion_02_gradient_check():
 # 03: dense equivalence over 10 SGD steps
 
 def test_criterion_03_dense_equivalence():
-    topo = build_topology((6, 8, 8, 4), 1, BlockDensitySpec.fixed(1.0),
+    topo = build_topology((6, 8, 8, 4), 1, BlockDensitySpec(FIXED_MODE, 1.0),
                           seed=31)
     net = init_network(topo, seed=32)
     oracle = DenseMLP([l.weights for l in net.layers],
@@ -200,8 +201,8 @@ def test_criterion_03_dense_equivalence():
 def test_criterion_04_tiling_equivalence():
     gap = 0.0
     for m in (2, 4):
-        topo = build_topology((8, 8, 8, 4), m, BlockDensitySpec.fixed(0.5),
-                              seed=40 + m)
+        topo = build_topology((8, 8, 8, 4), m,
+                              BlockDensitySpec(FIXED_MODE, 0.5), seed=40 + m)
         net = init_network(topo, seed=50 + m)
         oracle = DenseMLP([expand_weights(l) for l in net.layers],
                           [l.bias for l in net.layers], "relu")
@@ -227,7 +228,7 @@ def test_criterion_05_evolution_invariants():
     while events < 1000:
         m = int(rng.choice((1, 2)))
         sizes = (8 * m, 8 * m, 4)
-        topo = build_topology(sizes, m, BlockDensitySpec.fixed(0.4),
+        topo = build_topology(sizes, m, BlockDensitySpec(FIXED_MODE, 0.4),
                               seed=int(rng.integers(1 << 30)))
         net = init_network(topo, seed=int(rng.integers(1 << 30)),
                           weight_mode="shared" if events % 2 else
@@ -249,7 +250,8 @@ def test_criterion_05_evolution_invariants():
                f" masked weights stay zero={clean}")
 
     # (b) listing4 zap frequency over 1e5 cells
-    topo = build_topology((10, 10), 1, BlockDensitySpec.fixed(1.0), seed=1)
+    topo = build_topology((10, 10), 1, BlockDensitySpec(FIXED_MODE, 1.0),
+                          seed=1)
     net = init_network(topo, seed=2)
     policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
                              noise_scale=0.0, rng_seed=505)
@@ -272,7 +274,7 @@ def test_criterion_06_reduction_law():
     params = {}
     flops = {}
     for m in (1, 2, 4):
-        topo = build_topology(sizes, m, BlockDensitySpec.fixed(1.0),
+        topo = build_topology(sizes, m, BlockDensitySpec(FIXED_MODE, 1.0),
                               seed=60)
         # distinct stored parameters of the hidden (tiled) layers only
         params[m] = sum(active_block_count(topo)[:-1])

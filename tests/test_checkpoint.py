@@ -18,13 +18,18 @@ from motifset.checkpoint import (
 from motifset.cli import main
 from motifset.container import read_container, write_container
 from motifset.errors import CheckpointFormatError
-from motifset.network import backward, forward, init_network, sgd_step
-from motifset.topology import BlockDensitySpec, build_topology
+from motifset.network import (
+    backward,
+    forward,
+    gradient_buffer,
+    init_network,
+    sgd_step,
+)
+from motifset.topology import FIXED_MODE, BlockDensitySpec, build_topology
 
 from conftest import (
     Unwritable,
     damaged,
-    gradient_buffer,
     json_values,
     small_network,
 )
@@ -155,7 +160,7 @@ def test_load_peaks_near_the_arrays_it_returns(tmp_path):
     # of block rows at a time: on three 1000-wide hidden layers, 10% dense
     # at m = 1, the peak stays within 5% of the weights, biases and masks
     topo = build_topology((784, 1000, 1000, 1000, 10), 1,
-                          BlockDensitySpec.fixed(0.1), seed=1)
+                          BlockDensitySpec(FIXED_MODE, 0.1), seed=1)
     path = tmp_path / "ck.bin"
     save_checkpoint(init_network(topo, seed=2), path)
     del topo

@@ -23,7 +23,12 @@ from motifset.config import (
     preset_path,
     read_manifest_result,
 )
-from motifset.data import write_idx
+from motifset.data import (
+    Dataset,
+    one_hot,
+    save_dataset_cache,
+    write_idx,
+)
 from motifset.errors import ConfigError, MissingFieldError
 from motifset.topology import ER_MODE, FIXED_MODE
 from motifset.train import run_sweep
@@ -298,6 +303,24 @@ class TestCliPrepareAndCache:
                      "--out", str(tmp_path / "r")])
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["x_train", "x_test"])
+    def test_non_finite_cache_exit_code(self, tmp_path, capsys, name):
+        """A cache holding a NaN is bad input (exit 3), in either split: in
+        the training split it ended in a numerical failure (exit 4), and in
+        the test split it was scored without a word (exit 0)."""
+        rng = np.random.default_rng(7)
+        ds = Dataset(rng.normal(size=(40, 6)),
+                     one_hot(rng.integers(0, 3, 40), 3),
+                     rng.normal(size=(10, 6)),
+                     one_hot(rng.integers(0, 3, 10), 3))
+        getattr(ds, name)[4, 2] = np.nan  # after the Dataset's own check
+        cache, out = tmp_path / "cache.bin", tmp_path / "r"
+        save_dataset_cache(ds, cache)
+        assert main(["train", "--cache-path", str(cache), "--hidden-sizes",
+                     "4,4", "--epochs", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {name[2:]}: feature column 2 holds nan at row 4")
+        assert not out.exists()
 
     def test_missing_cache_exit_code(self, toy_csv, tmp_path, capsys):
         # a cache_path replaces the raw loaders, so a typo must not fall

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -463,6 +464,35 @@ class TestDataset:
             Dataset(np.zeros((4, 6)), np.eye(3)[[0, 1, 2, 0]],
                     np.zeros((2, width)), np.zeros((2, classes)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x_train", "y_train", "x_test",
+                                      "y_test"])
+    def test_non_finite_cell_rejected(self, name, value):
+        arrays = {"x_train": np.zeros((4, 6)),
+                  "y_train": np.eye(3)[[0, 1, 2, 0]],
+                  "x_test": np.zeros((2, 6)), "y_test": np.eye(3)[[2, 1]]}
+        arrays[name][1, 2] = value
+        kind = "feature" if name[0] == "x" else "target"
+        with pytest.raises(NonNumericError, match=re.escape(
+                f"{name[2:]}: {kind} column 2 holds {value} at row 1, "
+                "not a finite number")):
+            Dataset(**arrays)
+
+    def test_first_non_finite_column_named(self):
+        x = np.zeros((4, 6))
+        x[0, 4], x[3, 1] = np.inf, np.nan
+        with pytest.raises(NonNumericError, match="column 1 holds nan"):
+            Dataset(x, np.eye(3)[[0, 1, 2, 0]], np.zeros((2, 6)),
+                    np.eye(3)[[2, 1]])
+
+    def test_sum_that_overflows_from_finite_cells_accepted(self):
+        # the sum of the cells is inf; every cell is finite
+        x = np.zeros((4, 6))
+        x[:2, 3] = 1e308
+        ds = Dataset(x, np.eye(3)[[0, 1, 2, 0]], np.zeros((2, 6)),
+                     np.eye(3)[[2, 1]])
+        assert ds.x_train is x
+
 
 class TestLimitDataset:
     def _dataset(self):
@@ -485,13 +515,9 @@ class TestLimitDataset:
 
     @pytest.mark.parametrize("limit", [0, 20, 50])
     def test_keeping_every_row_copies_nothing(self, limit):
+        # the same Dataset, so a load checks its arrays once
         ds = self._dataset()
-        out = limit_dataset(ds, train_limit=limit)
-        assert out.x_train.tobytes() == ds.x_train.tobytes()
-        assert not out.x_train.flags.owndata
-        assert out.x_train.base is ds.x_train
-        assert out.y_train.base is ds.y_train
-        assert out.x_test.base is ds.x_test
+        assert limit_dataset(ds, train_limit=limit, test_limit=limit) is ds
 
 
 class TestIdxPipeline:

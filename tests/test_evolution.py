@@ -6,7 +6,12 @@ import pytest
 
 from motifset.evolution import EvolutionPolicy, evolution_schedule, evolve
 from motifset.network import init_network
-from motifset.topology import BlockDensitySpec, MotifTopology, build_topology
+from motifset.topology import (
+    FIXED_MODE,
+    BlockDensitySpec,
+    MotifTopology,
+    build_topology,
+)
 
 from conftest import small_network
 from oracles import (reference_evolve_listing4, reference_evolve_magnitude,
@@ -163,7 +168,7 @@ class TestMagnitudePrune:
         # topology makes the middle layer fully dense, and skipping it must
         # not shift the draws of the layer after it
         topo = build_topology((16, 24, 16, 5), m,
-                              BlockDensitySpec.fixed(0.5), seed=30 + m)
+                              BlockDensitySpec(FIXED_MODE, 0.5), seed=30 + m)
         masks = list(topo.block_masks)
         masks[1] = np.ones_like(masks[1])
         dense_middle = MotifTopology(topo.layer_sizes, m, tuple(masks))
@@ -220,7 +225,7 @@ class TestMagnitudePrune:
         # few tie classes, one of them straddling the k-th smallest, so the
         # pruned set must be the first k of the stable sort
         topo = build_topology((24, 32, 24, 5), m,
-                              BlockDensitySpec.fixed(0.6), seed=40 + m)
+                              BlockDensitySpec(FIXED_MODE, 0.6), seed=40 + m)
         nets = [init_network(topo, seed=41, weight_mode=weight_mode)
                 for _ in range(2)]
         policy = _policy(zeta=0.4, rng_seed=43)
@@ -245,8 +250,8 @@ class TestMagnitudePrune:
     def test_regrowth_peaks_below_16_bytes_per_free_block(self):
         # one int64 list of the free blocks, built after the draw, and
         # choice's own arange over them are never alive together
-        topo = build_topology((1000, 1000, 2), 1, BlockDensitySpec.fixed(0.1),
-                              seed=3)
+        topo = build_topology((1000, 1000, 2), 1,
+                              BlockDensitySpec(FIXED_MODE, 0.1), seed=3)
         net = init_network(topo, seed=4)
         mask = net.layers[0].block_mask
         free = mask.size - int(mask.sum()) + int(0.3 * mask.sum())
@@ -265,8 +270,8 @@ class TestMagnitudePrune:
         # when choice builds its arange over the free blocks: the peak is
         # that arange or the free-block list (8 bytes per free block) and
         # the inverted mask, not those plus 3 more bytes per block
-        topo = build_topology((1000, 1000, 2), m, BlockDensitySpec.fixed(0.1),
-                              seed=3)
+        topo = build_topology((1000, 1000, 2), m,
+                              BlockDensitySpec(FIXED_MODE, 0.1), seed=3)
         net = init_network(topo, seed=4, weight_mode=weight_mode)
         mask = net.layers[0].block_mask
         active = int(mask.sum())
@@ -329,7 +334,7 @@ class TestListing4:
 
     def test_zeroing_frequency_matches_epsilon(self):
         """10^5 independent events on a single-weight layer."""
-        topo = build_topology([1, 1], 1, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([1, 1], 1, BlockDensitySpec(FIXED_MODE, 1.0))
         net = init_network(topo, seed=0)
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.3,
                                  noise_scale=0.0, rng_seed=77)
@@ -348,7 +353,7 @@ class TestListing4:
         # every zeroed cell and every noise value must land exactly where
         # the scalar-loop reference puts it, event after event
         topo = build_topology((16, 24, 16, 5), m,
-                              BlockDensitySpec.fixed(0.5), seed=40 + m)
+                              BlockDensitySpec(FIXED_MODE, 0.5), seed=40 + m)
         nets = [init_network(topo, seed=41, weight_mode=weight_mode)
                 for _ in range(2)]
         policy = EvolutionPolicy(mode="listing4", epsilon_prune=0.3,

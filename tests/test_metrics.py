@@ -20,7 +20,12 @@ from motifset.metrics import (
     score_csv_rows,
     tradeoff_sweep,
 )
-from motifset.topology import BlockDensitySpec, MotifTopology, build_topology
+from motifset.topology import (
+    FIXED_MODE,
+    BlockDensitySpec,
+    MotifTopology,
+    build_topology,
+)
 
 # (time, accuracy) per motif size from the reference byte-image benchmark
 FM_T = {1: 25236.2, 2: 14307.5, 4: 9209.3}
@@ -156,7 +161,7 @@ class TestSweep:
 class TestFlopCounter:
     def test_dense_single_layer(self):
         # a lone 4x4 weight layer is the output layer: tile 1
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4], 1, BlockDensitySpec(FIXED_MODE, 1.0))
         flops = flop_counter(topo)
         assert flops.forward_per_layer == (16,)
         assert flops.backward_per_layer == (32,)
@@ -164,18 +169,18 @@ class TestFlopCounter:
 
     def test_pooled_hidden_layer(self):
         # 4->4 at m=2: 4 active blocks, pooled forward is k + n_prev = 8
-        topo = build_topology([4, 4, 4], 2, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4, 4], 2, BlockDensitySpec(FIXED_MODE, 1.0))
         flops = flop_counter(topo)
         assert flops.forward_per_layer[0] == 4 + 4
         assert flops.backward_per_layer[0] == 2 * 4 + 4
 
     def test_independent_mode_counts_neuron_weights(self):
-        topo = build_topology([4, 4, 4], 2, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4, 4], 2, BlockDensitySpec(FIXED_MODE, 1.0))
         flops = flop_counter(topo, weight_mode="independent")
         assert flops.forward_per_layer[0] == 4 * 4  # k * m^2
 
     def test_scales_linearly_in_samples(self):
-        topo = build_topology([8, 8, 4], 2, BlockDensitySpec.fixed(0.5))
+        topo = build_topology([8, 8, 4], 2, BlockDensitySpec(FIXED_MODE, 0.5))
         one = flop_counter(topo, n_samples=1)
         many = flop_counter(topo, n_samples=640)
         assert many.total == 640 * one.total
@@ -205,7 +210,7 @@ class TestFlopCounter:
             assert ratio > m * m / 2
 
     def test_counts_follow_mask_popcount(self):
-        topo = build_topology([8, 8, 4], 2, BlockDensitySpec.fixed(0.5),
+        topo = build_topology([8, 8, 4], 2, BlockDensitySpec(FIXED_MODE, 0.5),
                               seed=3)
         k = int(topo.block_masks[0].sum())
         flops = flop_counter(topo)

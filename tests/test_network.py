@@ -19,18 +19,23 @@ from motifset.network import (
     _pool_cols,
     backward,
     forward,
+    gradient_buffer,
     init_network,
     loss,
     predict_accuracy,
     sgd_step,
     softmax,
 )
-from motifset.topology import BlockDensitySpec, build_topology
+from motifset.topology import (
+    ER_MODE,
+    FIXED_MODE,
+    BlockDensitySpec,
+    build_topology,
+)
 
 from conftest import (
     collect_gradients,
     finite_diff_grads,
-    gradient_buffer,
     small_network,
     whole_layer_pairs,
 )
@@ -60,7 +65,7 @@ class TestInit:
             assert np.abs(layer.weights).max() <= bound
 
     def test_he_normal_draws_differ_from_uniform(self):
-        topo = build_topology([8, 8, 4], 1, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([8, 8, 4], 1, BlockDensitySpec(FIXED_MODE, 1.0))
         a = init_network(topo, init_scheme="he_uniform", seed=5)
         b = init_network(topo, init_scheme="he_normal", seed=5)
         assert not np.allclose(a.layers[0].weights, b.layers[0].weights)
@@ -276,6 +281,28 @@ class TestBackward:
                 backward(net, ForwardCache(cache.a_list, pooled),
                          _onehot_targets(5, 4), buffer)
 
+    @pytest.mark.parametrize("out", [
+        np.empty(100, dtype=np.float32), np.empty(3), np.empty((8, 8)),
+        np.empty(200)[::2], [0.0] * 100],
+        ids=["float32", "short", "2-D", "strided", "list"])
+    def test_wrong_buffer_rejected_when_called(self, out):
+        # a float32 buffer trained on float32-rounded gradients, and a
+        # short or 2-D one failed mid-step with an untyped ValueError
+        net = small_network()
+        cache = forward(net, _batch(5, 8))
+        with pytest.raises(ShapeError, match="gradient buffer"):
+            backward(net, cache, _onehot_targets(5, 4), out)
+
+    def test_gradient_buffer_fits_the_largest_grid(self):
+        # 8-8-4 at m = 2 stores a 4 x 4 grid, then an 8 x 4 one at tile 1
+        net = small_network()
+        buffer = gradient_buffer(net)
+        assert (buffer.shape, buffer.dtype) == ((32,), np.float64)
+        cache = forward(net, _batch(5, 8))
+        with pytest.raises(ShapeError, match="has 31 cells, layer 1's "
+                                             "weight gradient needs 32"):
+            backward(net, cache, _onehot_targets(5, 4), buffer[:31])
+
 
 class TestPooling:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
@@ -440,7 +467,7 @@ class TestPredictAccuracy:
         would hold about four times as much."""
         sizes = (784, 256, 256, 10)
         net = small_network(sizes=sizes, motif_size=m, density=15.7,
-                            density_mode="erdos_renyi")
+                            density_mode=ER_MODE)
         x = _batch(4 * 512, 784)
         y = _onehot_targets(4 * 512, 10)
         peak, _ = _peak_bytes(predict_accuracy, net, x, y)
@@ -453,7 +480,7 @@ class TestPredictAccuracy:
         which overlaps the one before it; shorter products can run another
         BLAS kernel and change the last bit."""
         net = small_network(sizes=(784, 256, 256, 10), motif_size=m,
-                            density=15.7, density_mode="erdos_renyi")
+                            density=15.7, density_mode=ER_MODE)
         rows = 2 * motifset.network.EVAL_ROWS + 37
         x = _batch(rows, 784, seed=3)
         starts, outputs = zip(*_chunk_outputs(net, x))

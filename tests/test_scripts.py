@@ -93,6 +93,7 @@ def test_motif_curve_tiny_record(tmp_path):
         assert r["step_ms_min"] <= r["step_ms_median"]
         assert r["wall_ratio_min"] <= r["wall_ratio_median"]
         assert r["analytic_macs"] > 0 and r["grid_macs"] > 0
+        assert r["minor_faults_per_step"] >= 0
         assert ("gate_pass" in r) == (r["m"] > 1)
         if r["m"] == 1:
             assert r["analytic_ratio"] == r["grid_ratio"] == 1.0

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from motifset.errors import (DataError, DivisibilityError, EmptyNetworkError,
                              TopologyFormatError)
 from motifset.topology import (
+    ER_MODE,
+    FIXED_MODE,
     BlockDensitySpec,
     MotifTopology,
     blocks,
@@ -22,12 +24,12 @@ from oracles import active_block_count, expand_mask, parse_topology_reference
 
 class TestDensitySpec:
     def test_fixed_density_is_itself(self):
-        spec = BlockDensitySpec.fixed(0.4)
+        spec = BlockDensitySpec(FIXED_MODE, 0.4)
         assert spec.target_density(10, 20) == 0.4
 
     def test_erdos_renyi_formula(self):
         # eps * (r + c) / (r * c), capped at 1
-        spec = BlockDensitySpec.erdos_renyi(2.0)
+        spec = BlockDensitySpec(ER_MODE, 2.0)
         assert spec.target_density(4, 4) == pytest.approx(2.0 * 8 / 16)
         assert spec.target_density(2, 2) == 1.0  # 2*4/4 = 2, capped
 
@@ -43,55 +45,56 @@ class TestDensitySpec:
 
 class TestBuildShapes:
     def test_motif1_full_density_is_dense(self):
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4], 1, BlockDensitySpec(FIXED_MODE, 1.0))
         assert topo.block_masks[0].shape == (4, 4)
         assert active_block_count(topo) == [16]
         assert topo.block_masks[0].all()
 
     def test_motif2_blocks_quarter_the_grid(self):
         # a 4x4 hidden-facing layer at m=2 collapses to a 2x2 block grid
-        topo = build_topology([4, 4, 4], 2, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4, 4], 2, BlockDensitySpec(FIXED_MODE, 1.0))
         assert topo.block_masks[0].shape == (2, 2)
         assert active_block_count(topo)[0] == 4
 
     def test_output_layer_always_neuron_granularity(self):
-        topo = build_topology([8, 8, 10], 4, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([8, 8, 10], 4, BlockDensitySpec(FIXED_MODE, 1.0))
         assert topo.tile(0) == 4
         assert topo.tile(1) == 1
         assert topo.block_masks[-1].shape == (8, 10)
 
     def test_tile_index_wraps_like_a_sequence(self):
-        topo = build_topology([8, 16, 8, 10], 4, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([8, 16, 8, 10], 4,
+                              BlockDensitySpec(FIXED_MODE, 1.0))
         assert [topo.tile(i) for i in (-3, -2, -1)] == [4, 4, 1]
         with pytest.raises(IndexError):
             topo.tile(3)
 
     def test_paper_scale_shapes(self):
         topo = build_topology([784, 3000, 3000, 3000, 10], 2,
-                              BlockDensitySpec.erdos_renyi(5.0), seed=1)
+                              BlockDensitySpec(ER_MODE, 5.0), seed=1)
         shapes = [m.shape for m in topo.block_masks]
         assert shapes == [(392, 1500), (1500, 1500), (1500, 1500), (3000, 10)]
 
     def test_class_count_need_not_divide(self):
         # output width 10 with m=4 is fine; hidden widths must divide
-        build_topology([8, 8, 10], 4, BlockDensitySpec.fixed(0.5))
+        build_topology([8, 8, 10], 4, BlockDensitySpec(FIXED_MODE, 0.5))
 
     @pytest.mark.parametrize("sizes", [[5, 4], [4, 6, 4], [6, 4, 4]])
     def test_divisibility_enforced(self, sizes):
         with pytest.raises(DivisibilityError):
-            build_topology(sizes, 4, BlockDensitySpec.fixed(0.5))
+            build_topology(sizes, 4, BlockDensitySpec(FIXED_MODE, 0.5))
 
     def test_single_size_rejected(self):
         with pytest.raises(EmptyNetworkError):
-            build_topology([4], 1, BlockDensitySpec.fixed(0.5))
+            build_topology([4], 1, BlockDensitySpec(FIXED_MODE, 0.5))
 
     def test_masks_are_read_only(self):
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(0.5))
+        topo = build_topology([4, 4], 1, BlockDensitySpec(FIXED_MODE, 0.5))
         with pytest.raises(ValueError):
             topo.block_masks[0][0, 0] = True
 
     def test_copy_mutable_detaches(self):
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(0.5))
+        topo = build_topology([4, 4], 1, BlockDensitySpec(FIXED_MODE, 0.5))
         copy = topo.copy_mutable()
         before = topo.block_masks[0].copy()
         copy.block_masks[0][:] = True
@@ -101,7 +104,7 @@ class TestBuildShapes:
 class TestSampling:
     def test_exact_count_sampling(self):
         # achieved count equals round(p * total) before repair
-        topo = build_topology([20, 20], 1, BlockDensitySpec.fixed(0.3),
+        topo = build_topology([20, 20], 1, BlockDensitySpec(FIXED_MODE, 0.3),
                               seed=3)
         # repair can only add blocks into empty columns; with 120 active
         # out of 400 an empty column is possible, so check a lower bound
@@ -111,8 +114,8 @@ class TestSampling:
 
     def test_density_within_ten_percent_at_scale(self):
         for seed in range(5):
-            topo = build_topology([100, 100], 1, BlockDensitySpec.fixed(0.1),
-                                  seed=seed)
+            topo = build_topology([100, 100], 1,
+                                  BlockDensitySpec(FIXED_MODE, 0.1), seed=seed)
             achieved = active_block_count(topo)[0] / (100 * 100)
             assert abs(achieved - 0.1) / 0.1 <= 0.1
 
@@ -121,18 +124,19 @@ class TestSampling:
         densities = []
         for seed in range(100):
             topo = build_topology([100, 100], 1,
-                                  BlockDensitySpec.fixed(target), seed=seed)
+                                  BlockDensitySpec(FIXED_MODE, target),
+                                  seed=seed)
             densities.append(active_block_count(topo)[0] / 10000)
         assert abs(np.mean(densities) - target) <= 0.01
 
     def test_deterministic_per_seed(self):
-        a = build_topology([8, 8, 4], 2, BlockDensitySpec.erdos_renyi(1.5),
+        a = build_topology([8, 8, 4], 2, BlockDensitySpec(ER_MODE, 1.5),
                            seed=7)
-        b = build_topology([8, 8, 4], 2, BlockDensitySpec.erdos_renyi(1.5),
+        b = build_topology([8, 8, 4], 2, BlockDensitySpec(ER_MODE, 1.5),
                            seed=7)
         for ma, mb in zip(a.block_masks, b.block_masks):
             assert (ma == mb).all()
-        c = build_topology([8, 8, 4], 2, BlockDensitySpec.erdos_renyi(1.5),
+        c = build_topology([8, 8, 4], 2, BlockDensitySpec(ER_MODE, 1.5),
                            seed=8)
         assert any((ma != mc).any()
                    for ma, mc in zip(a.block_masks, c.block_masks))
@@ -142,9 +146,9 @@ class TestSampling:
         layers that need the empty-column repair and layers that do not."""
         repaired = 0
         for sizes, m, spec, seed in (
-                ((6, 4), 2, BlockDensitySpec.fixed(0.5), 11),
-                ((12, 8, 6, 3), 2, BlockDensitySpec.erdos_renyi(0.5), 3),
-                ((40, 30, 10), 1, BlockDensitySpec.fixed(0.03), 5)):
+                ((6, 4), 2, BlockDensitySpec(FIXED_MODE, 0.5), 11),
+                ((12, 8, 6, 3), 2, BlockDensitySpec(ER_MODE, 0.5), 3),
+                ((40, 30, 10), 1, BlockDensitySpec(FIXED_MODE, 0.03), 5)):
             topo = build_topology(sizes, m, spec, seed=seed)
             for i, mask in enumerate(topo.block_masks):
                 # the final weight layer is stored at tile 1
@@ -165,7 +169,7 @@ class TestSampling:
         # near-empty sampling still leaves no dead output column
         for seed in range(20):
             topo = build_topology([16, 8, 8], 2,
-                                  BlockDensitySpec.erdos_renyi(0.1),
+                                  BlockDensitySpec(ER_MODE, 0.1),
                                   seed=seed)
             for mask in topo.block_masks:
                 assert mask.any(axis=0).all()
@@ -173,7 +177,8 @@ class TestSampling:
 
 class TestExpandMask:
     def test_motif1_identity(self):
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(0.5), seed=2)
+        topo = build_topology([4, 4], 1, BlockDensitySpec(FIXED_MODE, 0.5),
+                              seed=2)
         assert (expand_mask(topo, 0) == topo.block_masks[0]).all()
 
     def test_single_block_tile(self):
@@ -184,7 +189,7 @@ class TestExpandMask:
         assert expanded.all()
 
     def test_popcount_scales_by_tile_area(self):
-        topo = build_topology([8, 8, 4], 2, BlockDensitySpec.fixed(0.5),
+        topo = build_topology([8, 8, 4], 2, BlockDensitySpec(FIXED_MODE, 0.5),
                               seed=5)
         blocks = int(topo.block_masks[0].sum())
         assert int(expand_mask(topo, 0).sum()) == blocks * 4
@@ -207,7 +212,7 @@ class TestBlocks:
 
 class TestTextFormat:
     def test_header_and_layer_lines(self):
-        topo = build_topology([4, 4, 4], 2, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4, 4], 2, BlockDensitySpec(FIXED_MODE, 1.0))
         text = export_topology(topo)
         lines = text.splitlines()
         assert lines[0] == "motif-topology v1"
@@ -216,7 +221,7 @@ class TestTextFormat:
         assert lines[6] == "layer 1 4 4 1"
 
     def test_round_trip_bit_exact(self):
-        topo = build_topology([8, 8, 6], 2, BlockDensitySpec.erdos_renyi(2.0),
+        topo = build_topology([8, 8, 6], 2, BlockDensitySpec(ER_MODE, 2.0),
                               seed=13)
         back = parse_topology(export_topology(topo))
         assert back.layer_sizes == topo.layer_sizes
@@ -225,7 +230,7 @@ class TestTextFormat:
             assert (ma == mb).all()
 
     def test_row_major_block_order(self):
-        topo = build_topology([4, 4], 1, BlockDensitySpec.fixed(1.0))
+        topo = build_topology([4, 4], 1, BlockDensitySpec(FIXED_MODE, 1.0))
         body = export_topology(topo).splitlines()[2:]
         pairs = [tuple(int(v) for v in ln.split()) for ln in body]
         assert pairs == sorted(pairs)
@@ -235,7 +240,7 @@ class TestTextFormat:
         ((30, 40, 3), 1, 0.05), ((4, 4), 1, 1.0)])
     def test_text_is_one_line_per_block(self, sizes, m, density):
         # sparse grids leave block rows empty; those get no line
-        topo = build_topology(sizes, m, BlockDensitySpec.fixed(density),
+        topo = build_topology(sizes, m, BlockDensitySpec(FIXED_MODE, density),
                               seed=7)
         lines = ["motif-topology v1"]
         for i, mask in enumerate(topo.block_masks):
@@ -255,7 +260,7 @@ class TestTextFormat:
         assert isinstance(caught.value, DataError)
 
     def test_parse_takes_bytes(self):
-        topo = build_topology([8, 8, 6], 2, BlockDensitySpec.fixed(0.5),
+        topo = build_topology([8, 8, 6], 2, BlockDensitySpec(FIXED_MODE, 0.5),
                               seed=3)
         text = export_topology(topo)
         back = parse_topology(text.encode())
@@ -280,8 +285,8 @@ class TestTextFormat:
     def test_lenient_spellings_rejected(self, edit):
         # the line-by-line reference reads these through str.split and
         # int; the parser takes only the text export_topology writes
-        topo = build_topology([24, 24, 5], 2, BlockDensitySpec.fixed(0.5),
-                              seed=5)
+        topo = build_topology([24, 24, 5], 2,
+                              BlockDensitySpec(FIXED_MODE, 0.5), seed=5)
         text = export_topology(topo)
         edited = edit(text)
         assert edited != text
@@ -333,7 +338,7 @@ def mutated_texts(draw):
     dropped or duplicated lines and inserted whitespace."""
     sizes, m, density, seed = draw(topology_cases())
     data = export_topology(build_topology(
-        sizes, m, BlockDensitySpec.fixed(density), seed=seed)).encode()
+        sizes, m, BlockDensitySpec(FIXED_MODE, density), seed=seed)).encode()
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         kind = draw(st.sampled_from(["flip", "byte", "delete", "drop",
                                      "duplicate", "space"]))
@@ -391,7 +396,7 @@ def topology_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_build_invariants(case):
     sizes, m, density, seed = case
-    topo = build_topology(sizes, m, BlockDensitySpec.fixed(density),
+    topo = build_topology(sizes, m, BlockDensitySpec(FIXED_MODE, density),
                           seed=seed)
     assert topo.n_weight_layers == len(sizes) - 1
     for i, mask in enumerate(topo.block_masks):
@@ -399,7 +404,7 @@ def test_build_invariants(case):
         assert mask.shape == (sizes[i] // tile, sizes[i + 1] // tile)
         assert mask.any(axis=0).all()  # no dead output column
         assert not mask.flags.writeable
-    again = build_topology(sizes, m, BlockDensitySpec.fixed(density),
+    again = build_topology(sizes, m, BlockDensitySpec(FIXED_MODE, density),
                            seed=seed)
     for ma, mb in zip(topo.block_masks, again.block_masks):
         assert (ma == mb).all()

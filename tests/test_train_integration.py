@@ -107,14 +107,14 @@ class TestSyntheticDeskScale:
     def test_evolution_changes_topology_between_epochs(self, synth_paths,
                                                        tmp_path):
         from motifset.checkpoint import load_checkpoint
-        from motifset.topology import build_topology, BlockDensitySpec
+        from motifset.topology import ER_MODE, BlockDensitySpec, build_topology
 
         out = tmp_path / "evo"
         config = _synth_config(synth_paths, out, epochs=4)
         run_train(config, echo=lambda *_: None)
         net = load_checkpoint(out / "checkpoint.bin")
         fresh = build_topology((784, 256, 256, 10), 1,
-                               BlockDensitySpec.erdos_renyi(15.7),
+                               BlockDensitySpec(ER_MODE, 15.7),
                                seed=config.topology_seed)
         moved = sum(
             int((a != b).sum())
