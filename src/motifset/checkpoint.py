@@ -21,9 +21,11 @@ from .topology import blocks, export_topology, parse_topology
 
 CHECKPOINT_MAGIC = b"MSETCKPT"
 CHECKPOINT_VERSION = 2
-_META_TYPES = {"activation": str, "weight_mode": str, "init_scheme": str,
-               "motif_size": int, "epsilon": (int, float, type(None)),
-               "density_mode": (str, type(None)), "layer_sizes": list}
+# the JSON types each metadata key may hold; bool is not int here
+_META_TYPES = {"activation": (str,), "weight_mode": (str,),
+               "init_scheme": (str,), "motif_size": (int,),
+               "epsilon": (int, float, type(None)),
+               "density_mode": (str, type(None)), "layer_sizes": (list,)}
 
 
 # weight cells per group of block rows that _inactive_nonzero inspects at
@@ -78,8 +80,8 @@ def load_checkpoint(path) -> Network:
     """
     with read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                         CheckpointFormatError) as (meta, sizes, read):
-        wrong = sorted(key for key, kind in _META_TYPES.items()
-                       if key not in meta or not isinstance(meta[key], kind))
+        wrong = sorted(key for key, kinds in _META_TYPES.items()
+                       if key not in meta or type(meta[key]) not in kinds)
         if wrong:
             raise CheckpointFormatError(
                 f"{path}: metadata keys {wrong} are missing or of the wrong "
@@ -89,8 +91,9 @@ def load_checkpoint(path) -> Network:
             # the file's own size bounds every grid: check it before one
             # is built
             layer_sizes, implied = meta["layer_sizes"], []
-            # a string or list would make the products below repeat it
-            if not all(isinstance(n, int) for n in layer_sizes):
+            # a string or list would make the products below repeat it, and
+            # JSON's true and false are not sizes
+            if not all(type(n) is int for n in layer_sizes):
                 raise ValueError(f"layer sizes {layer_sizes} are not all "
                                  f"integers")
             for i in range(len(layer_sizes) - 1):

@@ -178,10 +178,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    sizes = tuple(int(p) for p in text.split(",") if p.strip())
-    if not sizes:
-        raise ValueError("expected at least one width")
-    return sizes
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError("a width is empty")
+    return tuple(int(p) for p in parts)
 
 
 def _parse_value(name: str, text: str):

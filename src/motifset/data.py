@@ -11,14 +11,18 @@ Supported sources:
   order).  A first row none of whose feature cells is a number is treated
   as a header and skipped.
 
-Every source ends in a :class:`Dataset` of four arrays, whose shapes give
-the feature and class counts; it rejects an empty split, zero feature
-columns, or splits that disagree on a count.  IDX pixels are read in
-chunks, each inflated and scaled into [0, 1] straight into its float64
-split before the next is read.  Standardization is fit on the training
-split only and scales both splits in place, a block of rows at a time,
-so ingestion holds no second copy of a split; a row limit that drops rows
-copies the rows it keeps, so the full split can be freed.
+Every source ends in an unscaled :class:`Dataset` of four arrays, whose
+shapes give the feature and class counts; it rejects an empty split, zero
+feature columns, or splits that disagree on a count.  IDX pixels are read
+in chunks, each inflated and scaled into [0, 1] straight into its float64
+split before the next is read.  :func:`standardize_in_place` is fit on the
+training split only and scales both splits in place, a block of rows at a
+time, so ingestion holds no second copy of a split; a row limit that drops
+rows copies the rows it keeps, so the full split can be freed.
+
+Every cell is finite: a CSV cell is checked as it is parsed, an IDX pixel
+is a byte over 255, and :func:`load_dataset_cache`, the one reader of
+floats written elsewhere, checks each array it reads.
 """
 from __future__ import annotations
 
@@ -77,14 +81,13 @@ _STD_BLOCK_ROWS = 64
 
 @dataclass
 class Dataset:
-    """A ready-to-train dataset with one-hot targets.
+    """A dataset with one-hot targets.
 
     ``x_*`` are float64 matrices, ``y_*`` one-hot float64 matrices.  Raises
     :class:`EmptyFileError` for zero feature columns,
     :class:`TooFewSamplesError` for an empty split, and
     :class:`CountMismatchError` for an array that is not 2-D or when the
-    splits disagree on a count, and :class:`NonNumericError`, naming the
-    split and the first column, for a NaN or infinite cell.
+    splits disagree on a count.  The cells are not read.
     """
 
     x_train: np.ndarray
@@ -120,21 +123,6 @@ class Dataset:
                     f"{name}: {x.shape[1]} features and {y.shape[1]} classes,"
                     f" train has {self.n_features} and {self.n_classes}"
                 )
-        for name, a in vars(self).items():
-            # a finite sum proves every cell finite, and the reduce
-            # allocates nothing; a sum that overflows from finite cells
-            # finds no column below
-            with np.errstate(all="ignore"):
-                total = np.add.reduce(a, axis=None)
-            if not np.isfinite(total):
-                bad = ~np.isfinite(a)
-                if bad.any():
-                    j = np.flatnonzero(bad.any(axis=0))[0]
-                    i = np.flatnonzero(bad[:, j])[0]
-                    kind = "feature" if name[0] == "x" else "target"
-                    raise NonNumericError(
-                        f"{name[2:]}: {kind} column {j} holds {a[i, j]} at "
-                        f"row {i}, not a finite number")
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +381,7 @@ def normalize_01(x: np.ndarray, out: np.ndarray | None = None
     return np.divide(x, 255.0, out=out, dtype=np.float64)
 
 
-def _standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
+def standardize_in_place(train: np.ndarray, test: np.ndarray) -> dict:
     """Scale float64 ``train`` and ``test`` in place to zero mean and unit
     variance fit on ``train`` only; return the applied ``mean`` and ``std``.
 
@@ -485,34 +473,25 @@ def split(x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int = 0):
 # pipelines
 
 
-def build_idx_dataset(train_images, train_labels, test_images, test_labels,
-                      apply_standardize: bool = True) -> Dataset:
+def build_idx_dataset(train_images, train_labels, test_images,
+                      test_labels) -> Dataset:
     """IDX pair pipeline: load the train pair, then the test pair, scaled
-    to [0, 1], and optionally standardize."""
+    to [0, 1]."""
     x_tr, lab_tr = _read_idx_pair(train_images, train_labels)
     x_te, lab_te = _read_idx_pair(test_images, test_labels)
-    # Dataset refuses an empty train split, which has no moments, before
-    # it is standardized
-    dataset = Dataset(x_tr, one_hot(lab_tr, IDX_CLASSES), x_te,
-                      one_hot(lab_te, IDX_CLASSES))
-    if apply_standardize:
-        _standardize_in_place(dataset.x_train, dataset.x_test)
-    return dataset
+    return Dataset(x_tr, one_hot(lab_tr, IDX_CLASSES), x_te,
+                   one_hot(lab_te, IDX_CLASSES))
 
 
 def build_csv_dataset(path, label_column: int = -1,
-                      test_fraction: float = 1.0 / 3.0, seed: int = 0,
-                      apply_standardize: bool = True) -> Dataset:
-    """Labeled-CSV pipeline: load, split, standardize on train, one-hot."""
+                      test_fraction: float = 1.0 / 3.0, seed: int = 0
+                      ) -> Dataset:
+    """Labeled-CSV pipeline: load, one-hot, split."""
     features, labels = load_labeled_csv(path, label_column)
-    # split's fancy indexing copies the rows, so the loaded matrix can go
-    x_tr, y_tr, x_te, y_te = split(features,
-                                   one_hot(labels, int(labels.max()) + 1),
-                                   test_fraction, seed)
-    del features
-    if apply_standardize:
-        _standardize_in_place(x_tr, x_te)
-    return Dataset(x_tr, y_tr, x_te, y_te)
+    # split's fancy indexing copies the rows, so the loaded matrix goes
+    # when this returns
+    return Dataset(*split(features, one_hot(labels, int(labels.max()) + 1),
+                          test_fraction, seed))
 
 
 def limit_dataset(dataset: Dataset, train_limit: int = 0,
@@ -520,18 +499,11 @@ def limit_dataset(dataset: Dataset, train_limit: int = 0,
     """Keep only the first N train/test rows (0 means keep all).
 
     A limit that drops rows copies the rows it keeps, so the caller can
-    free the full split.  When neither limit drops a row, ``dataset``
-    itself is returned, so it is not checked again.
+    free the full split; a split that keeps every row is shared with
+    ``dataset``, not copied.
     """
-    def drops(a: np.ndarray, limit: int) -> bool:
-        return 0 < limit < len(a)
-
-    if not (drops(dataset.x_train, train_limit)
-            or drops(dataset.x_test, test_limit)):
-        return dataset
-
     def head(a: np.ndarray, limit: int) -> np.ndarray:
-        return a[:limit].copy() if drops(a, limit) else a
+        return a[:limit].copy() if 0 < limit < len(a) else a
 
     return Dataset(head(dataset.x_train, train_limit),
                    head(dataset.y_train, train_limit),
@@ -565,7 +537,9 @@ def load_dataset_cache(path) -> Dataset:
     """Read a cache container back; any damage raises CorruptCacheError,
     stored feature and class counts that disagree with the shapes included.
 
-    Other metadata keys, such as older caches' ``preprocessing``, are ignored.
+    A NaN or infinite cell raises :class:`NonNumericError` naming the split
+    and the first bad column.  Other metadata keys, such as older caches'
+    ``preprocessing``, are ignored.
     """
     try:
         with read_container(path, CACHE_MAGIC, CACHE_VERSION,
@@ -573,8 +547,9 @@ def load_dataset_cache(path) -> Dataset:
             # the file's own size bounds every matrix: check it before one
             # is allocated
             shapes = [tuple(shape) for shape in meta["shapes"]]
-            # a string or list would make the product below repeat it
-            if not all(isinstance(n, int) for shape in shapes for n in shape):
+            # a string or list would make the product below repeat it, and
+            # JSON's true and false are not sizes
+            if not all(type(n) is int for shape in shapes for n in shape):
                 raise ValueError("a stored shape holds a non-integer")
             if sizes != [8 * math.prod(shape) for shape in shapes]:
                 raise ValueError("sections do not match the stored shapes")
@@ -587,4 +562,19 @@ def load_dataset_cache(path) -> Dataset:
     except (KeyError, TypeError, ValueError, IndexError,
             CountMismatchError) as exc:
         raise CorruptCacheError(f"{path}: malformed cache: {exc}") from exc
+    for name, a in vars(dataset).items():
+        # a finite sum proves every cell finite, and the reduce allocates
+        # nothing; a sum that overflows from finite cells finds no column
+        # below
+        with np.errstate(all="ignore"):
+            total = np.add.reduce(a, axis=None)
+        if not np.isfinite(total):
+            bad = ~np.isfinite(a)
+            if bad.any():
+                j = np.flatnonzero(bad.any(axis=0))[0]
+                i = np.flatnonzero(bad[:, j])[0]
+                kind = "feature" if name[0] == "x" else "target"
+                raise NonNumericError(
+                    f"{name[2:]}: {kind} column {j} holds {a[i, j]} at "
+                    f"row {i}, not a finite number")
     return dataset

@@ -34,6 +34,7 @@ from .data import (
     limit_dataset,
     load_dataset_cache,
     save_dataset_cache,
+    standardize_in_place,
 )
 from .errors import ConfigError, MissingFieldError, NonFiniteError
 from .evolution import EVOLUTION_CSV_HEADER, evolution_schedule, evolve
@@ -53,20 +54,27 @@ from .topology import build_topology
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
     """Materialize the dataset a config describes; a set ``cache_path``
-    replaces the raw loaders, so a missing cache file raises OSError."""
+    replaces the raw loaders, so a missing cache file raises OSError.
+
+    A raw load is standardized when ``config.standardize`` says so, fit on
+    its full training split; a cache holds what ``prepare`` wrote, so it is
+    not.  The row limits apply last.
+    """
     if config.cache_path:
         dataset = load_dataset_cache(config.cache_path)
-    elif config.dataset_kind == "idx":
-        dataset = build_idx_dataset(
-            config.train_images, config.train_labels,
-            config.test_images, config.test_labels,
-            apply_standardize=config.standardize,
-        )
     else:
-        dataset = build_csv_dataset(
-            config.csv_path, config.label_column, config.test_fraction,
-            config.split_seed, apply_standardize=config.standardize,
-        )
+        if config.dataset_kind == "idx":
+            dataset = build_idx_dataset(
+                config.train_images, config.train_labels,
+                config.test_images, config.test_labels)
+        else:
+            dataset = build_csv_dataset(
+                config.csv_path, config.label_column, config.test_fraction,
+                config.split_seed)
+        # the loader's Dataset has refused an empty training split, which
+        # has no moments
+        if config.standardize:
+            standardize_in_place(dataset.x_train, dataset.x_test)
     return limit_dataset(dataset, config.train_limit, config.test_limit)
 
 

@@ -280,6 +280,20 @@ def test_non_integer_layer_size_rejected(tmp_path, sizes):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("motif_size", True, "motif_size"), ("epsilon", True, "epsilon"),
+    ("layer_sizes", [8, 8, True], "not all integers")],
+    ids=["motif_size", "epsilon", "layer_sizes"])
+def test_bool_metadata_value_rejected(tmp_path, key, value, message):
+    # true equals 1 in Python, so it would load as a motif size of 1, an
+    # epsilon of 1 or a last layer of one unit, and save as other bytes
+    path = tmp_path / "ck.bin"
+    save_checkpoint(_trained(sizes=(8, 8, 1), motif_size=1), path)
+    _edit_checkpoint(path, lambda meta, topo: ({**meta, key: value}, topo))
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+
+
 # a topology line: a layer line of drawn numbers, a block line, or text
 _TOPOLOGY_LINES = st.one_of(
     st.lists(st.integers(-2, 10**12).map(str), min_size=4, max_size=4).map(

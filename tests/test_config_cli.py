@@ -823,13 +823,15 @@ class TestCliExportTopology:
 
     @pytest.mark.parametrize("flag,value", [
         ("--output-size", "0"), ("--motif-size", "0"), ("--input-size", "-4"),
-        ("--hidden-sizes", "0")])
+        ("--hidden-sizes", "0"), ("--hidden-sizes", "8,,8"),
+        ("--hidden-sizes", "8,")])
     def test_bad_size_exit_code(self, capsys, flag, value):
         # argparse keeps the last value given for a flag
         assert main(["export-topology", "--input-size", "8",
                      "--hidden-sizes", "8", "--output-size", "4",
                      flag, value]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err and value in err
 
 
 @given(data=st.data())

@@ -29,7 +29,6 @@ from motifset.data import (
     IDX_FILES,
     Dataset,
     _read_idx_pair,
-    _standardize_in_place,
     build_csv_dataset,
     build_idx_dataset,
     find_idx_files,
@@ -40,6 +39,7 @@ from motifset.data import (
     one_hot,
     save_dataset_cache,
     split,
+    standardize_in_place,
     write_idx,
 )
 from motifset.errors import (
@@ -54,11 +54,18 @@ from motifset.errors import (
     TooFewSamplesError,
     TruncatedFileError,
 )
-from motifset.train import run_prepare
+from motifset.train import load_dataset, run_prepare
 
 from conftest import Unwritable, damaged, json_values
 
 SRC = Path(motifset.data.__file__).resolve().parents[1]
+
+
+def _idx_config(paths, **fields) -> ExperimentConfig:
+    """A config that reads the four IDX ``paths``, given in
+    :func:`build_idx_dataset`'s order."""
+    return ExperimentConfig(dataset_kind="idx",
+                            **dict(zip(IDX_FILES, map(str, paths))), **fields)
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, gz=False,
@@ -306,14 +313,14 @@ class TestTransforms:
         rng = np.random.default_rng(5)
         train = rng.normal(3.0, 2.0, size=(200, 6))
         out = train.copy()
-        params = _standardize_in_place(out, train[:1].copy())
+        params = standardize_in_place(out, train[:1].copy())
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(params["mean"], train.mean(axis=0))
 
     def test_standardize_constant_feature_maps_to_zero(self):
         train = np.full((10, 3), 7.0)
-        _standardize_in_place(train, train[:1].copy())
+        standardize_in_place(train, train[:1].copy())
         np.testing.assert_array_equal(train, 0.0)
 
     def test_standardize_matches_two_pass_scalar(self):
@@ -322,7 +329,7 @@ class TestTransforms:
         train = rng.normal(size=(37, 3))
         test = rng.normal(size=(11, 3))
         tr_out, te_out = train.copy(), test.copy()
-        _standardize_in_place(tr_out, te_out)
+        standardize_in_place(tr_out, te_out)
         for j in range(3):
             mean = sum(float(v) for v in train[:, j]) / 37
             var = sum((float(v) - mean) ** 2 for v in train[:, j]) / 37
@@ -339,8 +346,8 @@ class TestTransforms:
         train = rng.normal(size=(50, 4))
         test_a = rng.normal(size=(20, 4))
         test_b = rng.normal(100.0, 50.0, size=(20, 4))
-        pa = _standardize_in_place(train.copy(), test_a)
-        pb = _standardize_in_place(train.copy(), test_b)
+        pa = standardize_in_place(train.copy(), test_a)
+        pb = standardize_in_place(train.copy(), test_b)
         np.testing.assert_array_equal(pa["mean"], pb["mean"])
         np.testing.assert_array_equal(pa["std"], pb["std"])
 
@@ -390,7 +397,7 @@ class TestStandardizeInPlace:
         train = rng.normal(0.0, rng.uniform(0.1, 50.0, d), size=(n, d))
         test = rng.normal(0.0, 10.0, size=(7, d))
         want = _numpy_standardize(train, test)
-        params = _standardize_in_place(train, test)
+        params = standardize_in_place(train, test)
         assert np.array_equal(_bits(train), _bits(want[0]))
         assert np.array_equal(_bits(test), _bits(want[1]))
         assert np.array_equal(_bits(params["std"]), _bits(want[2]))
@@ -403,7 +410,7 @@ class TestStandardizeInPlace:
         train[:, [0, 4, 8]] = offset  # constant columns, one at each end
         test = offset + rng.normal(size=(50, 9))
         want = _numpy_standardize(train, test)
-        _standardize_in_place(train, test)
+        standardize_in_place(train, test)
         assert np.array_equal(_bits(train), _bits(want[0]))
         assert np.array_equal(_bits(test), _bits(want[1]))
         assert (train[:, [0, 4, 8]] == 0.0).all()
@@ -415,7 +422,7 @@ class TestStandardizeInPlace:
         train = rng.normal(5.0, 3.0, size=(203, 70))
         test = rng.normal(5.0, 3.0, size=(9, 70))
         want = _numpy_standardize(train, test)
-        params = _standardize_in_place(train, test)
+        params = standardize_in_place(train, test)
         assert np.array_equal(_bits(train), _bits(want[0]))
         assert np.array_equal(_bits(test), _bits(want[1]))
         assert np.array_equal(_bits(params["std"]), _bits(want[2]))
@@ -434,7 +441,7 @@ class TestStandardizeInPlace:
         with np.errstate(all="raise"), pytest.raises(
                 DataError, match=r"^feature column 1 overflows float64 when "
                                  r"standardized \(" + message):
-            _standardize_in_place(train, np.zeros((2, 3)))
+            standardize_in_place(train, np.zeros((2, 3)))
 
     def test_test_value_that_overflows_is_a_data_error(self):
         # a constant training column scales by the 1e-8 floor, so a large
@@ -446,10 +453,20 @@ class TestStandardizeInPlace:
                 DataError, match=r"^test feature column 2 overflows float64 "
                                  r"when standardized \(mean 0\.0, spread "
                                  r"1e-08\)$"):
-            _standardize_in_place(train, test)
+            standardize_in_place(train, test)
+
+
+def _load_through_cache(path, *args, **arrays) -> Dataset:
+    """The dataset of ``arrays`` written to a cache at ``path`` and read
+    back by :func:`load_dataset_cache`, the loader that checks cells."""
+    save_dataset_cache(Dataset(*args, **arrays), path)
+    return load_dataset_cache(path)
 
 
 class TestDataset:
+    """A Dataset's shape checks, and the finiteness check of a Dataset
+    read from a cache."""
+
     def test_counts_read_from_shapes(self):
         ds = Dataset(np.zeros((4, 6)), np.eye(3)[[0, 1, 2, 0]],
                      np.zeros((2, 6)), np.eye(3)[[2, 1]])
@@ -467,7 +484,7 @@ class TestDataset:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["x_train", "y_train", "x_test",
                                       "y_test"])
-    def test_non_finite_cell_rejected(self, name, value):
+    def test_non_finite_cell_rejected(self, tmp_path, name, value):
         arrays = {"x_train": np.zeros((4, 6)),
                   "y_train": np.eye(3)[[0, 1, 2, 0]],
                   "x_test": np.zeros((2, 6)), "y_test": np.eye(3)[[2, 1]]}
@@ -476,22 +493,24 @@ class TestDataset:
         with pytest.raises(NonNumericError, match=re.escape(
                 f"{name[2:]}: {kind} column 2 holds {value} at row 1, "
                 "not a finite number")):
-            Dataset(**arrays)
+            _load_through_cache(tmp_path / "cache.bin", **arrays)
 
-    def test_first_non_finite_column_named(self):
+    def test_first_non_finite_column_named(self, tmp_path):
         x = np.zeros((4, 6))
         x[0, 4], x[3, 1] = np.inf, np.nan
         with pytest.raises(NonNumericError, match="column 1 holds nan"):
-            Dataset(x, np.eye(3)[[0, 1, 2, 0]], np.zeros((2, 6)),
-                    np.eye(3)[[2, 1]])
+            _load_through_cache(tmp_path / "cache.bin", x,
+                                np.eye(3)[[0, 1, 2, 0]], np.zeros((2, 6)),
+                                np.eye(3)[[2, 1]])
 
-    def test_sum_that_overflows_from_finite_cells_accepted(self):
+    def test_sum_that_overflows_from_finite_cells_accepted(self, tmp_path):
         # the sum of the cells is inf; every cell is finite
         x = np.zeros((4, 6))
         x[:2, 3] = 1e308
-        ds = Dataset(x, np.eye(3)[[0, 1, 2, 0]], np.zeros((2, 6)),
-                     np.eye(3)[[2, 1]])
-        assert ds.x_train is x
+        ds = _load_through_cache(tmp_path / "cache.bin", x,
+                                 np.eye(3)[[0, 1, 2, 0]], np.zeros((2, 6)),
+                                 np.eye(3)[[2, 1]])
+        assert ds.x_train.tobytes() == x.tobytes()
 
 
 class TestLimitDataset:
@@ -515,9 +534,10 @@ class TestLimitDataset:
 
     @pytest.mark.parametrize("limit", [0, 20, 50])
     def test_keeping_every_row_copies_nothing(self, limit):
-        # the same Dataset, so a load checks its arrays once
         ds = self._dataset()
-        assert limit_dataset(ds, train_limit=limit, test_limit=limit) is ds
+        out = limit_dataset(ds, train_limit=limit, test_limit=limit)
+        for name, full in vars(ds).items():
+            assert np.shares_memory(getattr(out, name), full)
 
 
 class TestIdxPipeline:
@@ -535,10 +555,10 @@ class TestIdxPipeline:
     @pytest.mark.parametrize("gz", [False, True])
     def test_matches_standardize_of_normalize(self, tmp_path, gz):
         paths = self._write(tmp_path, 120, 40, gz)
-        ds = build_idx_dataset(*paths)
+        ds = load_dataset(_idx_config(paths))
         x_tr, lab_tr = _read_idx_pair(paths[0], paths[1])
         x_te, lab_te = _read_idx_pair(paths[2], paths[3])
-        _standardize_in_place(x_tr, x_te)
+        standardize_in_place(x_tr, x_te)
         assert ds.x_train.tobytes() == x_tr.tobytes()
         assert ds.x_test.tobytes() == x_te.tobytes()
         assert ds.y_train.tobytes() == one_hot(lab_tr, 10).tobytes()
@@ -552,9 +572,10 @@ class TestIdxPipeline:
 
     def test_unstandardized_is_normalize(self, tmp_path):
         paths, (u8_tr, u8_te) = _write_quartet(tmp_path, 30, 10, False)
-        ds = build_idx_dataset(*paths, apply_standardize=False)
-        assert ds.x_train.tobytes() == (u8_tr / 255.0).tobytes()
-        assert ds.x_test.tobytes() == (u8_te / 255.0).tobytes()
+        for ds in (build_idx_dataset(*paths),
+                   load_dataset(_idx_config(paths, standardize=False))):
+            assert ds.x_train.tobytes() == (u8_tr / 255.0).tobytes()
+            assert ds.x_test.tobytes() == (u8_te / 255.0).tobytes()
 
     def test_ingestion_holds_each_split_once(self, tmp_path):
         """The peak stays within 1.25x of what the result itself holds."""
@@ -562,7 +583,7 @@ class TestIdxPipeline:
         paths = self._write(tmp_path, n_train, n_test, False)
         tracemalloc.start()
         try:
-            ds = build_idx_dataset(*paths)
+            ds = load_dataset(_idx_config(paths))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -578,7 +599,7 @@ class TestIdxPipeline:
         paths = self._write(tmp_path, 4000, 10, False)
         tracemalloc.start()
         try:
-            ds = build_idx_dataset(*paths)
+            ds = load_dataset(_idx_config(paths))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -637,7 +658,7 @@ class TestIdxChunkBoundaries:
         assert self.N_TRAIN % motifset.data._STD_BLOCK_ROWS
         paths, (u8_tr, u8_te) = _write_quartet(tmp_path, self.N_TRAIN,
                                                self.N_TEST, gz)
-        ds = build_idx_dataset(*paths)
+        ds = load_dataset(_idx_config(paths))
         mean = (u8_tr / 255).mean(axis=0)
         std = np.maximum((u8_tr / 255).std(axis=0), 1e-8)
         assert ds.x_train.tobytes() == ((u8_tr / 255 - mean) / std).tobytes()
@@ -1075,9 +1096,10 @@ class TestCache:
         with pytest.raises(CorruptCacheError, match="stored shapes"):
             load_dataset_cache(path)
 
-    @pytest.mark.parametrize("side", ["x", [5], 5.0])
+    @pytest.mark.parametrize("side", ["x", [5], 5.0, True])
     def test_non_integer_shape_rejected(self, tmp_path, side):
-        # a string or list would be repeated by the size product
+        # a string or list would be repeated by the size product, and true
+        # multiplies as 1
         ds = self._dataset()
         path = tmp_path / "cache.bin"
         self._write_sealed(path, (ds.x_train, ds.y_train, ds.x_test,
@@ -1125,20 +1147,26 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
 
 
+def _csv_config(path, **fields) -> ExperimentConfig:
+    return ExperimentConfig(dataset_kind="labeled_csv", csv_path=str(path),
+                            **fields)
+
+
 class TestCsvPipeline:
     def test_end_to_end(self, toy_csv):
-        ds = build_csv_dataset(toy_csv, test_fraction=1 / 3, seed=2)
+        ds = load_dataset(_csv_config(toy_csv, test_fraction=1 / 3,
+                                      split_seed=2))
         assert ds.n_features == 8 and ds.n_classes == 3
         assert ds.x_test.shape[0] == 40 and ds.x_train.shape[0] == 80
         # standardized on train only
         np.testing.assert_allclose(ds.x_train.mean(axis=0), 0.0, atol=1e-10)
 
     def test_matches_standardize_of_split(self, toy_csv):
-        ds = build_csv_dataset(toy_csv, seed=2)
+        ds = load_dataset(_csv_config(toy_csv, split_seed=2))
         features, labels = load_labeled_csv(toy_csv)
         x_tr, y_tr, x_te, y_te = split(features, one_hot(labels, 3), 1 / 3,
                                        seed=2)
-        _standardize_in_place(x_tr, x_te)
+        standardize_in_place(x_tr, x_te)
         assert ds.x_train.tobytes() == x_tr.tobytes()
         assert ds.x_test.tobytes() == x_te.tobytes()
         assert ds.y_train.tobytes() == y_tr.tobytes()
@@ -1151,3 +1179,23 @@ class TestCsvPipeline:
         back = load_dataset_cache(path)
         np.testing.assert_array_equal(back.x_train, ds.x_train)
         np.testing.assert_array_equal(back.y_train, ds.y_train)
+
+
+@pytest.mark.parametrize("kind", ["idx", "csv"])
+def test_standardization_fit_before_the_row_limit(tmp_path, toy_csv, kind):
+    """Limits that drop rows keep the first rows of the full splits
+    standardized on the full training split."""
+    if kind == "idx":
+        paths, _ = _write_quartet(tmp_path, 60, 30, False)
+        config = _idx_config(paths)
+        x_tr, _ = _read_idx_pair(*paths[:2])
+        x_te, _ = _read_idx_pair(*paths[2:])
+    else:
+        config = _csv_config(toy_csv, split_seed=2)
+        features, labels = load_labeled_csv(toy_csv)
+        x_tr, _, x_te, _ = split(features, one_hot(labels, 3), 1 / 3, seed=2)
+    want_tr, want_te, _ = _numpy_standardize(x_tr, x_te)
+    config.train_limit, config.test_limit = 25, 10
+    ds = load_dataset(config)
+    assert ds.x_train.tobytes() == want_tr[:25].tobytes()
+    assert ds.x_test.tobytes() == want_te[:10].tobytes()
